@@ -1,60 +1,44 @@
-"""Fixed-point kernels behind the memoized sum engine.
+"""Fixed-point grouped-quotient levels behind the memoized sum engine.
 
 Level tables hold S_j at every key of the floor-division key space as
 nonnegative integers scaled by 2^frac_bits.  The recurrence
 
     S_j(v) = sum_{p <= v} S_{j-1}(floor(v/p)) / p
 
-is evaluated with floor division per term, so every arithmetic step is
-exact integer work and the only error is the one-sided truncation of each
-division, below 2^-frac_bits per term.  Summation order is fixed
-(ascending primes within a key, ascending keys), results are
-bit-reproducible, and the same integers come out of both implementations:
+is evaluated at key v with r = isqrt(v) split in two (the hyperbola
+method, Tenenbaum, Introduction to Analytic and Probabilistic Number
+Theory, I.3):
 
-* a numba-jitted path storing values as big-endian limb rows (uint64
-  entries, ``limb_bits`` payload bits each) and short-dividing limbwise;
-* a pure-Python path keeping whole ints.  Limbwise short division is
-  integer floor division, so the two agree exactly; tests assert this.
+* primes p <= r contribute floor(S_{j-1}(v // p) / p) one at a time;
+* primes p > r are grouped by their quotient y = v // p, y = 1..v//(r+1).
+  All primes of a group share S_{j-1}(y), and their reciprocals sum to
+  S_1(v // y) - S_1(max(v // (y + 1), r)), a difference of level-1 entries.
+  The group products (scale 2^(2 frac_bits)) are summed exactly and
+  shifted right once per key.
 
-Limb width is chosen so the short-division invariant
-(carry < p, carry * 2^limb_bits + limb < 2^64) holds for the largest
-prime in play, and per-key accumulators never overflow: each quotient
-limb is < 2^limb_bits and at most pi(x) < 2^(64 - limb_bits) of them are
-added before carries are propagated.
+Every argument above is a key, so a level costs O(x^(3/4)) whole-int
+operations instead of one division per (key, prime) pair.  Tuple counts
+follow the same split with pi in place of S_1.  All quantities are
+nonnegative and every rounding is a floor, so each table entry is at most
+the true value and the error ledger is one-sided.  Summation order is
+fixed, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import math
+from math import isqrt
+from operator import floordiv, mul, sub
 
 import numpy as np
 
-try:
-    import numba as _nb
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _nb = None
-    HAVE_NUMBA = False
-
-HEADROOM_BITS = 24  # integer part: S_k < S_1(x)^k stays far below 2^24 in scope
 LEDGER_MARGIN = 16  # frac bits beyond the requested precision
-SCALAR_CUTOFF = 50_000  # below this x the pure-Python path wins (no jit latency)
+HEADROOM_BITS = 24  # more frac bits: ledgers grow like pi(x) * S_{k-1}(x) units
 
 
-def fixed_point_params(precision: int, max_prime: int) -> tuple[int, int, int]:
-    """(limb_bits, n_limbs, frac_bits) for a precision request."""
-    limb_bits = 32 if max_prime < (1 << 31) else 30
-    if max_prime >= (1 << 34):
-        raise ValueError("primes beyond 2^34 are outside the engine's envelope")
-    need = precision + LEDGER_MARGIN + HEADROOM_BITS
-    n_limbs = -(-need // limb_bits)
-    frac_bits = n_limbs * limb_bits - HEADROOM_BITS
-    return limb_bits, n_limbs, frac_bits
+def fixed_point_params(precision: int) -> int:
+    """Fractional bits of the fixed-point tables for a precision request."""
+    return precision + LEDGER_MARGIN + HEADROOM_BITS
 
-
-# ----------------------------------------------------------------------
-# Pure-Python reference path.
 
 def scalar_seed(keys, primes, frac_bits: int) -> list[int]:
     """Level 1: running sum of floor(2^frac_bits / p) snapshotted at keys."""
@@ -76,206 +60,89 @@ def scalar_seed(keys, primes, frac_bits: int) -> list[int]:
     return out
 
 
-def scalar_advance(x: int, keys, s: int, primes, prev, prev_counts):
-    """One DP level in whole-int arithmetic. Returns (values, counts)."""
-    nk = len(keys)
-    out = []
-    counts = []
-    for vi in range(nk):
-        v = keys[vi]
-        acc = 0
-        cnt = 0
-        for p in primes:
-            if p > v:
-                break
-            y = v // p
-            idx = y - 1 if y <= s else nk - x // y
-            acc += prev[idx] // p
-            cnt += prev_counts[idx]
-        out.append(acc)
-        counts.append(cnt)
-    return out, counts
-
-
-# ----------------------------------------------------------------------
-# Numba path.  Kernels are compiled lazily on first use and cached on disk.
-
-if HAVE_NUMBA:
-
-    @_nb.njit(cache=True)
-    def _seed_kernel(keys, primes, one_limbs, out, limb_bits):
-        nk = keys.shape[0]
-        L = one_limbs.shape[0]
-        shift = np.uint64(limb_bits)
-        acc = np.zeros(L, dtype=np.uint64)
-        ki = 0
-        for j in range(primes.shape[0]):
-            p = primes[j]
-            while ki < nk and keys[ki] < p:
-                for t in range(L):
-                    out[ki, t] = acc[t]
-                ki += 1
-            if ki == nk:
-                break
-            pu = np.uint64(p)
-            carry = np.uint64(0)
-            for t in range(L):
-                r = (carry << shift) | one_limbs[t]
-                q = r // pu
-                carry = r - q * pu
-                acc[t] += q
-        while ki < nk:
-            for t in range(L):
-                out[ki, t] = acc[t]
-            ki += 1
-        # propagate carries: quotient limbs were accumulated unrenormalized
-        mask = (np.uint64(1) << shift) - np.uint64(1)
-        for i in range(nk):
-            carry = np.uint64(0)
-            for t in range(L - 1, -1, -1):
-                val = out[i, t] + carry
-                out[i, t] = val & mask
-                carry = val >> shift
-    @_nb.njit(cache=True)
-    def _advance_kernel(keys, s, x, primes, prev, prev_counts, out, out_counts, limb_bits):
-        nk = keys.shape[0]
-        L = prev.shape[1]
-        shift = np.uint64(limb_bits)
-        mask = (np.uint64(1) << shift) - np.uint64(1)
-        acc = np.zeros(L, dtype=np.uint64)
-        for vi in range(nk):
-            v = keys[vi]
-            for t in range(L):
-                acc[t] = np.uint64(0)
-            cnt = 0
-            for j in range(primes.shape[0]):
-                p = primes[j]
-                if p > v:
-                    break
-                y = v // p
-                if y <= s:
-                    idx = y - 1
-                else:
-                    idx = nk - x // y
-                pu = np.uint64(p)
-                carry = np.uint64(0)
-                for t in range(L):
-                    r = (carry << shift) | prev[idx, t]
-                    q = r // pu
-                    carry = r - q * pu
-                    acc[t] += q
-                cnt += prev_counts[idx]
-            carry = np.uint64(0)
-            for t in range(L - 1, -1, -1):
-                val = acc[t] + carry
-                out[vi, t] = val & mask
-                carry = val >> shift
-            out_counts[vi] = cnt
-
-
-def _ints_to_limbs(values, n_limbs: int, limb_bits: int) -> np.ndarray:
-    nk = len(values)
-    arr = np.zeros((nk, n_limbs), dtype=np.uint64)
-    mask = (1 << limb_bits) - 1
-    for i, val in enumerate(values):
-        for t in range(n_limbs - 1, -1, -1):
-            arr[i, t] = val & mask
-            val >>= limb_bits
-    return arr
-
-
-def _limbs_to_ints(arr: np.ndarray, limb_bits: int) -> list[int]:
-    nk, n_limbs = arr.shape
-    if limb_bits == 32:
-        # rows are big-endian 32-bit payloads: decode via bytes in one pass
-        packed = arr.astype(">u4").tobytes()
-        row_bytes = 4 * n_limbs
-        return [
-            int.from_bytes(packed[i * row_bytes : (i + 1) * row_bytes], "big")
-            for i in range(nk)
-        ]
-    out = []
-    for i in range(nk):
-        val = 0
-        for t in range(n_limbs):
-            val = (val << limb_bits) | int(arr[i, t])
-        out.append(val)
-    return out
-
-
-def _one_limbs(frac_bits: int, n_limbs: int, limb_bits: int) -> np.ndarray:
-    arr = np.zeros(n_limbs, dtype=np.uint64)
-    pos = n_limbs * limb_bits - 1 - frac_bits  # bit offset of 2^frac_bits from the top
-    limb_i = pos // limb_bits
-    bit_in_limb = limb_bits - 1 - (pos % limb_bits)
-    arr[limb_i] = np.uint64(1) << np.uint64(bit_in_limb)
-    return arr
-
-
 class Engine:
     """Runs the seed pass and DP levels over one key space."""
 
     def __init__(self, x: int, keys: np.ndarray, s: int, primes: np.ndarray,
-                 precision: int, force_scalar: bool = False):
+                 precision: int):
         self.x = int(x)
         self.keys = keys
         self.s = int(s)
         self.primes = primes
-        max_prime = int(primes[-1]) if primes.size else 2
-        self.limb_bits, self.n_limbs, self.frac_bits = fixed_point_params(
-            precision, max_prime
-        )
-        self.use_numba = HAVE_NUMBA and not force_scalar and self.x >= SCALAR_CUTOFF
-        self._keys_list = None if self.use_numba else keys.tolist()
-        self._primes_list = None if self.use_numba else primes.tolist()
+        self.frac_bits = fixed_point_params(precision)
+        self._keys_list = keys.tolist()
+        self._level1: list[int] = []
+        self._pi: list[int] = []
 
     # -- level 1 ---------------------------------------------------------
-    def seed(self) -> tuple[list[int], np.ndarray]:
+    def seed(self) -> tuple[list[int], list[int]]:
         """(values, counts) of level 1 at every key; counts[i] = pi(keys[i])."""
-        counts = np.searchsorted(self.primes, self.keys, side="right").astype(np.int64)
-        if not self.use_numba:
-            vals = scalar_seed(self._keys_list, self._primes_list, self.frac_bits)
-            return vals, counts
-        out = np.zeros((self.keys.size, self.n_limbs), dtype=np.uint64)
-        one = _one_limbs(self.frac_bits, self.n_limbs, self.limb_bits)
-        _seed_kernel(self.keys, self.primes, one, out, self.limb_bits)
-        return _limbs_to_ints(out, self.limb_bits), counts
+        counts = np.searchsorted(self.primes, self.keys, side="right").tolist()
+        vals = scalar_seed(self._keys_list, self.primes.tolist(), self.frac_bits)
+        self._level1, self._pi = vals, counts
+        return vals, counts
 
     # -- level j -> j+1 ----------------------------------------------------
-    def advance(self, prev_vals: list[int], prev_counts: np.ndarray):
-        if not self.use_numba:
-            vals, counts = scalar_advance(
-                self.x, self._keys_list, self.s, self._primes_list,
-                prev_vals, prev_counts.tolist(),
-            )
-            return vals, np.asarray(counts, dtype=np.int64)
-        prev = _ints_to_limbs(prev_vals, self.n_limbs, self.limb_bits)
-        out = np.zeros_like(prev)
-        out_counts = np.zeros(self.keys.size, dtype=np.int64)
-        _advance_kernel(
-            self.keys, self.s, self.x, self.primes, prev,
-            prev_counts, out, out_counts, self.limb_bits,
-        )
-        return _limbs_to_ints(out, self.limb_bits), out_counts
+    def _quotient_indices(self, v: int, divisors) -> list[int]:
+        """Table positions of the keys v // d for d in divisors."""
+        if v <= self.s:
+            return [v // d - 1 for d in divisors]
+        # v = x // n, so v // d = x // (n d): a large key while n d <= x // (s + 1)
+        x, nk, big = self.x, len(self._keys_list), self.x // (self.s + 1)
+        n = x // v
+        return [nk - n * d if n * d <= big else x // (n * d) - 1 for d in divisors]
+
+    def advance(self, prev: list[int], prev_counts: list[int]):
+        """One grouped-quotient level (see module docstring). Returns (values, counts)."""
+        level1, pi, frac_bits = self._level1, self._pi, self.frac_bits
+        small_primes = self.primes[: pi[self.s - 1]].tolist()
+        prev_at, counts_at = prev.__getitem__, prev_counts.__getitem__
+        out = []
+        out_counts = []
+        for v in self._keys_list:
+            r = isqrt(v)
+            # primes p <= r, one at a time
+            ps = small_primes[: pi[r - 1]]
+            idx = self._quotient_indices(v, ps)
+            acc = sum(map(floordiv, map(prev_at, idx), ps))
+            cnt = sum(map(counts_at, idx))
+            # primes p > r, grouped by y = v // p; the last group starts above r
+            ymax = v // (r + 1)
+            idx = self._quotient_indices(v, range(1, ymax + 1))
+            idx.append(r - 1)
+            s1 = [level1[i] for i in idx]
+            grouped = sum(map(mul, prev[:ymax], map(sub, s1, s1[1:])))
+            pis = [pi[i] for i in idx]
+            cnt += sum(map(mul, prev_counts[:ymax], map(sub, pis, pis[1:])))
+            out.append(acc + (grouped >> frac_bits))
+            out_counts.append(cnt)
+        return out, out_counts
 
     def run(self, k: int):
-        """Levels 1..k; returns (level_k values, level_k counts, level_1 values)."""
+        """Levels 1..k; returns (level_k values, level_k counts, top value per level)."""
         vals, counts = self.seed()
-        level1 = vals
+        tops = [vals[-1]]
         for _ in range(2, k + 1):
             vals, counts = self.advance(vals, counts)
-        return vals, counts, level1
+            tops.append(vals[-1])
+        return vals, counts, tops
 
 
-def truncation_error_ledger(k: int, pi_x: int, s1_upper: float, frac_bits: int) -> float:
-    """Upper bound on |computed - true| for level k at any key.
+def truncation_error_ledger(pi_x: int, tops: list[int], frac_bits: int) -> int:
+    """Upper bound, in units of 2^-frac_bits, on true - computed at level len(tops).
 
-    Level 1 drops < pi(x) * u with u = 2^-frac_bits; each later level
-    inherits the previous bound scaled by sum 1/p <= s1_upper and adds its
-    own pi(x) * u.
+    ``tops[j-1]`` is the computed level-j value at x.  Level 1 drops less
+    than one unit per prime.  Level j inherits E_{j-1} * S_1(x) from its
+    inputs and adds, per key, under one unit per prime p <= r (one floor
+    division each), under S_{j-1}(x) units per prime p > r (the S_1
+    difference of its group), and one unit for the final shift.  True
+    values are bounded above by computed value plus ledger.  All rounding
+    here is upward, in exact integers.
     """
-    u = math.ldexp(1.0, -frac_bits)
-    bound = pi_x * u
-    for _ in range(2, k + 1):
-        bound = bound * s1_upper + pi_x * u
-    return bound * 1.0000001  # cover float rounding of the ledger itself
+    one = 1 << frac_bits
+    ledger = pi_x
+    s1_upper = tops[0] + ledger
+    for top in tops[:-1]:
+        prev_upper = max(one, top + ledger)
+        ledger = -(-ledger * s1_upper // one) - (-pi_x * prev_upper // one) + 1
+    return ledger

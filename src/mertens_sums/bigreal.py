@@ -33,6 +33,14 @@ def check_precision(precision: int, maximum: int | None = None) -> int:
     return precision
 
 
+def check_digits(digits: int) -> int:
+    """Validate a count of printed decimal digits."""
+    digits = int(digits)
+    if digits < 1:
+        raise DomainError(f"digits must be >= 1, got {digits}")
+    return digits
+
+
 def working_precision(precision: int, guard: int = GUARD_BITS):
     """Context manager running mpmath at ``precision + guard`` bits."""
     return mp.workprec(int(precision) + int(guard))
@@ -45,30 +53,8 @@ def to_decimal(x, digits: int = DEFAULT_DIGITS) -> str:
     therefore report bytes, do not depend on the value.  An mpf input is
     rendered from its own mantissa, never re-rounded at ambient precision.
     """
+    check_digits(digits)
     if not isinstance(x, mpmath.mpf):
         with mp.workprec(max(mp.prec, int(digits * 3.33) + 32)):
             x = mpf(x)
     return mpmath.nstr(x, int(digits), strip_zeros=False)
-
-
-def from_decimal(s: str, precision: int = DEFAULT_PRECISION):
-    """Parse a decimal string at the given precision."""
-    with working_precision(precision):
-        return mpf(s)
-
-
-def agreement_bits(a, b) -> float:
-    """Bits of agreement between two numbers: -log2 of the relative gap.
-
-    Returns ``inf`` for exact equality.  Used by tests that assert
-    "agree to >= precision - g bits".
-    """
-    with mp.workprec(mp.prec + 16):
-        a, b = mpf(a), mpf(b)
-        diff = abs(a - b)
-        if diff == 0:
-            return float("inf")
-        scale = max(abs(a), abs(b), mpf(1) if a == b == 0 else mpf(0))
-        if scale == 0:
-            return float("inf")
-        return float(-mpmath.log(diff / scale, 2))

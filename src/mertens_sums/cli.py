@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, to_decimal
+from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, check_digits, to_decimal
 from .errors import MertensError
 from .harness import (
     DEFAULT_GRID_POINTS,
@@ -43,8 +43,11 @@ def _common_flags(sp: argparse.ArgumentParser) -> None:
 def _emit(args, text: str | bytes) -> None:
     data = text.encode() if isinstance(text, str) else text
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise MertensArgumentError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(data.decode())
 
@@ -203,7 +206,10 @@ def _cmd_verify(args) -> int:
         rows.extend(exc.rows)
         if rows and args.out:  # persist partial results before failing
             fmt = "json" if args.format == "json" else "csv"
-            _emit(args, emit_report(rows, fmt, digits=args.digits))
+            try:
+                _emit(args, emit_report(rows, fmt, digits=args.digits))
+            except MertensError as write_exc:  # report it, but fail with the cause
+                print(f"mertens: partial results not written: {write_exc}", file=sys.stderr)
         raise
     fmt = args.format
     if fmt in ("csv", "json"):
@@ -284,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --version
         return int(exc.code or 0)
     try:
+        check_digits(args.digits)
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise MertensArgumentError(f"--out directory does not exist: {args.out}")
         return args.func(args)
     except MertensError as exc:
         print(f"mertens: error: {exc}", file=sys.stderr)

@@ -176,11 +176,12 @@ def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):
         return +v
 
 
-def _estimate_bytes(n_keys: int, n_limbs: int, primes: PrimeTable) -> int:
-    tables = n_keys * n_limbs * 8 * 2  # prev + next limb rows
-    counts = n_keys * 8 * 2
-    prime_copy = primes.count * 8  # int64 working copy
-    return tables + counts + prime_copy
+def _estimate_bytes(n_keys: int, frac_bits: int, pcount: int) -> int:
+    # level-1, previous and next values as Python ints (header plus 30-bit
+    # digits), pi and two count tables, one list slot per entry
+    value_int = 24 + 4 * (frac_bits // 30 + 2)
+    tables = n_keys * (3 * value_int + 3 * 32 + 6 * 8)
+    return tables + pcount * 8  # plus the int64 prime copy
 
 
 def sk_fast(
@@ -195,7 +196,7 @@ def sk_fast(
 
     Level 1 is the prime-reciprocal prefix table; level j reads level j-1
     through floor division.  All arithmetic is exact fixed-point integer
-    work at >= precision + 16 fractional bits (see ``_engine``), summed in
+    work at precision + 40 fractional bits (see ``_engine``), summed in
     a fixed order, so results are deterministic to the bit and the error
     ledger is a one-sided truncation bound.
     """
@@ -222,22 +223,22 @@ def sk_fast(
     plist = np.ascontiguousarray(primes.primes[:pcount], dtype=np.int64)
 
     engine = Engine(x, keyspace.keys, keyspace.sqrt_x, plist, precision)
-    est = _estimate_bytes(len(keyspace), engine.n_limbs, primes)
+    est = _estimate_bytes(len(keyspace), engine.frac_bits, pcount)
     if est > memory_budget:
         raise CapacityError(
             f"estimated working set {est / 1e9:.2f} GB exceeds budget "
             f"{memory_budget / 1e9:.2f} GB"
         )
 
-    values, counts, level1 = engine.run(k)
-    top_int = values[-1]
-    terms = int(counts[-1])
-
-    s1_upper = math.ldexp(level1[-1], -engine.frac_bits) + 1e-9
-    ledger = truncation_error_ledger(k, pcount, s1_upper, engine.frac_bits)
-    value = _fixed_to_mpf(top_int, engine.frac_bits, precision)
+    values, counts, tops = engine.run(k)
+    terms = counts[-1]
+    ledger = truncation_error_ledger(pcount, tops, engine.frac_bits)
+    value = _fixed_to_mpf(values[-1], engine.frac_bits, precision)
     with working_precision(precision):
-        bound = +(mpf(ledger) + abs(value) * mpf(2) ** (-(precision + 16)))
+        # 2^16 times the relative rounding at this working precision: covers
+        # rounding the value, converting the ledger and this expression
+        slack = mpf(2) ** -(precision + 16)
+        bound = mpf(ledger) * mpf(2) ** -engine.frac_bits * (1 + slack) + abs(value) * slack
     elapsed = time.perf_counter() - t0
     return MertensSumResult(
         k=k, x=x, value=value, error_bound=bound,

@@ -213,7 +213,7 @@ class TestAcceptance:
 
     def test_criterion_7_performance(self):
         primes8 = sieve(10**8)
-        sk_fast(3, 60_000, primes8)  # trigger jit compilation outside the timed window
+        sk_fast(3, 60_000, primes8)  # warm up outside the timed window
 
         t0 = time.perf_counter()
         res = sk_fast(3, 10**8, primes8)

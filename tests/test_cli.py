@@ -148,6 +148,37 @@ class TestArgumentHandling:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["transmogrify"]) == 2
 
+    def test_sum_negative_digits(self, capsys):
+        code, out, err = run(capsys, "sum", "--k", "2", "--x", "100", "--digits", "-3")
+        assert code == 2
+        assert out == ""
+        assert err == "mertens: error: digits must be >= 1, got -3\n"
+
+    def test_verify_zero_digits(self, capsys):
+        code, out, err = run(capsys, "verify", "--k", "1", "--start", "1000",
+                             "--stop", "5000", "--points", "3", "--digits", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "mertens: error: digits must be >= 1, got 0\n"
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "f.json"
+        code, out, err = run(capsys, "sum", "--k", "2", "--x", "100", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mertens: error: --out directory does not exist")
+        assert len(err.splitlines()) == 1
+
+    def test_failed_partial_write_keeps_cause(self, capsys, tmp_path):
+        # --out names a directory: the partial write fails, the abort still reports its cause
+        code, _, err = run(capsys, "verify", "--k", "1", "--start", "1000", "--stop", "10000000",
+                           "--points", "5", "--sieve-limit", "100000", "--format", "csv",
+                           "--out", str(tmp_path))
+        assert code == 2
+        lines = err.splitlines()
+        assert lines[0].startswith("mertens: partial results not written: cannot write")
+        assert lines[-1].startswith("mertens: error: verification aborted: prime table covers")
+
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "mertens" in capsys.readouterr().out

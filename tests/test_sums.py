@@ -138,19 +138,6 @@ class TestFastEngine:
                 ceiling = res.terms * mpf(2) ** (2 - 192) * mpf(2) ** -k
                 assert 0 <= res.error_bound <= ceiling
 
-    def test_scalar_and_jit_paths_identical(self, primes_1e6):
-        # force both implementations across the cutoff and compare exactly
-        for k, x in ((2, 60_000), (3, 120_000), (1, 51_000)):
-            fast = sk_fast(k, x, primes_1e6)
-            saved = engine_mod.HAVE_NUMBA
-            engine_mod.HAVE_NUMBA = False
-            try:
-                scalar = sk_fast(k, x, primes_1e6)
-            finally:
-                engine_mod.HAVE_NUMBA = saved
-            assert fast.value == scalar.value
-            assert fast.terms == scalar.terms
-
     def test_s1_at_1e6_against_fsum(self, primes_1e6):
         # one-pass float oracle: fsum of 1/p is exactly rounded, so it
         # carries only representation error ~1e-16
@@ -168,9 +155,77 @@ class TestFastEngine:
         with pytest.raises(CapacityError):
             sk_fast(2, 70_000, primes_1e6, memory_budget=1024)
 
+    @pytest.mark.parametrize("k,x,precision", [(3, 10, 5000), (2, 1000, 2048)])
+    def test_high_precision_against_exact(self, k, x, precision, primes_1e4):
+        exact = sk_direct(k, x, primes_1e4, exact=True).value
+        res = sk_fast(k, x, primes_1e4, precision=precision)
+        bound = _to_fraction(res.error_bound)
+        assert 0 < bound <= Fraction(1, 2**precision) * max(1, exact)
+        value = _to_fraction(res.value)
+        assert abs(exact - value) <= bound
+
     def test_x_equal_one(self, primes_1e4):
         res = sk_fast(3, 1, primes_1e4)
         assert res.value == 0 and res.terms == 0
+
+
+def _to_fraction(value) -> Fraction:
+    man, exp = value.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _reference_levels(k: int, x: int, primes, frac_bits: int):
+    """Per-prime fixed-point recurrence: (value, terms, ledger in ulps) of S_1..S_k at x."""
+    ks = KeySpace.build(x)
+    keys = ks.keys.tolist()
+    plist = primes.primes[: primes.count_upto(x)].tolist()
+    vals = [sum((1 << frac_bits) // p for p in plist if p <= v) for v in keys]
+    counts = [primes.count_upto(v) for v in keys]
+    s1_upper, ledger = vals[-1] + len(plist), len(plist)
+    levels = [(vals[-1], counts[-1], ledger)]
+    for _ in range(2, k + 1):
+        rows = [[ks.index(v // p) for p in plist if p <= v] for v in keys]
+        vals = [sum(vals[i] // p for i, p in zip(row, plist)) for row in rows]
+        counts = [sum(counts[i] for i in row) for row in rows]
+        ledger = -(-ledger * s1_upper >> frac_bits) + len(plist)
+        levels.append((vals[-1], counts[-1], ledger))
+    return levels
+
+
+class TestLedgerGuard:
+    """The error ledger is one-sided and honest against exact rationals."""
+
+    XS = sorted(set(random.Random(1910).sample(range(2, 1000), 56)) | {2, 16, 210, 999})
+
+    @pytest.mark.parametrize("precision", [64, 80, 192])
+    def test_one_sided_against_exact(self, precision, primes_1e4):
+        for x in self.XS:
+            ks = KeySpace.build(x)
+            plist = primes_1e4.primes[: primes_1e4.count_upto(x)]
+            for k in (1, 2, 3, 4):
+                exact = sk_direct(k, x, primes_1e4, exact=True)
+                # the fixed-point table, in units of 2^-frac_bits, before any mpf rounding
+                engine = engine_mod.Engine(x, ks.keys, ks.sqrt_x, plist, precision)
+                vals, _, tops = engine.run(k)
+                ledger = engine_mod.truncation_error_ledger(len(plist), tops, engine.frac_bits)
+                assert 0 <= exact.value * 2**engine.frac_bits - vals[-1] <= ledger, (k, x)
+
+                res = sk_fast(k, x, primes_1e4, precision=precision)
+                value = _to_fraction(res.value)
+                slack = max(1, value) * Fraction(1, 2 ** (precision + 16))
+                gap = exact.value - value
+                assert -slack <= gap <= _to_fraction(res.error_bound), (k, x, precision)
+                assert res.terms == exact.terms, (k, x)
+
+    @pytest.mark.parametrize("x", [10**5, 3 * 10**5])
+    def test_against_per_prime_recurrence(self, x, primes_1e6):
+        frac_bits = engine_mod.fixed_point_params(192)
+        levels = _reference_levels(4, x, primes_1e6, frac_bits)
+        for k, (ref_int, ref_terms, ref_ledger) in enumerate(levels, start=1):
+            res = sk_fast(k, x, primes_1e6, precision=192)
+            gap = abs(_to_fraction(res.value) - Fraction(ref_int, 2**frac_bits))
+            assert gap <= _to_fraction(res.error_bound) + Fraction(ref_ledger, 2**frac_bits)
+            assert res.terms == ref_terms
 
 
 class TestOracleEquivalence:
@@ -215,14 +270,7 @@ class TestPrimeRecipTable:
 
 class TestEngineInternals:
     def test_fixed_point_params(self):
-        limb_bits, n_limbs, frac_bits = engine_mod.fixed_point_params(192, 10**8)
-        assert limb_bits == 32
-        assert frac_bits >= 192 + engine_mod.LEDGER_MARGIN
-        assert n_limbs * limb_bits - frac_bits == engine_mod.HEADROOM_BITS
-        wide = engine_mod.fixed_point_params(192, 2**33)
-        assert wide[0] == 30
-
-    def test_limb_round_trip(self):
-        vals = [0, 1, (1 << 200) + 12345, (1 << 230) - 1]
-        arr = engine_mod._ints_to_limbs(vals, 8, 32)
-        assert engine_mod._limbs_to_ints(arr, 32) == vals
+        assert engine_mod.fixed_point_params(192) == 232
+        for precision in (64, 80, 192, 1000):
+            frac_bits = engine_mod.fixed_point_params(precision)
+            assert frac_bits == precision + engine_mod.LEDGER_MARGIN + engine_mod.HEADROOM_BITS
