@@ -22,10 +22,10 @@ grid = GridSpec(start=10**3, stop=10**6, points=10)
 primes = sieve(grid.stop)
 bundle = ConstantsBundle.build(192, m_max=12)
 
-all_rows = []
+# one DP pass per x yields every k; rows come back k-major
+all_rows = verify_grid((1, 2, 3), grid, primes=primes, bundle=bundle)
 for k in (1, 2, 3):
-    rows = verify_grid(k, grid, primes=primes, bundle=bundle)
-    all_rows.extend(rows)
+    rows = [r for r in all_rows if r.k == k]
     print(f"=== k = {k} ===")
     print(f"{'x':>10} {'S_k':>14} {'P_k':>14} {'ratio':>10}")
     for r in rows:

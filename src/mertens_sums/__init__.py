@@ -21,7 +21,6 @@ from .constants import (
     ConstantsBundle,
     euler_gamma,
     g_at_1,
-    h0,
     mertens_c1,
     pi_value,
     recip_gamma_derivs,
@@ -45,7 +44,14 @@ from .harness import (
     verify_grid,
 )
 from .primes import PrimeTable, mobius, prime_zeta, sieve
-from .sums import KeySpace, MertensSumResult, prime_recip_table, sk_direct, sk_fast
+from .sums import (
+    KeySpace,
+    MertensSumResult,
+    prime_recip_table,
+    sk_direct,
+    sk_fast,
+    sk_levels,
+)
 
 __all__ = [
     "CapacityError",
@@ -69,7 +75,6 @@ __all__ = [
     "euler_gamma",
     "evaluate_main_term",
     "g_at_1",
-    "h0",
     "hankel_power_quad",
     "im_closed_form",
     "im_quad",
@@ -85,6 +90,7 @@ __all__ = [
     "sieve",
     "sk_direct",
     "sk_fast",
+    "sk_levels",
     "summary_stats",
     "to_decimal",
     "verify_grid",

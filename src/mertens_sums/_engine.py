@@ -1,7 +1,8 @@
 """Fixed-point grouped-quotient levels behind the memoized sum engine.
 
 Level tables hold S_j at every key of the floor-division key space as
-nonnegative integers scaled by 2^frac_bits.  The recurrence
+nonnegative integers scaled by 2^frac_bits.  Level 1 comes from
+:func:`seed_table`, exact uint64 limb arithmetic in numpy.  The recurrence
 
     S_j(v) = sum_{p <= v} S_{j-1}(floor(v/p)) / p
 
@@ -40,24 +41,47 @@ def fixed_point_params(precision: int) -> int:
     return precision + LEDGER_MARGIN + HEADROOM_BITS
 
 
-def scalar_seed(keys, primes, frac_bits: int) -> list[int]:
-    """Level 1: running sum of floor(2^frac_bits / p) snapshotted at keys."""
-    one = 1 << frac_bits
-    out = []
-    acc = 0
-    ki = 0
-    nk = len(keys)
-    for p in primes:
-        while ki < nk and keys[ki] < p:
-            out.append(acc)
-            ki += 1
-        if ki == nk:
-            break
-        acc += one // p
-    while ki < nk:
-        out.append(acc)
-        ki += 1
-    return out
+SEED_CHUNK = 1 << 16  # primes per block of the seed's cumulative sums
+
+
+def seed_table(counts: np.ndarray, primes: np.ndarray, frac_bits: int) -> list[int]:
+    """Level 1: sum of floor(2^frac_bits / p) over the first counts[i] primes, per i.
+
+    ``counts`` is nondecreasing.  Each floor(2^frac_bits / p) is a long
+    division by p in limbs of L bits, most significant limb first; the
+    limb quotients are summed per limb by cumulative sums over blocks of
+    primes, carried from block to block and read at each key's last prime.
+    Only these per-key limb sums are joined into whole ints.  With
+    L = min(32, 64 - bits(pmax)), both a remainder shifted left by L
+    (below pmax * 2^L) and a limb sum (below pmax quotients of 2^L each)
+    stay under 2^64, so every step is exact uint64 arithmetic.
+    """
+    n = int(counts[-1])
+    if n == 0:
+        return [0] * len(counts)
+    limb = min(32, 64 - int(primes[n - 1]).bit_length())
+    nlimbs = frac_bits // limb + 1
+    top = np.uint64(1 << (frac_bits - limb * (nlimbs - 1)))  # leading digit of 2^frac_bits
+    ends = counts.astype(np.int64) - 1  # position of each key's last prime
+    sums = np.zeros((nlimbs, len(counts)), dtype=np.uint64)
+    carry = np.zeros(nlimbs, dtype=np.uint64)
+    shift = np.uint64(limb)
+    for start in range(0, n, SEED_CHUNK):
+        p = primes[start : min(start + SEED_CHUNK, n)].astype(np.uint64)
+        lo, hi = np.searchsorted(ends, [start, start + p.size])
+        at = ends[lo:hi] - start
+        rem = np.full(p.size, top, dtype=np.uint64)
+        for i in range(nlimbs):
+            q, rem = np.divmod(rem, p)
+            rem <<= shift  # the remaining digits of 2^frac_bits are zero
+            running = np.cumsum(q)
+            running += carry[i]
+            sums[i, lo:hi] = running[at]
+            carry[i] = running[-1]
+    vals = sums[0].tolist()
+    for row in sums[1:]:
+        vals = [(v << limb) + c for v, c in zip(vals, row.tolist())]
+    return vals
 
 
 class Engine:
@@ -77,10 +101,12 @@ class Engine:
     # -- level 1 ---------------------------------------------------------
     def seed(self) -> tuple[list[int], list[int]]:
         """(values, counts) of level 1 at every key; counts[i] = pi(keys[i])."""
-        counts = np.searchsorted(self.primes, self.keys, side="right").tolist()
-        vals = scalar_seed(self._keys_list, self.primes.tolist(), self.frac_bits)
-        self._level1, self._pi = vals, counts
-        return vals, counts
+        # keys <= x fit the primes' dtype; a mixed-dtype search would copy the primes
+        counts = np.searchsorted(self.primes, self.keys.astype(self.primes.dtype),
+                                 side="right")
+        vals = seed_table(counts, self.primes, self.frac_bits)
+        self._level1, self._pi = vals, counts.tolist()
+        return vals, self._pi
 
     # -- level j -> j+1 ----------------------------------------------------
     def _quotient_indices(self, v: int, divisors) -> list[int]:
@@ -118,12 +144,18 @@ class Engine:
             out_counts.append(cnt)
         return out, out_counts
 
-    def run(self, k: int):
-        """Levels 1..k; returns (level_k values, level_k counts, top value per level)."""
+    def levels(self, k: int):
+        """Yield (values, counts) of levels 1..k in turn, each computed once."""
         vals, counts = self.seed()
-        tops = [vals[-1]]
+        yield vals, counts
         for _ in range(2, k + 1):
             vals, counts = self.advance(vals, counts)
+            yield vals, counts
+
+    def run(self, k: int):
+        """Levels 1..k; returns (level_k values, level_k counts, top value per level)."""
+        tops = []
+        for vals, counts in self.levels(k):
             tops.append(vals[-1])
         return vals, counts, tops
 

@@ -1,8 +1,9 @@
 """Command-line front door: ``mertens sum|poly|constants|hankel|verify``.
 
 Exit codes: 0 success, 2 invalid arguments or domain errors,
-3 precision-not-met, 4 capacity exceeded.  ``MERTENS_CACHE_DIR`` enables
-the optional sieve bitset cache.
+3 precision-not-met, 4 capacity exceeded.  ``verify`` evaluates each grid
+point once for all requested k and prints the rows k-major, in ``--k``
+order.  Nothing is read from or written to disk except ``--out``.
 """
 
 from __future__ import annotations
@@ -52,15 +53,11 @@ def _emit(args, text: str | bytes) -> None:
         sys.stdout.write(data.decode())
 
 
-def _cache_dir() -> str | None:
-    return os.environ.get("MERTENS_CACHE_DIR") or None
-
-
 def _build_sieve(limit: int, args):
     from .primes import sieve
 
     lim = args.sieve_limit if args.sieve_limit is not None else limit
-    return sieve(lim, cache_dir=_cache_dir())
+    return sieve(lim)
 
 
 def _cmd_constants(args) -> int:
@@ -195,19 +192,14 @@ def _cmd_verify(args) -> int:
     grid = GridSpec(start=args.start, stop=args.stop, points=args.points)
     primes = _build_sieve(grid.stop, args)
     bundle = ConstantsBundle.build(args.prec, m_max=max(12, *ks))
-    rows = []
     try:
-        for k in ks:
-            rows.extend(
-                verify_grid(k, grid, precision=args.prec, digits=args.digits,
-                            primes=primes, bundle=bundle)
-            )
+        rows = verify_grid(ks, grid, precision=args.prec, digits=args.digits,
+                           primes=primes, bundle=bundle)
     except VerificationAborted as exc:
-        rows.extend(exc.rows)
-        if rows and args.out:  # persist partial results before failing
+        if exc.rows and args.out:  # persist partial results before failing
             fmt = "json" if args.format == "json" else "csv"
             try:
-                _emit(args, emit_report(rows, fmt, digits=args.digits))
+                _emit(args, emit_report(exc.rows, fmt, digits=args.digits))
             except MertensError as write_exc:  # report it, but fail with the cause
                 print(f"mertens: partial results not written: {write_exc}", file=sys.stderr)
         raise

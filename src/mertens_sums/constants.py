@@ -290,13 +290,6 @@ def _mertens_c1_direct(precision: int, primes, abs_tol):
         return +(euler_gamma(precision) - total)
 
 
-def h0_value(precision: int = DEFAULT_PRECISION):
-    """h(0) = c1 - gamma, the constant shift in the log-singularity
-    expansion of the prime zeta function; equals -g(1)."""
-    with working_precision(precision):
-        return +(mertens_c1(precision) - euler_gamma(precision))
-
-
 # ----------------------------------------------------------------------
 # Derivatives of the reciprocal gamma function at 1.
 
@@ -419,7 +412,3 @@ class ConstantsBundle:
     def pi(self):
         return pi_value(self.precision)
 
-
-def h0(bundle: ConstantsBundle):
-    """h(0) = c1 - gamma from a constructed bundle."""
-    return bundle.h0

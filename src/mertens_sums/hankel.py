@@ -174,10 +174,10 @@ def hankel_power_quad(
 ) -> QuadResult:
     """(1/2 pi i) int x^s s^(-1-z) ds over the loop; equals
     (log x)^z / Gamma(z+1)."""
-    if not x > 1:
-        raise DomainError(f"x must exceed 1, got {x!r}")
+    if not 1 < x < math.inf:
+        raise DomainError(f"x must be finite and exceed 1, got {x!r}")
     z = float(z)
-    if abs(z) > MAX_ABS_Z:
+    if not abs(z) <= MAX_ABS_Z:  # also rejects nan
         raise DomainError(f"|z| <= {MAX_ABS_Z} is the tested envelope, got {z}")
     if contour is None:
         contour = HankelContour.for_x(x)
@@ -208,8 +208,8 @@ def im_quad(
         raise DomainError(f"m must be an integer >= 0, got {m!r}")
     if m > MAX_IM_ORDER:
         raise DomainError(f"m <= {MAX_IM_ORDER} is the tested envelope, got {m}")
-    if not x >= 3:
-        raise DomainError(f"x must be >= 3, got {x!r}")
+    if not 3 <= x < math.inf:
+        raise DomainError(f"x must be finite and >= 3, got {x!r}")
     if contour is None:
         contour = HankelContour.for_x(x)
     tail = _truncation_tail(x, contour, 0.0)
@@ -235,6 +235,6 @@ def power_law_closed_form(z: float, x: float) -> float:
     """
     from .constants import recip_gamma
 
-    if not x > 1:
-        raise DomainError(f"x must exceed 1, got {x!r}")
+    if not 1 < x < math.inf:
+        raise DomainError(f"x must be finite and exceed 1, got {x!r}")
     return float(math.log(x) ** z * float(recip_gamma(z, precision=96)))

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -30,7 +31,7 @@ from .constants import ConstantsBundle
 from .asymptotics import evaluate_main_term
 from .errors import DomainError, MertensError
 from .primes import PrimeTable, sieve
-from .sums import sk_fast
+from .sums import MertensSumResult, sk_levels
 
 DEFAULT_GRID_START = 1_000
 DEFAULT_GRID_STOP = 100_000_000
@@ -95,14 +96,13 @@ class VerificationAborted(MertensError):
 
 
 def verify_row(
-    k: int,
-    x: int,
-    primes: PrimeTable,
+    result: MertensSumResult,
     bundle: ConstantsBundle,
     precision: int = DEFAULT_PRECISION,
     digits: int = DEFAULT_DIGITS,
 ) -> VerificationRow:
-    result = sk_fast(k, x, primes, precision=precision)
+    """The report row comparing one S_k(x) evaluation with P_k(loglog x)."""
+    k, x = result.k, result.x
     with working_precision(precision):
         main = evaluate_main_term(k, x, bundle)
         err = abs(result.value - main)
@@ -119,30 +119,43 @@ def verify_row(
 
 
 def verify_grid(
-    k: int,
+    ks: int | Sequence[int],
     grid: GridSpec,
     precision: int = DEFAULT_PRECISION,
     digits: int = DEFAULT_DIGITS,
     primes: PrimeTable | None = None,
     bundle: ConstantsBundle | None = None,
 ) -> list[VerificationRow]:
-    """One row per grid point for a single k.
+    """One row per grid point for each k in ``ks`` (a k or a sequence of ks).
 
+    Each x is evaluated once, by one :func:`sk_levels` pass up to the
+    largest k.  Rows come out k-major in the order of ``ks``, repeats
+    included: the same list as concatenating one single-k call per entry.
     Capacity or precision failures abort the sweep with
-    :class:`VerificationAborted` carrying the completed rows, so callers
-    can persist partial results.
+    :class:`VerificationAborted` carrying, in the same order, the rows of
+    every grid point completed before the failure, so callers can persist
+    partial results.
     """
+    ks = [ks] if isinstance(ks, int) else list(ks)
+    if not ks:
+        raise DomainError("verify_grid needs at least one k")
+    for k in ks:
+        if not isinstance(k, int) or k < 1:
+            raise DomainError(f"k must be an integer >= 1, got {k!r}")
     if primes is None:
         primes = sieve(grid.stop)
     if bundle is None:
-        bundle = ConstantsBundle.build(precision, m_max=max(12, k))
-    rows: list[VerificationRow] = []
+        bundle = ConstantsBundle.build(precision, m_max=max(12, *ks))
+    by_k: dict[int, list[VerificationRow]] = {k: [] for k in ks}
     for x in grid.values():
         try:
-            rows.append(verify_row(k, x, primes, bundle, precision, digits))
+            levels = sk_levels(max(ks), x, primes, precision=precision)
+            rows = {k: verify_row(levels[k - 1], bundle, precision, digits) for k in by_k}
         except MertensError as exc:
-            raise VerificationAborted(exc, rows) from exc
-    return rows
+            raise VerificationAborted(exc, [r for k in ks for r in by_k[k]]) from exc
+        for k, row in rows.items():
+            by_k[k].append(row)
+    return [r for k in ks for r in by_k[k]]
 
 
 def summary_stats(rows: list[VerificationRow], digits: int = DEFAULT_DIGITS) -> dict:

@@ -12,8 +12,6 @@ geometrically for s >= 3/2.
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +25,6 @@ DEFAULT_MAX_LIMIT = 2_000_000_000
 # Integers covered per segment.  Chosen so the segment's odd-flag array stays
 # comfortably inside L2 while keeping per-segment numpy overhead negligible.
 DEFAULT_SEGMENT_SPAN = 1 << 21
-
-_CACHE_MAGIC = b"MERTSIEV"
 
 
 @dataclass(frozen=True)
@@ -89,14 +85,11 @@ def sieve(
     *,
     segment_span: int = DEFAULT_SEGMENT_SPAN,
     max_limit: int = DEFAULT_MAX_LIMIT,
-    cache_dir: str | None = None,
 ) -> PrimeTable:
     """All primes <= limit via a segmented odd-only sieve.
 
     Memory is O(segment) for the working flags plus the output array
-    (uint32 below 2^32, int64 above).  ``cache_dir`` optionally persists
-    the packed odd-number bitset; the cache is an optimization only and is
-    revalidated against a freshly sieved prefix before use.
+    (uint32 below 2^32, int64 above).
     """
     limit = int(limit)
     if limit < 0:
@@ -107,89 +100,20 @@ def sieve(
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=dtype))
 
-    if cache_dir:
-        cached = _load_cached_flags(cache_dir, limit)
-        if cached is not None:
-            return _table_from_odd_flags(limit, cached, dtype)
-
     if limit < (1 << 16):
-        table = PrimeTable(limit, _small_sieve(limit).astype(dtype))
-        if cache_dir:
-            _store_cached_flags(cache_dir, limit, _odd_flags_from_table(table))
-        return table
+        return PrimeTable(limit, _small_sieve(limit).astype(dtype))
 
     base = _small_sieve(math.isqrt(limit))
     base_odd = base[1:]
     chunks = [np.array([2], dtype=dtype)]
-    all_flags = [] if cache_dir else None
     low = 3
     while low <= limit:
         high = min(low + 2 * segment_span, limit + 1)  # exclusive
         flags = _odd_flags_segment(low, high, base_odd)
         seg = (low + 2 * np.flatnonzero(flags)).astype(dtype)
         chunks.append(seg)
-        if all_flags is not None:
-            all_flags.append(flags)
         low = high
-    primes = np.concatenate(chunks)
-    table = PrimeTable(limit, primes)
-    if cache_dir and all_flags is not None:
-        _store_cached_flags(cache_dir, limit, np.concatenate(all_flags))
-    return table
-
-
-def _odd_flags_from_table(table: PrimeTable) -> np.ndarray:
-    """Flags for odd numbers 3,5,... <= limit (bit i <-> 3 + 2i)."""
-    n_odd = (table.limit - 1) // 2 if table.limit >= 3 else 0
-    flags = np.zeros(n_odd, dtype=bool)
-    odd = table.primes[table.primes % 2 == 1]
-    flags[(odd.astype(np.int64) - 3) // 2] = True
-    return flags
-
-
-def _table_from_odd_flags(limit: int, flags: np.ndarray, dtype) -> PrimeTable:
-    primes = (3 + 2 * np.flatnonzero(flags)).astype(dtype)
-    if limit >= 2:
-        primes = np.concatenate([np.array([2], dtype=dtype), primes])
-    return PrimeTable(limit, primes)
-
-
-def _cache_path(cache_dir: str, limit: int) -> str:
-    return os.path.join(cache_dir, f"sieve_{limit}.bits")
-
-
-def _store_cached_flags(cache_dir: str, limit: int, flags: np.ndarray) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    packed = np.packbits(flags.astype(np.uint8))
-    with open(_cache_path(cache_dir, limit), "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<Q", limit))
-        fh.write(packed.tobytes())
-
-
-def _load_cached_flags(cache_dir: str, limit: int):
-    path = _cache_path(cache_dir, limit)
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != _CACHE_MAGIC:
-                return None
-            (stored_limit,) = struct.unpack("<Q", fh.read(8))
-            if stored_limit != limit:
-                return None
-            payload = np.frombuffer(fh.read(), dtype=np.uint8)
-    except (OSError, struct.error):
-        return None
-    n_odd = (limit - 1) // 2 if limit >= 3 else 0
-    flags = np.unpackbits(payload)[:n_odd].astype(bool)
-    if flags.size != n_odd:
-        return None
-    # Never a source of truth: revalidate a freshly sieved prefix.
-    probe = min(limit, 100_000)
-    fresh = _odd_flags_from_table(sieve(probe))
-    if not np.array_equal(flags[: fresh.size], fresh):
-        return None
-    return flags
+    return PrimeTable(limit, np.concatenate(chunks))
 
 
 # ----------------------------------------------------------------------

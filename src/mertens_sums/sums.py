@@ -5,8 +5,9 @@ Two independent routes are provided:
 
 * :func:`sk_direct` - literal recursive enumeration of the defining sum,
   no memoization, with an exact-rational mode for tiny x.  The oracle.
-* :func:`sk_fast` - bottom-up dynamic programming over the key space
-  {floor(x/n)}, identical mathematics, engineered for x up to 10^10.
+* :func:`sk_levels` - bottom-up dynamic programming over the key space
+  {floor(x/n)}, identical mathematics, engineered for x up to 10^10; one
+  pass yields S_1(x), ..., S_k(x).  :func:`sk_fast` is its last level.
 
 Both count ordered tuples: (2,3) and (3,2) are distinct terms.  S_0 is 1
 for every argument >= 1 (the empty product), which makes the recursion
@@ -176,29 +177,32 @@ def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):
         return +v
 
 
-def _estimate_bytes(n_keys: int, frac_bits: int, pcount: int) -> int:
+def _estimate_bytes(n_keys: int, frac_bits: int) -> int:
     # level-1, previous and next values as Python ints (header plus 30-bit
-    # digits), pi and two count tables, one list slot per entry
-    value_int = 24 + 4 * (frac_bits // 30 + 2)
-    tables = n_keys * (3 * value_int + 3 * 32 + 6 * 8)
-    return tables + pcount * 8  # plus the int64 prime copy
+    # digits), pi and two count tables, one list slot per entry, and the
+    # seed's per-key limb sums (limbs of at least 30 bits) as uint64
+    digits = frac_bits // 30 + 2
+    return n_keys * (3 * (24 + 4 * digits) + 3 * 32 + 6 * 8 + 8 * digits)
 
 
-def sk_fast(
+def sk_levels(
     k: int,
     x: int,
     primes: PrimeTable,
     precision: int = DEFAULT_PRECISION,
     max_x: int = FAST_MAX_X,
     memory_budget: int = MEMORY_BUDGET_BYTES,
-) -> MertensSumResult:
-    """S_k(x) by the level-by-level DP over KeySpace(x).
+) -> list[MertensSumResult]:
+    """S_1(x), ..., S_k(x) from one level-by-level DP pass over KeySpace(x).
 
     Level 1 is the prime-reciprocal prefix table; level j reads level j-1
-    through floor division.  All arithmetic is exact fixed-point integer
-    work at precision + 40 fractional bits (see ``_engine``), summed in
-    a fixed order, so results are deterministic to the bit and the error
-    ledger is a one-sided truncation bound.
+    through floor division, so the pass that yields S_k(x) computes every
+    lower level on the way and each is reported here.  All arithmetic is
+    exact fixed-point integer work at precision + 40 fractional bits (see
+    ``_engine``), summed in a fixed order, so results are deterministic to
+    the bit and each level's error ledger is a one-sided truncation bound.
+    Entry j-1 has ``k == j``; its ``elapsed`` runs from the call to the
+    end of level j.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
@@ -213,37 +217,51 @@ def sk_fast(
 
     t0 = time.perf_counter()
     if x < 2:
-        # no primes at all: S_k(1) = 0 for k >= 1
+        # no primes at all: S_j(1) = 0 for j >= 1
         elapsed = time.perf_counter() - t0
-        return MertensSumResult(k=k, x=x, value=mpf(0), error_bound=mpf(0),
-                                method="memoized", elapsed=elapsed, terms=0)
+        return [MertensSumResult(k=j, x=x, value=mpf(0), error_bound=mpf(0),
+                                 method="memoized", elapsed=elapsed, terms=0)
+                for j in range(1, k + 1)]
 
     keyspace = KeySpace.build(x)
     pcount = primes.count_upto(x)
-    plist = np.ascontiguousarray(primes.primes[:pcount], dtype=np.int64)
-
-    engine = Engine(x, keyspace.keys, keyspace.sqrt_x, plist, precision)
-    est = _estimate_bytes(len(keyspace), engine.frac_bits, pcount)
+    engine = Engine(x, keyspace.keys, keyspace.sqrt_x, primes.primes[:pcount], precision)
+    est = _estimate_bytes(len(keyspace), engine.frac_bits)
     if est > memory_budget:
         raise CapacityError(
             f"estimated working set {est / 1e9:.2f} GB exceeds budget "
             f"{memory_budget / 1e9:.2f} GB"
         )
 
-    values, counts, tops = engine.run(k)
-    terms = counts[-1]
-    ledger = truncation_error_ledger(pcount, tops, engine.frac_bits)
-    value = _fixed_to_mpf(values[-1], engine.frac_bits, precision)
-    with working_precision(precision):
-        # 2^16 times the relative rounding at this working precision: covers
-        # rounding the value, converting the ledger and this expression
-        slack = mpf(2) ** -(precision + 16)
-        bound = mpf(ledger) * mpf(2) ** -engine.frac_bits * (1 + slack) + abs(value) * slack
-    elapsed = time.perf_counter() - t0
-    return MertensSumResult(
-        k=k, x=x, value=value, error_bound=bound,
-        method="memoized", elapsed=elapsed, terms=terms,
-    )
+    results = []
+    tops = []
+    for j, (values, counts) in enumerate(engine.levels(k), start=1):
+        tops.append(values[-1])
+        ledger = truncation_error_ledger(pcount, tops, engine.frac_bits)
+        value = _fixed_to_mpf(values[-1], engine.frac_bits, precision)
+        with working_precision(precision):
+            # 2^16 times the relative rounding at this working precision: covers
+            # rounding the value, converting the ledger and this expression
+            slack = mpf(2) ** -(precision + 16)
+            bound = (mpf(ledger) * mpf(2) ** -engine.frac_bits * (1 + slack)
+                     + abs(value) * slack)
+        results.append(MertensSumResult(
+            k=j, x=x, value=value, error_bound=bound,
+            method="memoized", elapsed=time.perf_counter() - t0, terms=counts[-1],
+        ))
+    return results
+
+
+def sk_fast(
+    k: int,
+    x: int,
+    primes: PrimeTable,
+    precision: int = DEFAULT_PRECISION,
+    max_x: int = FAST_MAX_X,
+    memory_budget: int = MEMORY_BUDGET_BYTES,
+) -> MertensSumResult:
+    """S_k(x) by the level-by-level DP over KeySpace(x): the last of :func:`sk_levels`."""
+    return sk_levels(k, x, primes, precision, max_x, memory_budget)[-1]
 
 
 def prime_recip_table(
@@ -255,8 +273,8 @@ def prime_recip_table(
     _require_cover(primes, keyspace.x)
     check_precision(precision)
     pcount = primes.count_upto(keyspace.x)
-    plist = np.ascontiguousarray(primes.primes[:pcount], dtype=np.int64)
-    engine = Engine(keyspace.x, keyspace.keys, keyspace.sqrt_x, plist, precision)
+    engine = Engine(keyspace.x, keyspace.keys, keyspace.sqrt_x, primes.primes[:pcount],
+                    precision)
     values, _ = engine.seed()
     return {
         int(key): _fixed_to_mpf(val, engine.frac_bits, precision)

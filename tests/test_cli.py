@@ -1,4 +1,7 @@
 import json
+import warnings
+
+import pytest
 
 from mertens_sums.cli import main
 
@@ -70,6 +73,21 @@ class TestHankelCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--z", "nan", "--x", "1000"),
+        ("--z", "inf", "--x", "1000"),
+        ("--z", "0.5", "--x", "inf"),
+        ("--m", "2", "--x", "inf"),
+        ("--m", "2", "--x", "nan"),
+    ])
+    def test_non_finite_inputs_exit_2(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "hankel", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mertens: error: ") and len(err.splitlines()) == 1
+
 
 class TestSumCommand:
     def test_fast_json(self, capsys):
@@ -129,19 +147,17 @@ class TestVerifyCommand:
         assert body.startswith("k,x,S_k,P_k,abs_err,ratio\n")
         assert len([l for l in body.splitlines() if not l.startswith(("#", "k,"))]) >= 1
 
-
-class TestCacheEnvironment:
-    def test_sieve_cache_dir_honored(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("MERTENS_CACHE_DIR", str(tmp_path))
-        code, _, _ = run(capsys, "sum", "--k", "1", "--x", "30000")
-        assert code == 0
-        cached = list(tmp_path.glob("sieve_*.bits"))
-        assert len(cached) == 1
-        # second run reuses the file rather than rewriting it
-        stamp = cached[0].stat().st_mtime_ns
-        code, _, _ = run(capsys, "sum", "--k", "1", "--x", "30000")
-        assert code == 0
-        assert cached[0].stat().st_mtime_ns == stamp
+    def test_partial_results_on_abort_multi_k(self, capsys, tmp_path):
+        # every completed grid point is written for every k, k-major in --k order
+        out = tmp_path / "partial.csv"
+        code = main(["verify", "--k", "2", "--k", "1", "--start", "1000", "--stop", "10000000",
+                     "--points", "5", "--sieve-limit", "100000", "--format", "csv",
+                     "--out", str(out)])
+        assert code == 2
+        body = [l for l in out.read_text().splitlines() if not l.startswith(("#", "k,"))]
+        ks = [int(l.split(",")[0]) for l in body]
+        done = len(ks) // 2
+        assert done >= 1 and ks == [2] * done + [1] * done
 
 
 class TestArgumentHandling:

@@ -214,15 +214,16 @@ class TestRecipGammaDerivs:
 class TestH0:
     def test_value_and_identities(self, bundle192):
         with mp.workprec(224):
-            h = cn.h0(bundle192)
+            h = bundle192.h0
             assert h < 0
             assert h == bundle192.c1 - bundle192.gamma
             assert abs(h + cn.g_at_1(192)) < mpf(2) ** -(192 - 8)
         assert_close_digits(h, "-0.3157184520538900768510852514737065719906", 38)
 
-    def test_standalone_helper(self):
+    def test_standalone_helper(self, bundle192):
+        # the bundle's h0 against c1 and gamma computed on their own
         with mp.workprec(224):
-            assert abs(cn.h0_value(192) - (cn.mertens_c1(192) - cn.euler_gamma(192))) == 0
+            assert abs(bundle192.h0 - (cn.mertens_c1(192) - cn.euler_gamma(192))) == 0
 
 
 class TestBundle:

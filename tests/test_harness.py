@@ -106,6 +106,26 @@ class TestVerifyGrid:
         assert 0 < len(err.value.rows) < 5
         assert err.value.exit_code == 2
 
+    def test_multi_k_equals_per_k_calls(self, primes_1e6, bundle192):
+        grid = GridSpec(start=1000, stop=100_000, points=3)
+        per_k = [row for k in (4, 1, 1)
+                 for row in verify_grid(k, grid, primes=primes_1e6, bundle=bundle192)]
+        assert verify_grid([4, 1, 1], grid, primes=primes_1e6, bundle=bundle192) == per_k
+
+    def test_multi_k_abort_carries_completed_points(self, primes_1e6, bundle192):
+        grid = GridSpec(start=1000, stop=10**7, points=5)
+        with pytest.raises(VerificationAborted) as err:
+            verify_grid([2, 1], grid, primes=primes_1e6, bundle=bundle192)
+        done = [x for x in grid.values() if x <= 10**6]
+        assert done
+        assert [(r.k, r.x) for r in err.value.rows] == [(k, x) for k in (2, 1) for x in done]
+
+    def test_k_validation(self, primes_1e6, bundle192):
+        grid = GridSpec(start=1000, stop=10_000, points=2)
+        for ks in ([], [1, 0], 0):
+            with pytest.raises(DomainError):
+                verify_grid(ks, grid, primes=primes_1e6, bundle=bundle192)
+
 
 class TestReports:
     def test_csv_schema_and_shape(self, small_rows):

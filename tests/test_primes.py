@@ -77,26 +77,6 @@ class TestSieve:
         assert list(sieve(10)) == [2, 3, 5, 7]
 
 
-class TestSieveCache:
-    def test_round_trip(self, tmp_path):
-        cache = str(tmp_path)
-        first = sieve(200_000, cache_dir=cache)
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        again = sieve(200_000, cache_dir=cache)
-        assert np.array_equal(first.primes, again.primes)
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        cache = str(tmp_path)
-        sieve(150_000, cache_dir=cache)
-        path = next(tmp_path.iterdir())
-        data = bytearray(path.read_bytes())
-        data[40] ^= 0xFF  # flip bits inside the packed payload
-        path.write_bytes(bytes(data))
-        fresh = sieve(150_000, cache_dir=cache)
-        assert np.array_equal(fresh.primes, sieve(150_000).primes)
-
-
 class TestMobius:
     @pytest.mark.parametrize(
         "n,expected",

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from mpmath import mp, mpf
 import mertens_sums._engine as engine_mod
 from mertens_sums.errors import CapacityError, DomainError, ParameterError
 from mertens_sums.sums import (
+    FAST_MAX_X,
     KeySpace,
     prime_recip_table,
     sk_direct,
     sk_fast,
+    sk_levels,
 )
 
 HAND_VALUES = [
@@ -226,6 +229,58 @@ class TestLedgerGuard:
             gap = abs(_to_fraction(res.value) - Fraction(ref_int, 2**frac_bits))
             assert gap <= _to_fraction(res.error_bound) + Fraction(ref_ledger, 2**frac_bits)
             assert res.terms == ref_terms
+
+
+class TestLevels:
+    @pytest.mark.parametrize("x", [1, 2, 16, 999, 65_537, 10**6])
+    def test_each_level_matches_sk_fast(self, x, primes_1e6):
+        levels = sk_levels(4, x, primes_1e6)
+        assert [res.k for res in levels] == [1, 2, 3, 4]
+        for k, res in enumerate(levels, start=1):
+            single = sk_fast(k, x, primes_1e6)
+            assert res.x == single.x
+            assert res.value == single.value, (k, x)
+            assert res.error_bound == single.error_bound, (k, x)
+            assert res.terms == single.terms, (k, x)
+
+    def test_domain(self, primes_1e4):
+        with pytest.raises(DomainError):
+            sk_levels(0, 100, primes_1e4)
+
+
+def _seed_reference(counts, divisors, frac_bits: int) -> list[int]:
+    """Per-divisor running sum of floor(2^frac_bits / p), read after counts[i] terms."""
+    one = 1 << frac_bits
+    prefix = [0, *accumulate(one // p for p in divisors)]
+    return [prefix[c] for c in counts]
+
+
+class TestSeedTable:
+    @pytest.mark.parametrize("precision", [64, 80, 192, 1024, 5000])
+    def test_matches_per_prime_reference(self, precision, primes_1e6):
+        frac_bits = engine_mod.fixed_point_params(precision)
+        chunk = engine_mod.SEED_CHUNK
+        table = primes_1e6.primes[: chunk + 1]
+        prefix = _seed_reference(range(chunk + 2), table.tolist(), frac_bits)
+        # pi(x) just below, on and just above a block boundary of the cumulative sums
+        for x in (int(table[chunk - 1]) - 1, int(table[chunk - 1]), int(table[chunk])):
+            keys = KeySpace.build(x).keys
+            plist = table[: primes_1e6.count_upto(x)]
+            counts = np.searchsorted(plist, keys.astype(plist.dtype), side="right")
+            assert engine_mod.seed_table(counts, plist, frac_bits) == [prefix[c] for c in counts]
+
+    @pytest.mark.parametrize("frac_bits", [104, 232])
+    def test_divisors_beyond_32_bits(self, frac_bits):
+        # divisors near FAST_MAX_X take 30-bit limbs; the seed needs only ascending divisors
+        chunk = engine_mod.SEED_CHUNK
+        divisors = np.arange(FAST_MAX_X - 2 * (chunk + 9), FAST_MAX_X, 2, dtype=np.int64) + 1
+        counts = np.array([0, 0, 1, 7, chunk - 1, chunk, chunk + 1, divisors.size])
+        expected = _seed_reference(counts.tolist(), divisors.tolist(), frac_bits)
+        assert engine_mod.seed_table(counts, divisors, frac_bits) == expected
+
+    def test_no_primes(self):
+        counts = np.zeros(3, dtype=np.int64)
+        assert engine_mod.seed_table(counts, np.empty(0, dtype=np.uint32), 232) == [0, 0, 0]
 
 
 class TestOracleEquivalence:
