@@ -63,7 +63,7 @@ def _build_sieve(limit: int, args):
 def _cmd_constants(args) -> int:
     from .constants import ConstantsBundle, mertens_c1
 
-    bundle = ConstantsBundle.build(args.prec, m_max=max(8, 12))
+    bundle = ConstantsBundle.build(args.prec, m_max=12)
     if args.c1_method == "direct":
         # independent cross-check route; certifies only the sieve-tail bound
         primes = _build_sieve(10**6, args)
@@ -186,15 +186,11 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .constants import ConstantsBundle
-
     ks = args.k if args.k else list(DEFAULT_K_SET)
     grid = GridSpec(start=args.start, stop=args.stop, points=args.points)
     primes = _build_sieve(grid.stop, args)
-    bundle = ConstantsBundle.build(args.prec, m_max=max(12, *ks))
     try:
-        rows = verify_grid(ks, grid, precision=args.prec, digits=args.digits,
-                           primes=primes, bundle=bundle)
+        rows = verify_grid(ks, grid, precision=args.prec, digits=args.digits, primes=primes)
     except VerificationAborted as exc:
         if exc.rows and args.out:  # persist partial results before failing
             fmt = "json" if args.format == "json" else "csv"

@@ -26,10 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .constants import RECIP_GAMMA_MAX_ABS_Z, recip_gamma
 from .errors import ConvergenceError, DomainError, ParameterError
 
 DEFAULT_TARGET = 1e-8
-MAX_ABS_Z = 8.0
 MAX_IM_ORDER = 6
 _MAX_REFINEMENTS = 7
 
@@ -136,27 +136,42 @@ def _truncation_tail(x: float, contour: HankelContour, z: float) -> float:
     return x ** (-T) * growth / math.log(x)
 
 
-def _refine(f, x: float, contour: HankelContour, target: float) -> QuadResult:
+def _checked_contour(x: float, contour: HankelContour | None, z: float) -> HankelContour:
+    """The given contour, or the default for x, if its dropped ray tail meets the target."""
+    if contour is None:
+        contour = HankelContour.for_x(x)
+    tail = _truncation_tail(x, contour, z)
+    if tail > DEFAULT_TARGET:
+        suggested = (math.log(1.0 / DEFAULT_TARGET) + 8.0) / math.log(x)
+        raise ParameterError(
+            f"ray truncation {contour.truncation} leaves a tail ~{tail:.2e} above the "
+            f"target {DEFAULT_TARGET:.2e}; suggest truncation >= {suggested:.3g}",
+            suggestion=suggested,
+        )
+    return contour
+
+
+def _refine(f, x: float, contour: HankelContour) -> QuadResult:
     prev = _integrate(f, x, contour, 1)
     delta = float("inf")
     cur = prev
     for r in range(1, _MAX_REFINEMENTS + 1):
         cur = _integrate(f, x, contour, 2**r)
         delta = abs(cur - prev)
-        if delta < target / 4:
+        if delta < DEFAULT_TARGET / 4:
             break
         prev = cur
     else:
         raise ConvergenceError(
-            f"panel refinement did not settle below {target:.2e} (last delta {delta:.2e})",
+            f"panel refinement did not settle below {DEFAULT_TARGET:.2e} (last delta {delta:.2e})",
             achieved_bound=delta,
         )
     scale = max(1.0, abs(cur))
     estimate = max(2.0 * delta, 64.0 * np.finfo(float).eps * scale)
     imag = abs(cur.imag)
-    if imag > 10 * target:
+    if imag > 10 * DEFAULT_TARGET:
         raise ConvergenceError(
-            f"imaginary part {imag:.2e} exceeds 10x the target {target:.2e}; "
+            f"imaginary part {imag:.2e} exceeds 10x the target {DEFAULT_TARGET:.2e}; "
             "the contour is asymmetric or under-resolved",
             achieved_bound=imag,
         )
@@ -170,37 +185,26 @@ def hankel_power_quad(
     z: float,
     x: float,
     contour: HankelContour | None = None,
-    precision_target: float = DEFAULT_TARGET,
 ) -> QuadResult:
     """(1/2 pi i) int x^s s^(-1-z) ds over the loop; equals
-    (log x)^z / Gamma(z+1)."""
+    (log x)^z / Gamma(z+1), for |z| within the closed form's 1/Gamma series envelope."""
     if not 1 < x < math.inf:
         raise DomainError(f"x must be finite and exceed 1, got {x!r}")
     z = float(z)
-    if not abs(z) <= MAX_ABS_Z:  # also rejects nan
-        raise DomainError(f"|z| <= {MAX_ABS_Z} is the tested envelope, got {z}")
-    if contour is None:
-        contour = HankelContour.for_x(x)
-    tail = _truncation_tail(x, contour, z)
-    if tail > precision_target:
-        suggested = (math.log(1.0 / precision_target) + 8.0) / math.log(x)
-        raise ParameterError(
-            f"ray truncation {contour.truncation} leaves a tail ~{tail:.2e} above the "
-            f"target {precision_target:.2e}; suggest truncation >= {suggested:.3g}",
-            suggestion=suggested,
-        )
+    if not abs(z) <= RECIP_GAMMA_MAX_ABS_Z:  # also rejects nan
+        raise DomainError(f"|z| <= {RECIP_GAMMA_MAX_ABS_Z} is the tested envelope, got {z}")
+    contour = _checked_contour(x, contour, z)
 
     def integrand(s):
         return s ** (-1.0 - z)
 
-    return _refine(integrand, x, contour, precision_target)
+    return _refine(integrand, x, contour)
 
 
 def im_quad(
     m: int,
     x: float,
     contour: HankelContour | None = None,
-    precision_target: float = DEFAULT_TARGET,
 ) -> QuadResult:
     """(1/2 pi i) int (log(1/s))^m x^s ds/s over the loop; matches the
     closed form I_m(x) from the asymptotics module."""
@@ -210,21 +214,12 @@ def im_quad(
         raise DomainError(f"m <= {MAX_IM_ORDER} is the tested envelope, got {m}")
     if not 3 <= x < math.inf:
         raise DomainError(f"x must be finite and >= 3, got {x!r}")
-    if contour is None:
-        contour = HankelContour.for_x(x)
-    tail = _truncation_tail(x, contour, 0.0)
-    if tail > precision_target:
-        suggested = (math.log(1.0 / precision_target) + 8.0) / math.log(x)
-        raise ParameterError(
-            f"ray truncation {contour.truncation} leaves a tail ~{tail:.2e} above the "
-            f"target {precision_target:.2e}; suggest truncation >= {suggested:.3g}",
-            suggestion=suggested,
-        )
+    contour = _checked_contour(x, contour, 0.0)
 
     def integrand(s):
         return (-np.log(s)) ** m / s
 
-    return _refine(integrand, x, contour, precision_target)
+    return _refine(integrand, x, contour)
 
 
 def power_law_closed_form(z: float, x: float) -> float:
@@ -233,8 +228,7 @@ def power_law_closed_form(z: float, x: float) -> float:
     1/Gamma comes from the in-package Taylor series rather than a library
     gamma, so quadrature and closed form share no code path.
     """
-    from .constants import recip_gamma
-
     if not 1 < x < math.inf:
         raise DomainError(f"x must be finite and exceed 1, got {x!r}")
-    return float(math.log(x) ** z * float(recip_gamma(z, precision=96)))
+    # the series cancels about 90 bits near |z| = 4: 192 bits leave a double's worth
+    return float(math.log(x) ** z * float(recip_gamma(z, precision=192)))

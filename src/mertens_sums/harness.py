@@ -50,11 +50,8 @@ class GridSpec:
     start: int = DEFAULT_GRID_START
     stop: int = DEFAULT_GRID_STOP
     points: int = DEFAULT_GRID_POINTS
-    spacing: str = "geometric"
 
     def __post_init__(self):
-        if self.spacing != "geometric":
-            raise DomainError(f"unsupported spacing {self.spacing!r}")
         if self.start < 3:
             raise DomainError(f"grid start must be >= 3, got {self.start}")
         if self.stop <= self.start:

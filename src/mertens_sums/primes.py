@@ -80,22 +80,20 @@ def _odd_flags_segment(low: int, high: int, base_odd: np.ndarray) -> np.ndarray:
     return flags
 
 
-def sieve(
-    limit: int,
-    *,
-    segment_span: int = DEFAULT_SEGMENT_SPAN,
-    max_limit: int = DEFAULT_MAX_LIMIT,
-) -> PrimeTable:
+def sieve(limit: int) -> PrimeTable:
     """All primes <= limit via a segmented odd-only sieve.
 
     Memory is O(segment) for the working flags plus the output array
-    (uint32 below 2^32, int64 above).
+    (uint32 below 2^32, int64 above).  ``limit`` is capped at
+    ``DEFAULT_MAX_LIMIT``; segments span ``DEFAULT_SEGMENT_SPAN`` integers.
     """
     limit = int(limit)
     if limit < 0:
         raise DomainError(f"sieve limit must be >= 0, got {limit}")
-    if limit > max_limit:
-        raise CapacityError(f"sieve limit {limit} exceeds configured maximum {max_limit}")
+    if limit > DEFAULT_MAX_LIMIT:
+        raise CapacityError(
+            f"sieve limit {limit} exceeds configured maximum {DEFAULT_MAX_LIMIT}"
+        )
     dtype = np.uint32 if limit < 2**32 else np.int64
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=dtype))
@@ -108,7 +106,7 @@ def sieve(
     chunks = [np.array([2], dtype=dtype)]
     low = 3
     while low <= limit:
-        high = min(low + 2 * segment_span, limit + 1)  # exclusive
+        high = min(low + 2 * DEFAULT_SEGMENT_SPAN, limit + 1)  # exclusive
         flags = _odd_flags_segment(low, high, base_odd)
         seg = (low + 2 * np.flatnonzero(flags)).astype(dtype)
         chunks.append(seg)

@@ -15,6 +15,26 @@ for every argument >= 1 (the empty product), which makes the recursion
     S_k(x) = sum_{p <= x} S_{k-1}(floor(x/p)) / p
 
 close; S_k depends on x only through floor(x), so arguments are integers.
+
+The engine's level tables hold S_j at every key as nonnegative integers
+scaled by 2^frac_bits.  Level 1 comes from :func:`seed_table`, exact uint64
+limb arithmetic in numpy.  Level j is evaluated at key v with r = isqrt(v)
+split in two (the hyperbola method, Tenenbaum, Introduction to Analytic
+and Probabilistic Number Theory, I.3):
+
+* primes p <= r contribute floor(S_{j-1}(v // p) / p) one at a time;
+* primes p > r are grouped by their quotient y = v // p, y = 1..v//(r+1).
+  All primes of a group share S_{j-1}(y), and their reciprocals sum to
+  S_1(v // y) - S_1(max(v // (y + 1), r)), a difference of level-1 entries.
+  The group products (scale 2^(2 frac_bits)) are summed exactly and
+  shifted right once per key.
+
+Every argument above is a key, so a level costs O(x^(3/4)) whole-int
+operations instead of one division per (key, prime) pair.  Tuple counts
+follow the same split with pi in place of S_1.  All quantities are
+nonnegative and every rounding is a floor, so each table entry is at most
+the true value and the error ledger is one-sided.  Summation order is
+fixed, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -23,11 +43,11 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import floordiv, mul, sub
 
 import numpy as np
 from mpmath import mp, mpf
 
-from ._engine import Engine, truncation_error_ledger
 from .bigreal import DEFAULT_PRECISION, check_precision, working_precision
 from .errors import CapacityError, DomainError, ParameterError
 from .primes import PrimeTable
@@ -43,6 +63,7 @@ class KeySpace:
 
     Closed under y -> floor(y/p): every recursion argument the engine can
     reach stays inside the table.  Size is at most 2*ceil(sqrt(x)).
+    :meth:`indices` is the one place that maps keys to table positions.
     """
 
     x: int
@@ -60,11 +81,14 @@ class KeySpace:
             big = big[1:]
         return cls(x=int(x), keys=np.concatenate([small, big]), sqrt_x=s)
 
-    def index(self, y: int) -> int:
-        """Position of key y (y must be a member)."""
-        if y <= self.sqrt_x:
-            return y - 1
-        return self.keys.size - self.x // y
+    def indices(self, v: int, divisors) -> list[int]:
+        """Table positions of the keys v // d for d in divisors (v a key, d >= 1)."""
+        if v <= self.sqrt_x:
+            return [v // d - 1 for d in divisors]
+        # v = x // n, so v // d = x // (n d): a large key while n d <= x // (s + 1)
+        x, nk, big = self.x, self.keys.size, self.x // (self.sqrt_x + 1)
+        n = x // v
+        return [nk - n * d if n * d <= big else x // (n * d) - 1 for d in divisors]
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -170,6 +194,122 @@ def sk_direct(
 # ----------------------------------------------------------------------
 # The engine: memoized dynamic programming over the key space.
 
+LEDGER_MARGIN = 16  # frac bits beyond the requested precision
+HEADROOM_BITS = 24  # more frac bits: ledgers grow like pi(x) * S_{k-1}(x) units
+
+
+def fixed_point_params(precision: int) -> int:
+    """Fractional bits of the fixed-point tables for a precision request."""
+    return precision + LEDGER_MARGIN + HEADROOM_BITS
+
+
+SEED_CHUNK = 1 << 16  # primes per block of the seed's cumulative sums
+
+
+def seed_table(counts: np.ndarray, primes: np.ndarray, frac_bits: int) -> list[int]:
+    """Level 1: sum of floor(2^frac_bits / p) over the first counts[i] primes, per i.
+
+    ``counts`` is nondecreasing.  Each floor(2^frac_bits / p) is a long
+    division by p in limbs of L bits, most significant limb first; the
+    limb quotients are summed per limb by cumulative sums over blocks of
+    primes, carried from block to block and read at each key's last prime.
+    Only these per-key limb sums are joined into whole ints.  With
+    L = min(32, 64 - bits(pmax)), both a remainder shifted left by L
+    (below pmax * 2^L) and a limb sum (below pmax quotients of 2^L each)
+    stay under 2^64, so every step is exact uint64 arithmetic.
+    """
+    n = int(counts[-1])
+    if n == 0:
+        return [0] * len(counts)
+    limb = min(32, 64 - int(primes[n - 1]).bit_length())
+    nlimbs = frac_bits // limb + 1
+    top = np.uint64(1 << (frac_bits - limb * (nlimbs - 1)))  # leading digit of 2^frac_bits
+    ends = counts.astype(np.int64) - 1  # position of each key's last prime
+    sums = np.zeros((nlimbs, len(counts)), dtype=np.uint64)
+    carry = np.zeros(nlimbs, dtype=np.uint64)
+    shift = np.uint64(limb)
+    for start in range(0, n, SEED_CHUNK):
+        p = primes[start : min(start + SEED_CHUNK, n)].astype(np.uint64)
+        lo, hi = np.searchsorted(ends, [start, start + p.size])
+        at = ends[lo:hi] - start
+        rem = np.full(p.size, top, dtype=np.uint64)
+        for i in range(nlimbs):
+            q, rem = np.divmod(rem, p)
+            rem <<= shift  # the remaining digits of 2^frac_bits are zero
+            running = np.cumsum(q)
+            running += carry[i]
+            sums[i, lo:hi] = running[at]
+            carry[i] = running[-1]
+    vals = sums[0].tolist()
+    for row in sums[1:]:
+        vals = [(v << limb) + c for v, c in zip(vals, row.tolist())]
+    return vals
+
+
+def _advance(keyspace: KeySpace, small_primes: list[int], level1: list[int], pi: list[int],
+             prev: list[int], prev_counts: list[int], frac_bits: int):
+    """One grouped-quotient level (see module docstring). Returns (values, counts)."""
+    indices = keyspace.indices
+    prev_at, counts_at = prev.__getitem__, prev_counts.__getitem__
+    out = []
+    out_counts = []
+    for v in keyspace.keys.tolist():
+        r = math.isqrt(v)
+        # primes p <= r, one at a time
+        ps = small_primes[: pi[r - 1]]
+        idx = indices(v, ps)
+        acc = sum(map(floordiv, map(prev_at, idx), ps))
+        cnt = sum(map(counts_at, idx))
+        # primes p > r, grouped by y = v // p; the last group starts above r
+        ymax = v // (r + 1)
+        idx = indices(v, range(1, ymax + 1))
+        idx.append(r - 1)
+        s1 = [level1[i] for i in idx]
+        grouped = sum(map(mul, prev[:ymax], map(sub, s1, s1[1:])))
+        pis = [pi[i] for i in idx]
+        cnt += sum(map(mul, prev_counts[:ymax], map(sub, pis, pis[1:])))
+        out.append(acc + (grouped >> frac_bits))
+        out_counts.append(cnt)
+    return out, out_counts
+
+
+def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
+    """Yield (values, counts) at every key for levels 1..k, each computed once.
+
+    ``primes`` are the primes up to ``keyspace.x``; counts[i] of level 1 is
+    pi(keys[i]).
+    """
+    # keys <= x fit the primes' dtype; a mixed-dtype search would copy the primes
+    counts = np.searchsorted(primes, keyspace.keys.astype(primes.dtype), side="right")
+    level1, pi = seed_table(counts, primes, frac_bits), counts.tolist()
+    yield level1, pi
+    small_primes = primes[: pi[keyspace.sqrt_x - 1]].tolist()
+    vals, counts = level1, pi
+    for _ in range(2, k + 1):
+        vals, counts = _advance(keyspace, small_primes, level1, pi, vals, counts, frac_bits)
+        yield vals, counts
+
+
+def truncation_error_ledger(pi_x: int, tops: list[int], frac_bits: int) -> int:
+    """Upper bound, in units of 2^-frac_bits, on true - computed at level len(tops).
+
+    ``tops[j-1]`` is the computed level-j value at x.  Level 1 drops less
+    than one unit per prime.  Level j inherits E_{j-1} * S_1(x) from its
+    inputs and adds, per key, under one unit per prime p <= r (one floor
+    division each), under S_{j-1}(x) units per prime p > r (the S_1
+    difference of its group), and one unit for the final shift.  True
+    values are bounded above by computed value plus ledger.  All rounding
+    here is upward, in exact integers.
+    """
+    one = 1 << frac_bits
+    ledger = pi_x
+    s1_upper = tops[0] + ledger
+    for top in tops[:-1]:
+        prev_upper = max(one, top + ledger)
+        ledger = -(-ledger * s1_upper // one) - (-pi_x * prev_upper // one) + 1
+    return ledger
+
+
 def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):
     with mp.workprec(max(frac_bits + 32, precision + 32)):
         v = mpf(value_int) / mpf(2) ** frac_bits
@@ -190,8 +330,6 @@ def sk_levels(
     x: int,
     primes: PrimeTable,
     precision: int = DEFAULT_PRECISION,
-    max_x: int = FAST_MAX_X,
-    memory_budget: int = MEMORY_BUDGET_BYTES,
 ) -> list[MertensSumResult]:
     """S_1(x), ..., S_k(x) from one level-by-level DP pass over KeySpace(x).
 
@@ -199,18 +337,19 @@ def sk_levels(
     through floor division, so the pass that yields S_k(x) computes every
     lower level on the way and each is reported here.  All arithmetic is
     exact fixed-point integer work at precision + 40 fractional bits (see
-    ``_engine``), summed in a fixed order, so results are deterministic to
-    the bit and each level's error ledger is a one-sided truncation bound.
-    Entry j-1 has ``k == j``; its ``elapsed`` runs from the call to the
-    end of level j.
+    the module docstring), summed in a fixed order, so results are
+    deterministic to the bit and each level's error ledger is a one-sided
+    truncation bound.  x is capped at ``FAST_MAX_X``, and the estimated
+    working set at ``MEMORY_BUDGET_BYTES``.  Entry j-1 has ``k == j``; its
+    ``elapsed`` runs from the call to the end of level j.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
     x = int(x)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")
-    if x > max_x:
-        raise CapacityError(f"x={x} exceeds the configured maximum {max_x}")
+    if x > FAST_MAX_X:
+        raise CapacityError(f"x={x} exceeds the configured maximum {FAST_MAX_X}")
     check_precision(precision)
     if x >= 2:
         _require_cover(primes, x)
@@ -225,25 +364,26 @@ def sk_levels(
 
     keyspace = KeySpace.build(x)
     pcount = primes.count_upto(x)
-    engine = Engine(x, keyspace.keys, keyspace.sqrt_x, primes.primes[:pcount], precision)
-    est = _estimate_bytes(len(keyspace), engine.frac_bits)
-    if est > memory_budget:
+    frac_bits = fixed_point_params(precision)
+    est = _estimate_bytes(len(keyspace), frac_bits)
+    if est > MEMORY_BUDGET_BYTES:
         raise CapacityError(
             f"estimated working set {est / 1e9:.2f} GB exceeds budget "
-            f"{memory_budget / 1e9:.2f} GB"
+            f"{MEMORY_BUDGET_BYTES / 1e9:.2f} GB"
         )
 
     results = []
     tops = []
-    for j, (values, counts) in enumerate(engine.levels(k), start=1):
+    levels = _levels(keyspace, primes.primes[:pcount], frac_bits, k)
+    for j, (values, counts) in enumerate(levels, start=1):
         tops.append(values[-1])
-        ledger = truncation_error_ledger(pcount, tops, engine.frac_bits)
-        value = _fixed_to_mpf(values[-1], engine.frac_bits, precision)
+        ledger = truncation_error_ledger(pcount, tops, frac_bits)
+        value = _fixed_to_mpf(values[-1], frac_bits, precision)
         with working_precision(precision):
             # 2^16 times the relative rounding at this working precision: covers
             # rounding the value, converting the ledger and this expression
             slack = mpf(2) ** -(precision + 16)
-            bound = (mpf(ledger) * mpf(2) ** -engine.frac_bits * (1 + slack)
+            bound = (mpf(ledger) * mpf(2) ** -frac_bits * (1 + slack)
                      + abs(value) * slack)
         results.append(MertensSumResult(
             k=j, x=x, value=value, error_bound=bound,
@@ -257,11 +397,9 @@ def sk_fast(
     x: int,
     primes: PrimeTable,
     precision: int = DEFAULT_PRECISION,
-    max_x: int = FAST_MAX_X,
-    memory_budget: int = MEMORY_BUDGET_BYTES,
 ) -> MertensSumResult:
     """S_k(x) by the level-by-level DP over KeySpace(x): the last of :func:`sk_levels`."""
-    return sk_levels(k, x, primes, precision, max_x, memory_budget)[-1]
+    return sk_levels(k, x, primes, precision)[-1]
 
 
 def prime_recip_table(
@@ -273,10 +411,9 @@ def prime_recip_table(
     _require_cover(primes, keyspace.x)
     check_precision(precision)
     pcount = primes.count_upto(keyspace.x)
-    engine = Engine(keyspace.x, keyspace.keys, keyspace.sqrt_x, primes.primes[:pcount],
-                    precision)
-    values, _ = engine.seed()
+    frac_bits = fixed_point_params(precision)
+    values, _ = next(_levels(keyspace, primes.primes[:pcount], frac_bits, 1))
     return {
-        int(key): _fixed_to_mpf(val, engine.frac_bits, precision)
+        int(key): _fixed_to_mpf(val, frac_bits, precision)
         for key, val in zip(keyspace.keys.tolist(), values)
     }

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -115,6 +116,21 @@ class TestSumCommand:
         code, _, err = run(capsys, "sum", "--k", "0", "--x", "100")
         assert code == 2
 
+    def test_golden_json(self, capsys):
+        # pinned output of the fixed-point engine; any change to its bits shows here
+        code, out, _ = run(capsys, "sum", "--k", "4", "--x", "1000000", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        del payload["elapsed_s"]
+        assert payload == {
+            "error_bound": "5.96e-62",
+            "k": 4,
+            "method": "memoized",
+            "terms": 3350815,
+            "value": "24.143274536327463252",
+            "x": 1000000,
+        }
+
 
 class TestVerifyCommand:
     def test_csv_to_file_and_determinism(self, capsys, tmp_path):
@@ -127,6 +143,16 @@ class TestVerifyCommand:
         assert out1.read_bytes() == out2.read_bytes()
         text = out1.read_text()
         assert text.startswith("k,x,S_k,P_k,abs_err,ratio\n")
+
+    def test_golden_json_bytes(self, capsys):
+        # pinned report bytes for k = 1..4 on a five-point grid
+        code, out, _ = run(capsys, "verify", "--start", "1000", "--stop", "100000",
+                           "--points", "5", "--format", "json")
+        assert code == 0
+        assert len(out.encode()) == 3053
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "784fbb6476117f796b71fccbd70282bba2e9a2edb92e74a6119b469f415711b8"
+        )
 
     def test_text_summary(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "2", "--start", "1000",

@@ -7,7 +7,7 @@ from mertens_sums import hankel as hk
 from mertens_sums.asymptotics import im_closed_form
 from mertens_sums.errors import DomainError, ParameterError
 
-Z_GRID = (0.0, 0.5, 1.0, 2.5)
+Z_GRID = (0.0, 0.5, 1.0, 2.5, -3.5, 4.0)
 X_GRID = (10.0, 1e3, 1e6)
 
 
@@ -49,6 +49,9 @@ class TestPowerIdentity:
             hk.hankel_power_quad(0.5, 1.0)
         with pytest.raises(DomainError):
             hk.hankel_power_quad(9.0, 10.0)
+        # beyond the closed form's 1/Gamma series envelope: rejected before any quadrature
+        with pytest.raises(DomainError):
+            hk.hankel_power_quad(4.5, 100.0)
 
     def test_truncation_parameter_error(self):
         short = hk.HankelContour(radius=0.4, offset=0.05, truncation=0.6)

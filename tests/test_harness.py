@@ -45,8 +45,6 @@ class TestGridSpec:
             GridSpec(start=100, stop=100, points=5)
         with pytest.raises(DomainError):
             GridSpec(start=10, stop=100, points=1)
-        with pytest.raises(DomainError):
-            GridSpec(start=10, stop=100, points=5, spacing="linear")
 
 
 class TestVerifyGrid:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from mertens_sums import primes as primes_mod
 from mertens_sums.errors import CapacityError, DomainError
 from mertens_sums.primes import mobius, prime_zeta, sieve
 
@@ -46,10 +47,11 @@ class TestSieve:
         expected = trial_division_primes(10_000)
         assert sieve(10_000).primes.tolist() == expected
 
-    def test_segmentation_invisible(self):
+    def test_segmentation_invisible(self, monkeypatch):
         # a tiny segment span must not change the output
         big = sieve(100_000)
-        small_segs = sieve(100_000, segment_span=1 << 10)
+        monkeypatch.setattr(primes_mod, "DEFAULT_SEGMENT_SPAN", 1 << 10)
+        small_segs = sieve(100_000)
         assert np.array_equal(big.primes, small_segs.primes)
 
     @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=0, max_value=3000))

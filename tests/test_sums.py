@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-import mertens_sums._engine as engine_mod
+from mertens_sums import sums
 from mertens_sums.errors import CapacityError, DomainError, ParameterError
 from mertens_sums.sums import (
     FAST_MAX_X,
@@ -44,14 +44,24 @@ class TestKeySpace:
     @settings(max_examples=40, deadline=None)
     def test_closure_and_index(self, x):
         ks = KeySpace.build(x)
-        keyset = set(ks.keys.tolist())
+        keys = ks.keys.tolist()
+        keyset = set(keys)
         rng = random.Random(x)
-        members = rng.sample(sorted(keyset), min(8, len(keyset)))
+        s, switch = ks.sqrt_x, x // (ks.sqrt_x + 1)
+        # keys on both sides of sqrt_x, including the largest small and smallest large key
+        members = rng.sample(keys, min(8, len(keys))) + keys[max(0, s - 2) : s + 2] + keys[-2:]
         for v in members:
-            assert ks.keys[ks.index(v)] == v
+            assert ks.indices(v, [1]) == [keys.index(v)]
             for p in (2, 3, 5, 7):
                 if p <= v:
                     assert v // p in keyset
+            # divisors on both sides of n d = x // (sqrt_x + 1), where v = x // n
+            n = x // v
+            pivot = switch // n
+            ds = sorted({d for d in [1, 2, 3, v, *range(max(1, pivot - 3), pivot + 4),
+                                     rng.randint(1, v)] if 1 <= d <= v})
+            want = np.searchsorted(ks.keys, [v // d for d in ds]).tolist()
+            assert ks.indices(v, ds) == want, (x, v)
 
     def test_duplicate_corner(self):
         # x a perfect square: x//sqrt(x) == sqrt(x) must not duplicate
@@ -148,15 +158,16 @@ class TestFastEngine:
         res = sk_fast(1, 10**6, primes_1e6)
         assert abs(float(res.value) - oracle) < 1e-12
 
-    def test_capacity_and_parameters(self, primes_1e4, primes_1e6):
+    def test_capacity_and_parameters(self, primes_1e4, primes_1e6, monkeypatch):
         with pytest.raises(CapacityError):
             sk_fast(2, 10**11, primes_1e4)
         with pytest.raises(ParameterError):
             sk_fast(2, 100_000, primes_1e4)
         with pytest.raises(DomainError):
             sk_fast(0, 100, primes_1e4)
+        monkeypatch.setattr(sums, "MEMORY_BUDGET_BYTES", 1024)
         with pytest.raises(CapacityError):
-            sk_fast(2, 70_000, primes_1e6, memory_budget=1024)
+            sk_fast(2, 70_000, primes_1e6)
 
     @pytest.mark.parametrize("k,x,precision", [(3, 10, 5000), (2, 1000, 2048)])
     def test_high_precision_against_exact(self, k, x, precision, primes_1e4):
@@ -179,15 +190,15 @@ def _to_fraction(value) -> Fraction:
 
 def _reference_levels(k: int, x: int, primes, frac_bits: int):
     """Per-prime fixed-point recurrence: (value, terms, ledger in ulps) of S_1..S_k at x."""
-    ks = KeySpace.build(x)
-    keys = ks.keys.tolist()
+    keys = KeySpace.build(x).keys.tolist()
+    position = {v: i for i, v in enumerate(keys)}  # independent of KeySpace.indices
     plist = primes.primes[: primes.count_upto(x)].tolist()
     vals = [sum((1 << frac_bits) // p for p in plist if p <= v) for v in keys]
     counts = [primes.count_upto(v) for v in keys]
     s1_upper, ledger = vals[-1] + len(plist), len(plist)
     levels = [(vals[-1], counts[-1], ledger)]
     for _ in range(2, k + 1):
-        rows = [[ks.index(v // p) for p in plist if p <= v] for v in keys]
+        rows = [[position[v // p] for p in plist if p <= v] for v in keys]
         vals = [sum(vals[i] // p for i, p in zip(row, plist)) for row in rows]
         counts = [sum(counts[i] for i in row) for row in rows]
         ledger = -(-ledger * s1_upper >> frac_bits) + len(plist)
@@ -208,10 +219,12 @@ class TestLedgerGuard:
             for k in (1, 2, 3, 4):
                 exact = sk_direct(k, x, primes_1e4, exact=True)
                 # the fixed-point table, in units of 2^-frac_bits, before any mpf rounding
-                engine = engine_mod.Engine(x, ks.keys, ks.sqrt_x, plist, precision)
-                vals, _, tops = engine.run(k)
-                ledger = engine_mod.truncation_error_ledger(len(plist), tops, engine.frac_bits)
-                assert 0 <= exact.value * 2**engine.frac_bits - vals[-1] <= ledger, (k, x)
+                frac_bits = sums.fixed_point_params(precision)
+                tops = []
+                for vals, _ in sums._levels(ks, plist, frac_bits, k):
+                    tops.append(vals[-1])
+                ledger = sums.truncation_error_ledger(len(plist), tops, frac_bits)
+                assert 0 <= exact.value * 2**frac_bits - vals[-1] <= ledger, (k, x)
 
                 res = sk_fast(k, x, primes_1e4, precision=precision)
                 value = _to_fraction(res.value)
@@ -222,7 +235,7 @@ class TestLedgerGuard:
 
     @pytest.mark.parametrize("x", [10**5, 3 * 10**5])
     def test_against_per_prime_recurrence(self, x, primes_1e6):
-        frac_bits = engine_mod.fixed_point_params(192)
+        frac_bits = sums.fixed_point_params(192)
         levels = _reference_levels(4, x, primes_1e6, frac_bits)
         for k, (ref_int, ref_terms, ref_ledger) in enumerate(levels, start=1):
             res = sk_fast(k, x, primes_1e6, precision=192)
@@ -258,8 +271,8 @@ def _seed_reference(counts, divisors, frac_bits: int) -> list[int]:
 class TestSeedTable:
     @pytest.mark.parametrize("precision", [64, 80, 192, 1024, 5000])
     def test_matches_per_prime_reference(self, precision, primes_1e6):
-        frac_bits = engine_mod.fixed_point_params(precision)
-        chunk = engine_mod.SEED_CHUNK
+        frac_bits = sums.fixed_point_params(precision)
+        chunk = sums.SEED_CHUNK
         table = primes_1e6.primes[: chunk + 1]
         prefix = _seed_reference(range(chunk + 2), table.tolist(), frac_bits)
         # pi(x) just below, on and just above a block boundary of the cumulative sums
@@ -267,20 +280,20 @@ class TestSeedTable:
             keys = KeySpace.build(x).keys
             plist = table[: primes_1e6.count_upto(x)]
             counts = np.searchsorted(plist, keys.astype(plist.dtype), side="right")
-            assert engine_mod.seed_table(counts, plist, frac_bits) == [prefix[c] for c in counts]
+            assert sums.seed_table(counts, plist, frac_bits) == [prefix[c] for c in counts]
 
     @pytest.mark.parametrize("frac_bits", [104, 232])
     def test_divisors_beyond_32_bits(self, frac_bits):
         # divisors near FAST_MAX_X take 30-bit limbs; the seed needs only ascending divisors
-        chunk = engine_mod.SEED_CHUNK
+        chunk = sums.SEED_CHUNK
         divisors = np.arange(FAST_MAX_X - 2 * (chunk + 9), FAST_MAX_X, 2, dtype=np.int64) + 1
         counts = np.array([0, 0, 1, 7, chunk - 1, chunk, chunk + 1, divisors.size])
         expected = _seed_reference(counts.tolist(), divisors.tolist(), frac_bits)
-        assert engine_mod.seed_table(counts, divisors, frac_bits) == expected
+        assert sums.seed_table(counts, divisors, frac_bits) == expected
 
     def test_no_primes(self):
         counts = np.zeros(3, dtype=np.int64)
-        assert engine_mod.seed_table(counts, np.empty(0, dtype=np.uint32), 232) == [0, 0, 0]
+        assert sums.seed_table(counts, np.empty(0, dtype=np.uint32), 232) == [0, 0, 0]
 
 
 class TestOracleEquivalence:
@@ -325,7 +338,7 @@ class TestPrimeRecipTable:
 
 class TestEngineInternals:
     def test_fixed_point_params(self):
-        assert engine_mod.fixed_point_params(192) == 232
+        assert sums.fixed_point_params(192) == 232
         for precision in (64, 80, 192, 1000):
-            frac_bits = engine_mod.fixed_point_params(precision)
-            assert frac_bits == precision + engine_mod.LEDGER_MARGIN + engine_mod.HEADROOM_BITS
+            frac_bits = sums.fixed_point_params(precision)
+            assert frac_bits == precision + sums.LEDGER_MARGIN + sums.HEADROOM_BITS
