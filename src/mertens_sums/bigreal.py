@@ -13,22 +13,24 @@ from __future__ import annotations
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 DEFAULT_PRECISION = 192  # bits
 GUARD_BITS = 32
 MIN_PRECISION = 64
+# Error bounds near 2^-precision must stay printable: mpmath renders numbers
+# below about 2^-14000 through ints past Python's 4300-digit str limit.
+MAX_PRECISION = 8192
 DEFAULT_DIGITS = 20
+MAX_DIGITS = 10_000  # well beyond the ~2466 digits that MAX_PRECISION carries
 
 
-def check_precision(precision: int, maximum: int | None = None) -> int:
+def check_precision(precision: int, maximum: int = MAX_PRECISION) -> int:
     """Validate a precision request in bits."""
     precision = int(precision)
     if precision < MIN_PRECISION:
         raise DomainError(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
-    if maximum is not None and precision > maximum:
-        from .errors import CapacityError
-
+    if precision > maximum:
         raise CapacityError(f"precision {precision} exceeds supported maximum {maximum} bits")
     return precision
 
@@ -38,6 +40,8 @@ def check_digits(digits: int) -> int:
     digits = int(digits)
     if digits < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
+    if digits > MAX_DIGITS:
+        raise CapacityError(f"digits {digits} exceeds supported maximum {MAX_DIGITS}")
     return digits
 
 

@@ -296,6 +296,7 @@ def _mertens_c1_direct(precision: int, primes, abs_tol):
 MAX_DERIV_ORDER = 64
 # |z| envelope of recip_gamma's series: beyond it the tail after a_64 is not negligible
 RECIP_GAMMA_MAX_ABS_Z = 4
+RECIP_GAMMA_GUARD_BITS = 100  # recip_gamma's series cancels about 90 bits at |z| = 4
 
 
 def recip_gamma_derivs(m_max: int, precision: int = DEFAULT_PRECISION):
@@ -345,16 +346,21 @@ def recip_gamma(z, precision: int = DEFAULT_PRECISION):
 
     Accurate for |z| <= RECIP_GAMMA_MAX_ABS_Z; beyond that the truncated
     tail is no longer negligible and a DomainError is raised.  The terms
-    cancel: near |z| = 4 about 90 of the ``precision`` bits are lost.
+    cancel: the rounding of a_m grows with |z|^m, which costs about 90
+    bits near |z| = 4, so the series runs ``RECIP_GAMMA_GUARD_BITS`` above
+    ``precision`` (at most ``MAX_CONSTANT_PRECISION``, where the tail after
+    a_64 already dominates).  That tail is below 2^-69 at |z| = 4.
     """
-    with working_precision(precision):
+    check_precision(precision, MAX_CONSTANT_PRECISION)
+    series_precision = min(precision + RECIP_GAMMA_GUARD_BITS, MAX_CONSTANT_PRECISION)
+    with working_precision(series_precision):
         z = mpf(z)
         if abs(z) > RECIP_GAMMA_MAX_ABS_Z:
             raise DomainError(
                 "series evaluation of 1/Gamma(1+z) supports "
                 f"|z| <= {RECIP_GAMMA_MAX_ABS_Z}, got {z}"
             )
-        a = recip_gamma_derivs(MAX_DERIV_ORDER, precision)
+        a = recip_gamma_derivs(MAX_DERIV_ORDER, series_precision)
         total = mpf(0)
         zpow = mpf(1)
         fact = mpf(1)
@@ -363,6 +369,7 @@ def recip_gamma(z, precision: int = DEFAULT_PRECISION):
                 zpow *= z
                 fact *= m
             total += am * zpow / fact
+    with working_precision(precision):
         return +total
 
 
@@ -389,12 +396,12 @@ class ConstantsBundle:
     def build(cls, precision: int = DEFAULT_PRECISION, m_max: int = 40):
         check_precision(precision, MAX_CONSTANT_PRECISION)
         with working_precision(precision):
+            derivs = recip_gamma_derivs(m_max, precision)  # validates m_max first
             gamma = euler_gamma(precision)
             zmax = max(m_max, 10)
             zmap = {k: zeta_int(k, precision) for k in range(2, zmax + 1)}
             c1 = mertens_c1(precision, "accelerated")
             h0 = +(c1 - gamma)
-            derivs = recip_gamma_derivs(m_max, precision)
             tol = mpf(2) ** (-(precision - 8))
             if h0 != c1 - gamma:
                 raise AssertionError("h0 identity violated at construction")

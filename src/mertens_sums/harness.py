@@ -29,13 +29,14 @@ from mpmath import mp, mpf
 from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, to_decimal, working_precision
 from .constants import ConstantsBundle
 from .asymptotics import evaluate_main_term
-from .errors import DomainError, MertensError
+from .errors import CapacityError, DomainError, MertensError
 from .primes import PrimeTable, sieve
 from .sums import MertensSumResult, sk_levels
 
 DEFAULT_GRID_START = 1_000
 DEFAULT_GRID_STOP = 100_000_000
 DEFAULT_GRID_POINTS = 25
+MAX_GRID_POINTS = 1_000  # every point is a full S_k evaluation
 DEFAULT_K_SET = (1, 2, 3, 4)
 RATIO_BOUND = 10.0  # empirical calibration; the asymptotic statement fixes no constant
 
@@ -58,6 +59,8 @@ class GridSpec:
             raise DomainError(f"grid stop {self.stop} must exceed start {self.start}")
         if self.points < 2:
             raise DomainError(f"grid needs at least 2 points, got {self.points}")
+        if self.points > MAX_GRID_POINTS:
+            raise CapacityError(f"grid points {self.points} exceed the maximum {MAX_GRID_POINTS}")
 
     def values(self) -> list[int]:
         """Strictly increasing integers; duplicates from rounding removed."""

@@ -16,9 +16,9 @@ for every argument >= 1 (the empty product), which makes the recursion
 
 close; S_k depends on x only through floor(x), so arguments are integers.
 
-The engine's level tables hold S_j at every key as nonnegative integers
-scaled by 2^frac_bits.  Level 1 comes from :func:`seed_table`, exact uint64
-limb arithmetic in numpy.  Level j is evaluated at key v with r = isqrt(v)
+The engine's level tables, one entry per key, hold S_j as nonnegative
+integers scaled by 2^frac_bits.  Level 1 comes from :func:`seed_table`,
+exact uint64 limb arithmetic in numpy.  Level j is evaluated at key v with r = isqrt(v)
 split in two (the hyperbola method, Tenenbaum, Introduction to Analytic
 and Probabilistic Number Theory, I.3):
 
@@ -29,12 +29,16 @@ and Probabilistic Number Theory, I.3):
   The group products (scale 2^(2 frac_bits)) are summed exactly and
   shifted right once per key.
 
-Every argument above is a key, so a level costs O(x^(3/4)) whole-int
-operations instead of one division per (key, prime) pair.  Tuple counts
-follow the same split with pi in place of S_1.  All quantities are
-nonnegative and every rounding is a floor, so each table entry is at most
-the true value and the error ledger is one-sided.  Summation order is
-fixed, so results are bit-reproducible.
+Every argument above is a key, so no level needs one division per
+(key, prime) pair.  The per-prime part at x // n reads x // (n p), and
+the grouped part reads only keys up to sqrt(x) and the full level-1 and
+pi tables.  So level k is evaluated only at x, in O(sqrt(x)) operations,
+and level j < k only where level j + 1 reads it: at the keys up to
+sqrt(x), about (2/3) x^(3/4) operations, and at the large keys x // n
+with Omega(n) <= k - j.  Tuple counts follow the same split with pi in
+place of S_1.  All quantities are nonnegative and every rounding is a
+floor, so each table entry is at most the true value and the error ledger
+is one-sided.  Summation order is fixed, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .primes import PrimeTable
 
 DIRECT_MAX_X = 100_000
 FAST_MAX_X = 10_000_000_000
+MAX_K = FAST_MAX_X.bit_length()  # S_k(x) = 0 once 2^k > x: larger k adds only zero levels
 MEMORY_BUDGET_BYTES = 1 << 31  # estimate guard for table + prime storage
 
 
@@ -246,14 +251,19 @@ def seed_table(counts: np.ndarray, primes: np.ndarray, frac_bits: int) -> list[i
     return vals
 
 
-def _advance(keyspace: KeySpace, small_primes: list[int], level1: list[int], pi: list[int],
-             prev: list[int], prev_counts: list[int], frac_bits: int):
-    """One grouped-quotient level (see module docstring). Returns (values, counts)."""
+def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[int],
+             level1: list[int], pi: list[int], prev: list[int], prev_counts: list[int],
+             frac_bits: int):
+    """One grouped-quotient level (see module docstring) at the table positions given.
+
+    Returns full-length (values, counts) lists whose other entries are 0.
+    """
     indices = keyspace.indices
     prev_at, counts_at = prev.__getitem__, prev_counts.__getitem__
-    out = []
-    out_counts = []
-    for v in keyspace.keys.tolist():
+    out = [0] * len(keys)
+    out_counts = [0] * len(keys)
+    for pos in positions:
+        v = keys[pos]
         r = math.isqrt(v)
         # primes p <= r, one at a time
         ps = small_primes[: pi[r - 1]]
@@ -268,25 +278,48 @@ def _advance(keyspace: KeySpace, small_primes: list[int], level1: list[int], pi:
         grouped = sum(map(mul, prev[:ymax], map(sub, s1, s1[1:])))
         pis = [pi[i] for i in idx]
         cnt += sum(map(mul, prev_counts[:ymax], map(sub, pis, pis[1:])))
-        out.append(acc + (grouped >> frac_bits))
-        out_counts.append(cnt)
+        out[pos] = acc + (grouped >> frac_bits)
+        out_counts[pos] = cnt
     return out, out_counts
 
 
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
-    """Yield (values, counts) at every key for levels 1..k, each computed once.
+    """Yield (values, counts) for levels 1..k, each computed once.
 
     ``primes`` are the primes up to ``keyspace.x``; counts[i] of level 1 is
-    pi(keys[i]).
+    pi(keys[i]).  Level 1 fills every key and level k only x.  Level j < k
+    fills the keys level j + 1 reads (see the module docstring): every key
+    up to sqrt_x and the large keys x // n with Omega(n) <= k - j.  Other
+    entries are 0.
     """
     # keys <= x fit the primes' dtype; a mixed-dtype search would copy the primes
     counts = np.searchsorted(primes, keyspace.keys.astype(primes.dtype), side="right")
     level1, pi = seed_table(counts, primes, frac_bits), counts.tolist()
     yield level1, pi
-    small_primes = primes[: pi[keyspace.sqrt_x - 1]].tolist()
+    if k == 1:
+        return
+    s, nk = keyspace.sqrt_x, len(keyspace)
+    keys = keyspace.keys.tolist()
+    small_primes = primes[: pi[s - 1]].tolist()
+    # Omega(n) for n <= x // (s + 1), the n of the large keys x // n (at nk - n)
+    big = keyspace.x // (s + 1)
+    omega = np.zeros(big + 1, dtype=np.int8)
+    for p in small_primes:
+        if p > big:
+            break
+        q = p
+        while q <= big:
+            omega[q::q] += 1
+            q *= p
     vals, counts = level1, pi
-    for _ in range(2, k + 1):
-        vals, counts = _advance(keyspace, small_primes, level1, pi, vals, counts, frac_bits)
+    for j in range(2, k + 1):
+        if j < k:
+            n = np.flatnonzero(omega[1:] <= k - j) + 1
+            positions = [*range(s), *(nk - n).tolist()]
+        else:
+            positions = [nk - 1]
+        vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi,
+                                vals, counts, frac_bits)
         yield vals, counts
 
 
@@ -335,16 +368,21 @@ def sk_levels(
 
     Level 1 is the prime-reciprocal prefix table; level j reads level j-1
     through floor division, so the pass that yields S_k(x) computes every
-    lower level on the way and each is reported here.  All arithmetic is
-    exact fixed-point integer work at precision + 40 fractional bits (see
-    the module docstring), summed in a fixed order, so results are
-    deterministic to the bit and each level's error ledger is a one-sided
-    truncation bound.  x is capped at ``FAST_MAX_X``, and the estimated
-    working set at ``MEMORY_BUDGET_BYTES``.  Entry j-1 has ``k == j``; its
-    ``elapsed`` runs from the call to the end of level j.
+    lower level on the way, at x and at the keys the next level reads
+    (see :func:`_levels`), and each level's value at x is reported here.
+    All arithmetic is exact fixed-point integer work at precision + 40
+    fractional bits (see the module docstring), summed in a fixed order, so
+    results are deterministic to the bit and each level's error ledger is a
+    one-sided truncation bound.  x is capped at ``FAST_MAX_X``, k at
+    ``MAX_K``, precision at ``bigreal.MAX_PRECISION``, and the estimated
+    working set at ``MEMORY_BUDGET_BYTES``.
+    Entry j-1 has ``k == j``; its ``elapsed`` runs from the call to the end
+    of level j.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    if k > MAX_K:
+        raise CapacityError(f"k={k} exceeds the supported maximum {MAX_K}")
     x = int(x)
     if x < 1:
         raise DomainError(f"x must be >= 1, got {x}")

@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mertens_sums.cli import main
 
@@ -224,3 +228,49 @@ class TestArgumentHandling:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "mertens" in capsys.readouterr().out
+
+
+# Edge values every flag may get: zero, negative, non-finite, beyond every cap, empty.
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1" + "0" * 30, "")
+COMMON_FLAGS = {"--prec": ("64", "192"), "--digits": ("1", "20"),
+                "--format": ("text", "csv", "json")}
+SUBCOMMAND_FLAGS = {  # small valid values keep each example well under a second
+    "sum": {"--k": ("1", "2", "4"), "--x": ("1", "2", "10", "1000"),
+            "--method": ("direct", "fast"), "--sieve-limit": ("10", "1000")},
+    "verify": {"--k": ("1", "3"), "--start": ("3", "100"), "--stop": ("20", "2000"),
+               "--points": ("2", "5")},
+    "poly": {"--k": ("1", "4"), "--symbolic": None},
+    "constants": {},
+    "hankel": {"--x": ("3", "100"), "--z": ("0.5", "4", "-3.5"), "--m": ("0", "3")},
+    "nosuch": {},
+}
+ALWAYS_GIVEN = {"--stop"}  # the default verify grid runs to 10^8
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [command]
+    for flag, valid in {**COMMON_FLAGS, **SUBCOMMAND_FLAGS[command]}.items():
+        if flag not in ALWAYS_GIVEN and draw(st.booleans()):
+            continue
+        if valid is None:
+            argv.append(flag)
+        else:
+            argv += [flag, draw(st.sampled_from(valid + EDGE_VALUES))]
+    return argv
+
+
+class TestFuzz:
+    @given(argv=cli_argv())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_input_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 0:
+            assert out.getvalue(), argv

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
 from conftest import assert_close_digits
 from mertens_sums import constants as cn
+from mertens_sums.bigreal import MIN_PRECISION
 from mertens_sums.errors import CapacityError, DomainError, ParameterError, PrecisionNotMetError
 
 # Frozen from the package's own series at 448 bits; independent anchors are
@@ -241,3 +243,17 @@ class TestBundle:
             assert abs(cn.recip_gamma(2, 128) - mpf(1) / 2) < mpf(10) ** -30
         with pytest.raises(DomainError):
             cn.recip_gamma(5.0, 128)
+
+    @pytest.mark.parametrize("precision", [53, 64, 96, 192])
+    @pytest.mark.parametrize("z", [-3.5, -2, 0.5, 3, 4])
+    def test_recip_gamma_against_mpmath(self, z, precision):
+        if precision < MIN_PRECISION:
+            with pytest.raises(DomainError):
+                cn.recip_gamma(z, precision)
+            return
+        value = cn.recip_gamma(z, precision)
+        with mp.workprec(precision + 200):
+            exact = mpmath.rgamma(1 + mpf(z))
+            # the series stops at a_64; its tail is below 2^-69 at |z| = 4
+            tolerance = mpf(2) ** -precision * max(1, abs(exact)) + mpf(2) ** -69
+            assert abs(value - exact) <= tolerance, (z, precision)

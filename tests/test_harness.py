@@ -6,8 +6,9 @@ import jsonschema
 import pytest
 from mpmath import mp, mpf
 
-from mertens_sums.errors import DomainError
+from mertens_sums.errors import CapacityError, DomainError
 from mertens_sums.harness import (
+    MAX_GRID_POINTS,
     GridSpec,
     VerificationAborted,
     VerificationRow,
@@ -45,6 +46,8 @@ class TestGridSpec:
             GridSpec(start=100, stop=100, points=5)
         with pytest.raises(DomainError):
             GridSpec(start=10, stop=100, points=1)
+        with pytest.raises(CapacityError):
+            GridSpec(start=10, stop=100, points=MAX_GRID_POINTS + 1)
 
 
 class TestVerifyGrid:

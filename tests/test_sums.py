@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mertens_sums import sums
+from mertens_sums.bigreal import MAX_PRECISION
 from mertens_sums.errors import CapacityError, DomainError, ParameterError
 from mertens_sums.sums import (
     FAST_MAX_X,
@@ -165,6 +166,14 @@ class TestFastEngine:
             sk_fast(2, 100_000, primes_1e4)
         with pytest.raises(DomainError):
             sk_fast(0, 100, primes_1e4)
+        # levels past log2(FAST_MAX_X) are zero everywhere; precision has a ceiling
+        assert sk_fast(sums.MAX_K, 100, primes_1e4).value == 0
+        with pytest.raises(CapacityError):
+            sk_levels(sums.MAX_K + 1, 100, primes_1e4)
+        with pytest.raises(CapacityError):
+            sk_direct(1, 10, primes_1e4, precision=MAX_PRECISION + 1)
+        with pytest.raises(CapacityError):
+            sk_fast(1, 1, primes_1e4, precision=MAX_PRECISION + 1)
         monkeypatch.setattr(sums, "MEMORY_BUDGET_BYTES", 1024)
         with pytest.raises(CapacityError):
             sk_fast(2, 70_000, primes_1e6)
@@ -259,6 +268,36 @@ class TestLevels:
     def test_domain(self, primes_1e4):
         with pytest.raises(DomainError):
             sk_levels(0, 100, primes_1e4)
+
+
+def _dense_levels(k: int, x: int, primes, frac_bits: int):
+    """Levels 1..k of the grouped-quotient DP, with every level filled at every key."""
+    ks = KeySpace.build(x)
+    keys = ks.keys.tolist()
+    plist = primes.primes[: primes.count_upto(x)]
+    level1, pi = next(sums._levels(ks, plist, frac_bits, 1))
+    small_primes = plist[: pi[ks.sqrt_x - 1]].tolist()
+    levels = [(level1, pi)]
+    for _ in range(2, k + 1):
+        levels.append(sums._advance(ks, keys, range(len(keys)), small_primes, level1, pi,
+                                    *levels[-1], frac_bits))
+    return levels
+
+
+class TestDemandDrivenLevels:
+    """_levels fills only the keys the next level reads; the tops must not notice."""
+
+    # both sides of perfect squares and of the x // (sqrt_x + 1) switch
+    @pytest.mark.parametrize("x", [2, 3, 4, 48, 49, 50, 1000, 65_537, 10**6])
+    def test_tops_match_dense_pass(self, x, primes_1e6):
+        frac_bits = sums.fixed_point_params(192)
+        dense = _dense_levels(6, x, primes_1e6, frac_bits)
+        dense_tops = [(vals[-1], counts[-1]) for vals, counts in dense]
+        ks = KeySpace.build(x)
+        plist = primes_1e6.primes[: primes_1e6.count_upto(x)]
+        for k in range(1, 7):
+            levels = sums._levels(ks, plist, frac_bits, k)
+            assert [(vals[-1], counts[-1]) for vals, counts in levels] == dense_tops[:k], (k, x)
 
 
 def _seed_reference(counts, divisors, frac_bits: int) -> list[int]:
