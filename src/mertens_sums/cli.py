@@ -188,7 +188,8 @@ def _cmd_sum(args) -> int:
 def _cmd_verify(args) -> int:
     ks = args.k if args.k else list(DEFAULT_K_SET)
     grid = GridSpec(start=args.start, stop=args.stop, points=args.points)
-    primes = _build_sieve(grid.stop, args)
+    # without --sieve-limit, verify_grid sieves to the grid's stop after checking ks
+    primes = _build_sieve(grid.stop, args) if args.sieve_limit is not None else None
     try:
         rows = verify_grid(ks, grid, precision=args.prec, digits=args.digits, primes=primes)
     except VerificationAborted as exc:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .bigreal import DEFAULT_PRECISION, GUARD_BITS, check_precision, working_precision
-from .errors import CapacityError, DomainError, PrecisionNotMetError
+from .errors import CapacityError, DomainError, ParameterError, PrecisionNotMetError
 
 # Highest precision servable from the embedded literals (335 digits ~ 1112 bits).
 MAX_CONSTANT_PRECISION = 1024
@@ -266,8 +266,6 @@ def mertens_c1(
 
 
 def _mertens_c1_direct(precision: int, primes, abs_tol):
-    from .errors import ParameterError
-
     if primes.limit < 10**6:
         raise ParameterError(
             f"direct method needs a prime table with limit >= 10^6, got {primes.limit}"

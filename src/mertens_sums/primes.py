@@ -18,7 +18,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .bigreal import DEFAULT_PRECISION, check_precision, working_precision
-from .constants import MAX_SERIES_PRECISION, zeta_real
+from .constants import MAX_SERIES_PRECISION, zeta_int, zeta_real
 from .errors import CapacityError, DomainError
 
 DEFAULT_MAX_LIMIT = 2_000_000_000
@@ -188,7 +188,5 @@ def _zeta_arg(ns, s, n, precision):
     # Integer arguments go through the cached integer path; anything else
     # through the same Euler-Maclaurin engine at real argument.
     if isinstance(s, int) or (isinstance(s, float) and s.is_integer()):
-        from .constants import zeta_int
-
         return zeta_int(int(round(float(s))) * n, precision)
     return zeta_real(ns, precision)

@@ -4,7 +4,7 @@ S_k(x) sums 1/(p_1 ... p_k) over ordered prime k-tuples with product <= x.
 Two independent routes are provided:
 
 * :func:`sk_direct` - literal recursive enumeration of the defining sum,
-  no memoization, with an exact-rational mode for tiny x.  The oracle.
+  no memoization, in integer fixed point or exact rationals.  The oracle.
 * :func:`sk_levels` - bottom-up dynamic programming over the key space
   {floor(x/n)}, identical mathematics, engineered for x up to 10^10; one
   pass yields S_1(x), ..., S_k(x).  :func:`sk_fast` is its last level.
@@ -132,9 +132,11 @@ def sk_direct(
 ) -> MertensSumResult:
     """S_k(x) by recursive enumeration of ordered tuples, no memoization.
 
-    ``exact=True`` switches to rational arithmetic (Fraction); practical
-    only for small x since denominators grow as products of primes.
-    Capacity-capped at x = 10^5: beyond that use :func:`sk_fast`.
+    Each tuple with product d adds floor(2^F / d) in integers, F the
+    engine's fractional bits, so the ledger is under one unit per tuple.
+    ``exact=True`` adds Fraction(1, d) instead; practical only for small x
+    since denominators grow as products of primes.  Capacity-capped at
+    x = 10^5: beyond that use :func:`sk_fast`.
     """
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"k must be an integer >= 0, got {k!r}")
@@ -149,50 +151,33 @@ def sk_direct(
 
     t0 = time.perf_counter()
     plist = primes.primes[: primes.count_upto(max(x, 0))].tolist()
+    frac_bits = fixed_point_params(precision)
+    scale = 1 << frac_bits
+    unit = (lambda d: Fraction(1, d)) if exact else (lambda d: scale // d)
     tuples = 0
 
+    def rec(j: int, y: int, d: int):
+        # the tuples extending a prefix with product d, grouped under it
+        nonlocal tuples
+        if j == 0:
+            tuples += 1
+            return unit(d)
+        total = 0
+        for p in plist:
+            if p > y:
+                break
+            total += rec(j - 1, y // p, d * p)
+        return total
+
+    total = rec(k, x, 1) if x >= 1 else 0
     if exact:
-        def rec(j: int, y: int):
-            nonlocal tuples
-            if j == 0:
-                tuples += 1
-                return Fraction(1)
-            total = Fraction(0)
-            for p in plist:
-                if p > y:
-                    break
-                total += rec(j - 1, y // p) / p
-            return total
-
-        value = rec(k, x) if x >= 1 else Fraction(0)
-        elapsed = time.perf_counter() - t0
-        return MertensSumResult(
-            k=k, x=x, value=value, error_bound=Fraction(0),
-            method="direct", elapsed=elapsed, terms=tuples,
-        )
-
-    ops = 0
-    with working_precision(precision):
-        def rec(j: int, y: int):
-            nonlocal tuples, ops
-            if j == 0:
-                tuples += 1
-                return mpf(1)
-            total = mpf(0)
-            for p in plist:
-                if p > y:
-                    break
-                total += rec(j - 1, y // p) / p
-                ops += 2
-            return total
-
-        value = +rec(k, x) if x >= 1 else mpf(0)
-        # every op rounds within 2^-(prec+guard) relative; magnitudes <= S_k+1
-        bound = mpf(2) ** (-(precision + 16)) * (2 * ops + 2) * (abs(value) + 1)
-    elapsed = time.perf_counter() - t0
+        value, bound = Fraction(total), Fraction(0)
+    else:
+        # each tuple's floor drops less than one unit
+        value, bound = _fixed_value_bound(total, tuples, frac_bits, precision)
     return MertensSumResult(
         k=k, x=x, value=value, error_bound=bound,
-        method="direct", elapsed=elapsed, terms=tuples,
+        method="direct", elapsed=time.perf_counter() - t0, terms=tuples,
     )
 
 
@@ -350,6 +335,17 @@ def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):
         return +v
 
 
+def _fixed_value_bound(value_int: int, ledger: int, frac_bits: int, precision: int):
+    """(value, error_bound) as mpf of a fixed-point value low by at most ``ledger`` units."""
+    value = _fixed_to_mpf(value_int, frac_bits, precision)
+    with working_precision(precision):
+        # 2^16 times the relative rounding at this working precision: covers
+        # rounding the value, converting the ledger and this expression
+        slack = mpf(2) ** -(precision + 16)
+        bound = mpf(ledger) * mpf(2) ** -frac_bits * (1 + slack) + abs(value) * slack
+    return value, bound
+
+
 def _estimate_bytes(n_keys: int, frac_bits: int) -> int:
     # level-1, previous and next values as Python ints (header plus 30-bit
     # digits), pi and two count tables, one list slot per entry, and the
@@ -393,13 +389,6 @@ def sk_levels(
         _require_cover(primes, x)
 
     t0 = time.perf_counter()
-    if x < 2:
-        # no primes at all: S_j(1) = 0 for j >= 1
-        elapsed = time.perf_counter() - t0
-        return [MertensSumResult(k=j, x=x, value=mpf(0), error_bound=mpf(0),
-                                 method="memoized", elapsed=elapsed, terms=0)
-                for j in range(1, k + 1)]
-
     keyspace = KeySpace.build(x)
     pcount = primes.count_upto(x)
     frac_bits = fixed_point_params(precision)
@@ -416,13 +405,7 @@ def sk_levels(
     for j, (values, counts) in enumerate(levels, start=1):
         tops.append(values[-1])
         ledger = truncation_error_ledger(pcount, tops, frac_bits)
-        value = _fixed_to_mpf(values[-1], frac_bits, precision)
-        with working_precision(precision):
-            # 2^16 times the relative rounding at this working precision: covers
-            # rounding the value, converting the ledger and this expression
-            slack = mpf(2) ** -(precision + 16)
-            bound = (mpf(ledger) * mpf(2) ** -frac_bits * (1 + slack)
-                     + abs(value) * slack)
+        value, bound = _fixed_value_bound(values[-1], ledger, frac_bits, precision)
         results.append(MertensSumResult(
             k=j, x=x, value=value, error_bound=bound,
             method="memoized", elapsed=time.perf_counter() - t0, terms=counts[-1],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mertens_sums import harness, primes, sums
 from mertens_sums.cli import main
 
 
@@ -163,6 +164,18 @@ class TestVerifyCommand:
                            "--stop", "50000", "--points", "3")
         assert code == 0
         assert "max_ratio" in out and "median_ratio" in out
+
+    def test_degree_cap_before_any_work(self, capsys, monkeypatch):
+        # k above the main term's degree cap exits 4 before sieving or summing
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the k check")
+
+        for module, name in ((primes, "sieve"), (harness, "sieve"), (sums, "sk_levels"),
+                             (harness, "sk_levels"), (harness.ConstantsBundle, "build")):
+            monkeypatch.setattr(module, name, no_work)
+        code, out, err = run(capsys, "verify", "--k", "13", "--stop", "100000000")
+        assert code == 4
+        assert out == "" and len(err.splitlines()) == 1
 
     def test_partial_results_on_abort(self, capsys, tmp_path):
         # sieve covers the grid start but not its stop: partial rows land

@@ -215,13 +215,39 @@ def _reference_levels(k: int, x: int, primes, frac_bits: int):
     return levels
 
 
+def _tuple_shapes(limit: int) -> list[tuple[int, int]]:
+    """(Omega(n), number of ordered prime tuples with product n) for n = 0..limit."""
+    shapes = [(0, 0), (0, 1)]
+    for n in range(2, limit + 1):
+        exponents, m, p = [], n, 2
+        while m > 1:
+            a = 0
+            while m % p == 0:
+                m, a = m // p, a + 1
+            if a:
+                exponents.append(a)
+            p += 1
+        omega = sum(exponents)
+        shapes.append((omega, math.factorial(omega) // math.prod(map(math.factorial, exponents))))
+    return shapes
+
+
 class TestLedgerGuard:
     """The error ledger is one-sided and honest against exact rationals."""
 
     XS = sorted(set(random.Random(1910).sample(range(2, 1000), 56)) | {2, 16, 210, 999})
 
     @pytest.mark.parametrize("precision", [64, 80, 192])
-    def test_one_sided_against_exact(self, precision, primes_1e4):
+    def test_one_sided_against_exact(self, precision, primes_1e4, monkeypatch):
+        # record the oracle's fixed-point total and ledger before any mpf rounding
+        fixed_value_bound, oracle_fixed = sums._fixed_value_bound, []
+
+        def record(total, ledger, *args):
+            oracle_fixed.append((total, ledger))
+            return fixed_value_bound(total, ledger, *args)
+
+        monkeypatch.setattr(sums, "_fixed_value_bound", record)
+        shapes = _tuple_shapes(max(self.XS))
         for x in self.XS:
             ks = KeySpace.build(x)
             plist = primes_1e4.primes[: primes_1e4.count_upto(x)]
@@ -235,12 +261,19 @@ class TestLedgerGuard:
                 ledger = sums.truncation_error_ledger(len(plist), tops, frac_bits)
                 assert 0 <= exact.value * 2**frac_bits - vals[-1] <= ledger, (k, x)
 
-                res = sk_fast(k, x, primes_1e4, precision=precision)
-                value = _to_fraction(res.value)
-                slack = max(1, value) * Fraction(1, 2 ** (precision + 16))
-                gap = exact.value - value
-                assert -slack <= gap <= _to_fraction(res.error_bound), (k, x, precision)
-                assert res.terms == exact.terms, (k, x)
+                direct = sk_direct(k, x, primes_1e4, precision=precision)
+                total, ledger = oracle_fixed[-1]
+                assert 0 <= exact.value * 2**frac_bits - total <= ledger, (k, x)
+                # the same floors grouped by the tuples' product, not enumerated
+                assert total == sum(count * ((1 << frac_bits) // n)
+                                    for n, (omega, count) in enumerate(shapes[: x + 1])
+                                    if omega == k), (k, x)
+                for res in (sk_fast(k, x, primes_1e4, precision=precision), direct):
+                    value = _to_fraction(res.value)
+                    slack = max(1, value) * Fraction(1, 2 ** (precision + 16))
+                    gap = exact.value - value
+                    assert -slack <= gap <= _to_fraction(res.error_bound), (k, x, precision)
+                    assert res.terms == exact.terms, (k, x)
 
     @pytest.mark.parametrize("x", [10**5, 3 * 10**5])
     def test_against_per_prime_recurrence(self, x, primes_1e6):
