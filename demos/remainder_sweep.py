@@ -19,7 +19,7 @@ from mpmath import mpf
 from mertens_sums import ConstantsBundle, GridSpec, emit_report, sieve, verify_grid
 
 grid = GridSpec(start=10**3, stop=10**6, points=10)
-primes = sieve(grid.stop)
+primes = sieve(math.isqrt(grid.stop))  # the engine reads primes up to isqrt(x)
 bundle = ConstantsBundle.build(192, m_max=12)
 
 # one DP pass per x yields every k; rows come back k-major

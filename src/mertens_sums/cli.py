@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -23,6 +24,7 @@ from .harness import (
     DEFAULT_K_SET,
     GridSpec,
     VerificationAborted,
+    check_ks,
     emit_report,
     summary_stats,
     verify_grid,
@@ -164,7 +166,7 @@ def _cmd_hankel(args) -> int:
 def _cmd_sum(args) -> int:
     from .sums import sk_direct, sk_fast
 
-    primes = _build_sieve(args.x, args)
+    primes = _build_sieve(args.x if args.method == "direct" else math.isqrt(max(args.x, 0)), args)
     if args.method == "direct":
         res = sk_direct(args.k, args.x, primes, precision=args.prec)
     else:
@@ -186,10 +188,9 @@ def _cmd_sum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ks = args.k if args.k else list(DEFAULT_K_SET)
     grid = GridSpec(start=args.start, stop=args.stop, points=args.points)
-    # without --sieve-limit, verify_grid sieves to the grid's stop after checking ks
-    primes = _build_sieve(grid.stop, args) if args.sieve_limit is not None else None
+    ks = check_ks(args.k if args.k else DEFAULT_K_SET)
+    primes = _build_sieve(math.isqrt(grid.stop), args)
     try:
         rows = verify_grid(ks, grid, precision=args.prec, digits=args.digits, primes=primes)
     except VerificationAborted as exc:

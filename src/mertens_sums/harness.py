@@ -119,6 +119,19 @@ def verify_row(
     )
 
 
+def check_ks(ks: int | Sequence[int]) -> list[int]:
+    """The ks of a sweep as a list, each checked: 1 <= k <= ``MAX_DEGREE``."""
+    ks = [ks] if isinstance(ks, int) else list(ks)
+    if not ks:
+        raise DomainError("verify_grid needs at least one k")
+    for k in ks:
+        if not isinstance(k, int) or k < 1:
+            raise DomainError(f"k must be an integer >= 1, got {k!r}")
+        if k > MAX_DEGREE:
+            raise CapacityError(f"k={k} exceeds the supported degree cap {MAX_DEGREE}")
+    return ks
+
+
 def verify_grid(
     ks: int | Sequence[int],
     grid: GridSpec,
@@ -132,22 +145,15 @@ def verify_grid(
     Each x is evaluated once, by one :func:`sk_levels` pass up to the
     largest k.  Rows come out k-major in the order of ``ks``, repeats
     included: the same list as concatenating one single-k call per entry.
-    Each k is checked (1 <= k <= ``MAX_DEGREE``) before any work.  Later
+    Each k is checked (:func:`check_ks`) before any work.  Later
     capacity or precision failures abort the sweep with
     :class:`VerificationAborted` carrying, in the same order, the rows of
     every grid point completed before the failure, so callers can persist
     partial results.
     """
-    ks = [ks] if isinstance(ks, int) else list(ks)
-    if not ks:
-        raise DomainError("verify_grid needs at least one k")
-    for k in ks:
-        if not isinstance(k, int) or k < 1:
-            raise DomainError(f"k must be an integer >= 1, got {k!r}")
-        if k > MAX_DEGREE:
-            raise CapacityError(f"k={k} exceeds the supported degree cap {MAX_DEGREE}")
+    ks = check_ks(ks)
     if primes is None:
-        primes = sieve(grid.stop)
+        primes = sieve(math.isqrt(grid.stop))
     if bundle is None:
         bundle = ConstantsBundle.build(precision, m_max=MAX_DEGREE)
     by_k: dict[int, list[VerificationRow]] = {k: [] for k in ks}

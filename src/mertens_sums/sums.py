@@ -6,7 +6,7 @@ Two independent routes are provided:
 * :func:`sk_direct` - literal recursive enumeration of the defining sum,
   no memoization, in integer fixed point or exact rationals.  The oracle.
 * :func:`sk_levels` - bottom-up dynamic programming over the key space
-  {floor(x/n)}, identical mathematics, engineered for x up to 10^10; one
+  {floor(x/n)} from the primes up to sqrt(x), for x up to 10^10; one
   pass yields S_1(x), ..., S_k(x).  :func:`sk_fast` is its last level.
 
 Both count ordered tuples: (2,3) and (3,2) are distinct terms.  S_0 is 1
@@ -16,18 +16,21 @@ for every argument >= 1 (the empty product), which makes the recursion
 
 close; S_k depends on x only through floor(x), so arguments are integers.
 
-The engine's level tables, one entry per key, hold S_j as nonnegative
-integers scaled by 2^frac_bits.  Level 1 comes from :func:`seed_table`,
-exact uint64 limb arithmetic in numpy.  Level j is evaluated at key v with r = isqrt(v)
-split in two (the hyperbola method, Tenenbaum, Introduction to Analytic
-and Probabilistic Number Theory, I.3):
+The engine's level tables, one entry per key, hold S_j as integers
+scaled by 2^frac_bits.  Level 1 is max(T - e, 0) for a key-space sieve
+table T within e of S_1 at every key, and pi is exact (:func:`_level_one`).
+Level j is evaluated at key v with r = isqrt(v) split in two (the
+hyperbola method, Tenenbaum, Introduction to Analytic and Probabilistic
+Number Theory, I.3):
 
 * primes p <= r contribute floor(S_{j-1}(v // p) / p) one at a time;
 * primes p > r are grouped by their quotient y = v // p, y = 1..v//(r+1).
   All primes of a group share S_{j-1}(y), and their reciprocals sum to
   S_1(v // y) - S_1(max(v // (y + 1), r)), a difference of level-1 entries.
-  The group products (scale 2^(2 frac_bits)) are summed exactly and
-  shifted right once per key.
+  The group products (scale 2^(2 frac_bits)) are summed exactly.  Those
+  are differences of level 1 + e, a table within e of S_1, so by Abel
+  summation the sum is off by at most e (TV + S_{j-1}(ymax)), TV the total
+  variation of level j-1 up to ymax; that is subtracted before the shift.
 
 Every argument above is a key, so no level needs one division per
 (key, prime) pair.  The per-prime part at x // n reads x // (n p), and
@@ -36,9 +39,9 @@ pi tables.  So level k is evaluated only at x, in O(sqrt(x)) operations,
 and level j < k only where level j + 1 reads it: at the keys up to
 sqrt(x), about (2/3) x^(3/4) operations, and at the large keys x // n
 with Omega(n) <= k - j.  Tuple counts follow the same split with pi in
-place of S_1.  All quantities are nonnegative and every rounding is a
-floor, so each table entry is at most the true value and the error ledger
-is one-sided.  Summation order is fixed, so results are bit-reproducible.
+place of S_1.  Every entry is at most the true value, and each level's
+ledger (:func:`truncation_error_ledger`) bounds the shortfall at every key
+it fills.  Summation order is fixed, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate, count, islice, repeat
 from operator import floordiv, mul, sub
 
 import numpy as np
@@ -86,8 +91,13 @@ class KeySpace:
             big = big[1:]
         return cls(x=int(x), keys=np.concatenate([small, big]), sqrt_x=s)
 
-    def indices(self, v: int, divisors) -> list[int]:
-        """Table positions of the keys v // d for d in divisors (v a key, d >= 1)."""
+    def indices(self, v, divisors):
+        """Table positions of the keys v // d for d in divisors (v a key, d >= 1).
+
+        ``v`` may also be an int64 array of keys, with one divisor d.
+        """
+        if isinstance(v, np.ndarray):  # v // d is a key, so a search finds it
+            return np.searchsorted(self.keys, v // divisors)
         if v <= self.sqrt_x:
             return [v // d - 1 for d in divisors]
         # v = x // n, so v // d = x // (n d): a large key while n d <= x // (s + 1)
@@ -112,11 +122,11 @@ class MertensSumResult:
     terms: int
 
 
-def _require_cover(primes: PrimeTable, x: int) -> None:
-    if primes.limit < x:
+def _require_cover(primes: PrimeTable, limit: int) -> None:
+    if primes.limit < limit:
         raise ParameterError(
-            f"prime table covers only limit={primes.limit}, need >= x={x}",
-            suggestion=x,
+            f"prime table covers only limit={primes.limit}, need >= {limit}",
+            suggestion=limit,
         )
 
 
@@ -185,7 +195,8 @@ def sk_direct(
 # The engine: memoized dynamic programming over the key space.
 
 LEDGER_MARGIN = 16  # frac bits beyond the requested precision
-HEADROOM_BITS = 24  # more frac bits: ledgers grow like pi(x) * S_{k-1}(x) units
+HEADROOM_BITS = 24  # more frac bits: the room the error ledgers grow into
+INIT_GUARD_BITS = 32  # level 1 starts this many bits below its units
 
 
 def fixed_point_params(precision: int) -> int:
@@ -193,54 +204,83 @@ def fixed_point_params(precision: int) -> int:
     return precision + LEDGER_MARGIN + HEADROOM_BITS
 
 
-SEED_CHUNK = 1 << 16  # primes per block of the seed's cumulative sums
+def _series(coeffs: list[int], z: int, bits: int) -> int:
+    """sum_i coeffs[i] z^i by Horner's rule in fixed point (scale 2^bits)."""
+    return reduce(lambda acc, c: c + (acc * z >> bits), reversed(coeffs), 0)
 
 
-def seed_table(counts: np.ndarray, primes: np.ndarray, frac_bits: int) -> list[int]:
-    """Level 1: sum of floor(2^frac_bits / p) over the first counts[i] primes, per i.
+def _atanh(num: int, den: int, bits: int) -> int:
+    """2^bits atanh(num/den) for 0 < num/den = 2^-b <= 1/2, within 5 units.
 
-    ``counts`` is nondecreasing.  Each floor(2^frac_bits / p) is a long
-    division by p in limbs of L bits, most significant limb first; the
-    limb quotients are summed per limb by cumulative sums over blocks of
-    primes, carried from block to block and read at each key's last prime.
-    Only these per-key limb sums are joined into whole ints.  With
-    L = min(32, 64 - bits(pmax)), both a remainder shifted left by L
-    (below pmax * 2^L) and a limb sum (below pmax quotients of 2^L each)
-    stay under 2^64, so every step is exact uint64 arithmetic.
+    m terms leave a tail under 2^-b(2m+1) 4/3, below one unit here.
     """
-    n = int(counts[-1])
-    if n == 0:
-        return [0] * len(counts)
-    limb = min(32, 64 - int(primes[n - 1]).bit_length())
-    nlimbs = frac_bits // limb + 1
-    top = np.uint64(1 << (frac_bits - limb * (nlimbs - 1)))  # leading digit of 2^frac_bits
-    ends = counts.astype(np.int64) - 1  # position of each key's last prime
-    sums = np.zeros((nlimbs, len(counts)), dtype=np.uint64)
-    carry = np.zeros(nlimbs, dtype=np.uint64)
-    shift = np.uint64(limb)
-    for start in range(0, n, SEED_CHUNK):
-        p = primes[start : min(start + SEED_CHUNK, n)].astype(np.uint64)
-        lo, hi = np.searchsorted(ends, [start, start + p.size])
-        at = ends[lo:hi] - start
-        rem = np.full(p.size, top, dtype=np.uint64)
-        for i in range(nlimbs):
-            q, rem = np.divmod(rem, p)
-            rem <<= shift  # the remaining digits of 2^frac_bits are zero
-            running = np.cumsum(q)
-            running += carry[i]
-            sums[i, lo:hi] = running[at]
-            carry[i] = running[-1]
-    vals = sums[0].tolist()
-    for row in sums[1:]:
-        vals = [(v << limb) + c for v, c in zip(vals, row.tolist())]
-    return vals
+    b, u = math.log2(den / num), (num << bits) // den
+    coeffs = [(1 << bits) // (2 * i + 1) for i in range(math.ceil((bits + 2) / (2 * b)))]
+    return _series(coeffs, u * u >> bits, bits) * u >> bits
+
+
+def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int):
+    """(T, pi, e) at every key, |T - 2^F S_1| <= e, F = frac_bits, pi exact.
+
+    The key-space sieve of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985)
+    and Deleglise-Rivat (Math. Comp. 65, 1996), "Lucy_Hedgehog's method":
+    from T(v) = 2^F (H_v - 1) and pi(v) = v - 1, each prime p <= sqrt_x,
+    smallest first, takes f(p) (T(v // p) - T(p - 1)) from every key
+    v >= p^2 (f(p) = 1/p for T, 1 for pi; one index array serves both).
+    Each update floors once, so e -> e + ceil(2e/p) + 1.  H_v is built 32
+    guard bits lower from H_a - H_b for consecutive keys b < a: the sum of
+    floor(2^(F+32)/n) over b < n <= a up to max(sqrt_x (F+32)/32, 2^12)
+    (above it a step costs like (F+32)^2), then 2 atanh((a-b)/(a+b)) +
+    em(a) - em(b), em(v) = 1/(2v) - sum_i B_2i/(2i) v^-2i (Euler-Maclaurin)
+    cut at its first term under a guard unit at b0, the last key before,
+    which bounds the tail.  The sums lose under 2^25 guard units and each
+    of the < 2^15 steps under 2^12, so T starts within e = 2.
+    """
+    s, keys = keyspace.sqrt_x, keyspace.keys
+    nk, bits = len(keys), frac_bits + INIT_GUARD_BITS
+    one = 1 << bits
+    switch = max(s * bits // 32, 1 << 12)
+    cut = int(np.searchsorted(keys, switch, side="right")) - 1
+    b0, coeffs = int(keys[cut]), []
+    while cut < nk - 1:  # B_2i / (2i b0^2i), scaled, while it reaches a unit
+        c = Fraction(*mp.bernfrac(2 * len(coeffs) + 2)) / (2 * len(coeffs) + 2)
+        c /= b0 ** (2 * len(coeffs) + 2)
+        if abs(c.numerator) << bits < c.denominator:
+            break
+        coeffs.append((c.numerator << bits) // c.denominator)
+
+    def em(v):
+        w = (b0 * b0 << bits) // (v * v)
+        return one // (2 * v) - (_series(coeffs, w, bits) * w >> bits)
+
+    harmonic = accumulate(map(floordiv, repeat(one), count(2)), initial=0)  # 2^bits (H_n - 1)
+    small = list(islice(harmonic, s))
+    h, b, em_b, t = small[-1], s, em(b0), [v >> INIT_GUARD_BITS for v in small]
+    for a in keys[s:].tolist():
+        if a <= switch:
+            h = next(islice(harmonic, a - b - 1, None))
+        else:
+            em_a = em(a)
+            h, em_b = h + 2 * _atanh(a - b, a + b, bits) + em_a - em_b, em_a
+        t.append(h >> INIT_GUARD_BITS)
+        b = a
+    pi, e = keys - 1, 2
+    for p in small_primes:
+        lo = int(np.searchsorted(keys, p * p))
+        src = keyspace.indices(keys[lo:], p)
+        pi[lo:] -= pi[src] - pi[p - 2]
+        tp = t[p - 2]
+        t[lo:] = [v - (t[i] - tp) // p for v, i in zip(t[lo:], src.tolist())]
+        e += -(-2 * e // p) + 1
+    return t, pi.tolist(), e
 
 
 def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[int],
              level1: list[int], pi: list[int], prev: list[int], prev_counts: list[int],
-             frac_bits: int):
+             abel: list[int], frac_bits: int):
     """One grouped-quotient level (see module docstring) at the table positions given.
 
+    ``abel[ymax]`` is e (TV + prev) at key ymax, at scale 2^(2 frac_bits).
     Returns full-length (values, counts) lists whose other entries are 0.
     """
     indices = keyspace.indices
@@ -260,32 +300,30 @@ def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[
         idx = indices(v, range(1, ymax + 1))
         idx.append(r - 1)
         s1 = [level1[i] for i in idx]
-        grouped = sum(map(mul, prev[:ymax], map(sub, s1, s1[1:])))
+        grouped = sum(map(mul, prev[:ymax], map(sub, s1, s1[1:]))) - abel[ymax]
         pis = [pi[i] for i in idx]
         cnt += sum(map(mul, prev_counts[:ymax], map(sub, pis, pis[1:])))
-        out[pos] = acc + (grouped >> frac_bits)
+        out[pos] = acc + (max(grouped, 0) >> frac_bits)
         out_counts[pos] = cnt
     return out, out_counts
 
 
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
-    """Yield (values, counts) for levels 1..k, each computed once.
+    """Yield (values, counts, ledger) for levels 1..k, each computed once.
 
-    ``primes`` are the primes up to ``keyspace.x``; counts[i] of level 1 is
-    pi(keys[i]).  Level 1 fills every key and level k only x.  Level j < k
-    fills the keys level j + 1 reads (see the module docstring): every key
-    up to sqrt_x and the large keys x // n with Omega(n) <= k - j.  Other
-    entries are 0.
+    ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  Level 1
+    fills every key and level k only x.  Level j < k fills the keys level
+    j + 1 reads (see the module docstring): every key up to sqrt_x and the
+    large keys x // n with Omega(n) <= k - j.  Other entries are 0.
     """
-    # keys <= x fit the primes' dtype; a mixed-dtype search would copy the primes
-    counts = np.searchsorted(primes, keyspace.keys.astype(primes.dtype), side="right")
-    level1, pi = seed_table(counts, primes, frac_bits), counts.tolist()
-    yield level1, pi
+    s, nk = keyspace.sqrt_x, len(keyspace)
+    small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
+    t, pi, e = _level_one(keyspace, small_primes, frac_bits)
+    level1, ledger = [max(v - e, 0) for v in t], 2 * e
+    yield level1, pi, ledger
     if k == 1:
         return
-    s, nk = keyspace.sqrt_x, len(keyspace)
     keys = keyspace.keys.tolist()
-    small_primes = primes[: pi[s - 1]].tolist()
     # Omega(n) for n <= x // (s + 1), the n of the large keys x // n (at nk - n)
     big = keyspace.x // (s + 1)
     omega = np.zeros(big + 1, dtype=np.int8)
@@ -296,6 +334,7 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
         while q <= big:
             omega[q::q] += 1
             q *= p
+    s1_upper = level1[-1] + ledger
     vals, counts = level1, pi
     for j in range(2, k + 1):
         if j < k:
@@ -303,29 +342,25 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
             positions = [*range(s), *(nk - n).tolist()]
         else:
             positions = [nk - 1]
+        small = vals[:s]  # Abel bounds, nondecreasing in ymax
+        tv = accumulate(map(abs, map(sub, small, [0, *small])))
+        abel = [0, *(e * (t + v) for t, v in zip(tv, small))]
         vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi,
-                                vals, counts, frac_bits)
-        yield vals, counts
+                                vals, counts, abel, frac_bits)
+        ledger = truncation_error_ledger(ledger, s1_upper, len(small_primes), abel[-1], frac_bits)
+        yield vals, counts, ledger
 
 
-def truncation_error_ledger(pi_x: int, tops: list[int], frac_bits: int) -> int:
-    """Upper bound, in units of 2^-frac_bits, on true - computed at level len(tops).
+def truncation_error_ledger(ledger: int, s1_upper: int, pi_sqrt: int, abel_max: int,
+                            frac_bits: int) -> int:
+    """The next level's bound, in units of 2^-frac_bits, on true - computed at any key.
 
-    ``tops[j-1]`` is the computed level-j value at x.  Level 1 drops less
-    than one unit per prime.  Level j inherits E_{j-1} * S_1(x) from its
-    inputs and adds, per key, under one unit per prime p <= r (one floor
-    division each), under S_{j-1}(x) units per prime p > r (the S_1
-    difference of its group), and one unit for the final shift.  True
-    values are bounded above by computed value plus ledger.  All rounding
-    here is upward, in exact integers.
+    ``ledger`` bounds the level read (level 1's is 2e), whose errors arrive
+    weighted by 1/p: ledger * s1_upper.  Each prime p <= isqrt(v) floors
+    once (pi_sqrt), the grouped part loses at most twice its Abel bound
+    (abel_max, scale 2^(2 frac_bits)) and the shift one unit.
     """
-    one = 1 << frac_bits
-    ledger = pi_x
-    s1_upper = tops[0] + ledger
-    for top in tops[:-1]:
-        prev_upper = max(one, top + ledger)
-        ledger = -(-ledger * s1_upper // one) - (-pi_x * prev_upper // one) + 1
-    return ledger
+    return -(-ledger * s1_upper >> frac_bits) + pi_sqrt - (-2 * abel_max >> frac_bits) + 1
 
 
 def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):
@@ -348,10 +383,9 @@ def _fixed_value_bound(value_int: int, ledger: int, frac_bits: int, precision: i
 
 def _estimate_bytes(n_keys: int, frac_bits: int) -> int:
     # level-1, previous and next values as Python ints (header plus 30-bit
-    # digits), pi and two count tables, one list slot per entry, and the
-    # seed's per-key limb sums (limbs of at least 30 bits) as uint64
+    # digits), pi and two count tables, and one list slot per entry
     digits = frac_bits // 30 + 2
-    return n_keys * (3 * (24 + 4 * digits) + 3 * 32 + 6 * 8 + 8 * digits)
+    return n_keys * (3 * (24 + 4 * digits) + 3 * 32 + 6 * 8)
 
 
 def sk_levels(
@@ -362,6 +396,7 @@ def sk_levels(
 ) -> list[MertensSumResult]:
     """S_1(x), ..., S_k(x) from one level-by-level DP pass over KeySpace(x).
 
+    ``primes`` must cover isqrt(x); larger tables give the same bits.
     Level 1 is the prime-reciprocal prefix table; level j reads level j-1
     through floor division, so the pass that yields S_k(x) computes every
     lower level on the way, at x and at the keys the next level reads
@@ -385,12 +420,10 @@ def sk_levels(
     if x > FAST_MAX_X:
         raise CapacityError(f"x={x} exceeds the configured maximum {FAST_MAX_X}")
     check_precision(precision)
-    if x >= 2:
-        _require_cover(primes, x)
+    _require_cover(primes, math.isqrt(x))
 
     t0 = time.perf_counter()
     keyspace = KeySpace.build(x)
-    pcount = primes.count_upto(x)
     frac_bits = fixed_point_params(precision)
     est = _estimate_bytes(len(keyspace), frac_bits)
     if est > MEMORY_BUDGET_BYTES:
@@ -400,11 +433,8 @@ def sk_levels(
         )
 
     results = []
-    tops = []
-    levels = _levels(keyspace, primes.primes[:pcount], frac_bits, k)
-    for j, (values, counts) in enumerate(levels, start=1):
-        tops.append(values[-1])
-        ledger = truncation_error_ledger(pcount, tops, frac_bits)
+    levels = _levels(keyspace, primes.primes, frac_bits, k)
+    for j, (values, counts, ledger) in enumerate(levels, start=1):
         value, bound = _fixed_value_bound(values[-1], ledger, frac_bits, precision)
         results.append(MertensSumResult(
             k=j, x=x, value=value, error_bound=bound,
@@ -428,12 +458,11 @@ def prime_recip_table(
     primes: PrimeTable,
     precision: int = DEFAULT_PRECISION,
 ) -> dict[int, object]:
-    """sum_{p <= v} 1/p for every key v, from one ascending pass."""
-    _require_cover(primes, keyspace.x)
+    """Lower bounds, within the level-1 ledger, on sum_{p <= v} 1/p at every key v."""
+    _require_cover(primes, keyspace.sqrt_x)
     check_precision(precision)
-    pcount = primes.count_upto(keyspace.x)
     frac_bits = fixed_point_params(precision)
-    values, _ = next(_levels(keyspace, primes.primes[:pcount], frac_bits, 1))
+    values, _, _ = next(_levels(keyspace, primes.primes, frac_bits, 1))
     return {
         int(key): _fixed_to_mpf(val, frac_bits, precision)
         for key, val in zip(keyspace.keys.tolist(), values)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mertens_sums import harness, primes, sums
 from mertens_sums.cli import main
+from mertens_sums.primes import sieve
 
 
 def run(capsys, *argv):
@@ -128,7 +129,7 @@ class TestSumCommand:
         payload = json.loads(out)
         del payload["elapsed_s"]
         assert payload == {
-            "error_bound": "5.96e-62",
+            "error_bound": "5.87e-62",
             "k": 4,
             "method": "memoized",
             "terms": 3350815,
@@ -173,16 +174,33 @@ class TestVerifyCommand:
         for module, name in ((primes, "sieve"), (harness, "sieve"), (sums, "sk_levels"),
                              (harness, "sk_levels"), (harness.ConstantsBundle, "build")):
             monkeypatch.setattr(module, name, no_work)
-        code, out, err = run(capsys, "verify", "--k", "13", "--stop", "100000000")
-        assert code == 4
-        assert out == "" and len(err.splitlines()) == 1
+        for extra in ((), ("--sieve-limit", "100000000")):
+            code, out, err = run(capsys, "verify", "--k", "13", "--stop", "100000000", *extra)
+            assert code == 4, extra
+            assert out == "" and len(err.splitlines()) == 1
+
+    def test_sieves_only_to_isqrt(self, capsys, monkeypatch):
+        # the engine reads primes up to isqrt(x); only the direct oracle needs them up to x
+        limits = []
+
+        def recording_sieve(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(primes, "sieve", recording_sieve)
+        monkeypatch.setattr(harness, "sieve", recording_sieve)
+        assert run(capsys, "sum", "--k", "2", "--x", "1000000")[0] == 0
+        assert run(capsys, "verify", "--k", "1", "--start", "1000", "--stop", "250000",
+                   "--points", "2")[0] == 0
+        assert run(capsys, "sum", "--k", "2", "--x", "1000", "--method", "direct")[0] == 0
+        assert limits == [1000, 500, 1000]
 
     def test_partial_results_on_abort(self, capsys, tmp_path):
-        # sieve covers the grid start but not its stop: partial rows land
-        # in the output file and the exit code maps the cause
+        # sieve covers isqrt of the grid start but not of its stop: partial rows
+        # land in the output file and the exit code maps the cause
         out = tmp_path / "partial.csv"
         code = main(["verify", "--k", "1", "--start", "1000", "--stop", "10000000",
-                     "--points", "5", "--sieve-limit", "100000", "--format", "csv",
+                     "--points", "5", "--sieve-limit", "1000", "--format", "csv",
                      "--out", str(out)])
         assert code == 2
         assert out.exists()
@@ -194,7 +212,7 @@ class TestVerifyCommand:
         # every completed grid point is written for every k, k-major in --k order
         out = tmp_path / "partial.csv"
         code = main(["verify", "--k", "2", "--k", "1", "--start", "1000", "--stop", "10000000",
-                     "--points", "5", "--sieve-limit", "100000", "--format", "csv",
+                     "--points", "5", "--sieve-limit", "1000", "--format", "csv",
                      "--out", str(out)])
         assert code == 2
         body = [l for l in out.read_text().splitlines() if not l.startswith(("#", "k,"))]
@@ -231,7 +249,7 @@ class TestArgumentHandling:
     def test_failed_partial_write_keeps_cause(self, capsys, tmp_path):
         # --out names a directory: the partial write fails, the abort still reports its cause
         code, _, err = run(capsys, "verify", "--k", "1", "--start", "1000", "--stop", "10000000",
-                           "--points", "5", "--sieve-limit", "100000", "--format", "csv",
+                           "--points", "5", "--sieve-limit", "1000", "--format", "csv",
                            "--out", str(tmp_path))
         assert code == 2
         lines = err.splitlines()

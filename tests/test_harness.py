@@ -17,6 +17,7 @@ from mertens_sums.harness import (
     summary_stats,
     verify_grid,
 )
+from mertens_sums.primes import sieve
 
 
 @pytest.fixture(scope="module")
@@ -98,12 +99,12 @@ class TestVerifyGrid:
         b = verify_grid(2, grid, primes=primes_1e6, bundle=bundle192)
         assert a == b
 
-    def test_abort_carries_partial_rows(self, primes_1e6, bundle192):
-        # the grid exceeds the prime table: the first points succeed, the
-        # rest abort with partial results attached
+    def test_abort_carries_partial_rows(self, bundle192):
+        # the grid's isqrt(stop) exceeds the prime table: the first points
+        # succeed, the rest abort with partial results attached
         grid = GridSpec(start=1000, stop=10**7, points=5)
         with pytest.raises(VerificationAborted) as err:
-            verify_grid(1, grid, primes=primes_1e6, bundle=bundle192)
+            verify_grid(1, grid, primes=sieve(1000), bundle=bundle192)
         assert 0 < len(err.value.rows) < 5
         assert err.value.exit_code == 2
 
@@ -113,10 +114,10 @@ class TestVerifyGrid:
                  for row in verify_grid(k, grid, primes=primes_1e6, bundle=bundle192)]
         assert verify_grid([4, 1, 1], grid, primes=primes_1e6, bundle=bundle192) == per_k
 
-    def test_multi_k_abort_carries_completed_points(self, primes_1e6, bundle192):
+    def test_multi_k_abort_carries_completed_points(self, bundle192):
         grid = GridSpec(start=1000, stop=10**7, points=5)
-        with pytest.raises(VerificationAborted) as err:
-            verify_grid([2, 1], grid, primes=primes_1e6, bundle=bundle192)
+        with pytest.raises(VerificationAborted) as err:  # the table covers isqrt(x <= 10^6)
+            verify_grid([2, 1], grid, primes=sieve(1000), bundle=bundle192)
         done = [x for x in grid.values() if x <= 10**6]
         assert done
         assert [(r.k, r.x) for r in err.value.rows] == [(k, x) for k in (2, 1) for x in done]

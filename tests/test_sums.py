@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from mpmath import mp, mpf
 from mertens_sums import sums
 from mertens_sums.bigreal import MAX_PRECISION
 from mertens_sums.errors import CapacityError, DomainError, ParameterError
+from mertens_sums.primes import sieve
 from mertens_sums.sums import (
     FAST_MAX_X,
     KeySpace,
@@ -162,8 +163,8 @@ class TestFastEngine:
     def test_capacity_and_parameters(self, primes_1e4, primes_1e6, monkeypatch):
         with pytest.raises(CapacityError):
             sk_fast(2, 10**11, primes_1e4)
-        with pytest.raises(ParameterError):
-            sk_fast(2, 100_000, primes_1e4)
+        with pytest.raises(ParameterError):  # the engine reads primes up to isqrt(x)
+            sk_fast(2, 10**9, primes_1e4)
         with pytest.raises(DomainError):
             sk_fast(0, 100, primes_1e4)
         # levels past log2(FAST_MAX_X) are zero everywhere; precision has a ceiling
@@ -255,10 +256,7 @@ class TestLedgerGuard:
                 exact = sk_direct(k, x, primes_1e4, exact=True)
                 # the fixed-point table, in units of 2^-frac_bits, before any mpf rounding
                 frac_bits = sums.fixed_point_params(precision)
-                tops = []
-                for vals, _ in sums._levels(ks, plist, frac_bits, k):
-                    tops.append(vals[-1])
-                ledger = sums.truncation_error_ledger(len(plist), tops, frac_bits)
+                *_, (vals, _, ledger) = sums._levels(ks, plist, frac_bits, k)
                 assert 0 <= exact.value * 2**frac_bits - vals[-1] <= ledger, (k, x)
 
                 direct = sk_direct(k, x, primes_1e4, precision=precision)
@@ -303,17 +301,28 @@ class TestLevels:
             sk_levels(0, 100, primes_1e4)
 
 
+def _abel_bounds(prev: list[int], e: int, sqrt_x: int) -> list[int]:
+    """e (TV[y-1] + prev[y-1]) for y = 0..sqrt_x, TV the prefix total variation of prev."""
+    bounds, tv, last = [0], 0, 0
+    for value in prev[:sqrt_x]:
+        tv, last = tv + abs(value - last), value
+        bounds.append(e * (tv + value))
+    return bounds
+
+
 def _dense_levels(k: int, x: int, primes, frac_bits: int):
     """Levels 1..k of the grouped-quotient DP, with every level filled at every key."""
     ks = KeySpace.build(x)
     keys = ks.keys.tolist()
     plist = primes.primes[: primes.count_upto(x)]
-    level1, pi = next(sums._levels(ks, plist, frac_bits, 1))
+    level1, pi, ledger = next(sums._levels(ks, plist, frac_bits, 1))
+    e = ledger // 2  # level 1's ledger is twice its two-sided error
     small_primes = plist[: pi[ks.sqrt_x - 1]].tolist()
     levels = [(level1, pi)]
     for _ in range(2, k + 1):
+        abel = _abel_bounds(levels[-1][0], e, ks.sqrt_x)
         levels.append(sums._advance(ks, keys, range(len(keys)), small_primes, level1, pi,
-                                    *levels[-1], frac_bits))
+                                    *levels[-1], abel, frac_bits))
     return levels
 
 
@@ -330,42 +339,134 @@ class TestDemandDrivenLevels:
         plist = primes_1e6.primes[: primes_1e6.count_upto(x)]
         for k in range(1, 7):
             levels = sums._levels(ks, plist, frac_bits, k)
-            assert [(vals[-1], counts[-1]) for vals, counts in levels] == dense_tops[:k], (k, x)
+            assert [(vals[-1], counts[-1]) for vals, counts, _ in levels] == dense_tops[:k], (k, x)
 
 
-def _seed_reference(counts, divisors, frac_bits: int) -> list[int]:
-    """Per-divisor running sum of floor(2^frac_bits / p), read after counts[i] terms."""
-    one = 1 << frac_bits
-    prefix = [0, *accumulate(one // p for p in divisors)]
-    return [prefix[c] for c in counts]
+def _exact_levels(k: int, x: int, primes) -> list[dict]:
+    """Exact S_1..S_k as Fractions at every key of x, by the defining recursion."""
+    keys = KeySpace.build(x).keys.tolist()
+    plist = primes.primes[: primes.count_upto(x)].tolist()
+    levels = [{v: sum(Fraction(1, p) for p in plist if p <= v) for v in keys}]
+    for _ in range(2, k + 1):
+        prev = levels[-1]
+        levels.append({v: sum(Fraction(prev[v // p], p) for p in plist if p <= v) for v in keys})
+    return levels
 
 
-class TestSeedTable:
-    @pytest.mark.parametrize("precision", [64, 80, 192, 1024, 5000])
-    def test_matches_per_prime_reference(self, precision, primes_1e6):
+class TestLedgerAtEveryKey:
+    """Each level's ledger bounds true - computed at every key, not only at x."""
+
+    @pytest.mark.parametrize("x", [2, 16, 48, 210, 361, 600, 999])
+    @pytest.mark.parametrize("precision", [64, 192])
+    def test_dense_levels_against_exact(self, x, precision, primes_1e4):
         frac_bits = sums.fixed_point_params(precision)
-        chunk = sums.SEED_CHUNK
-        table = primes_1e6.primes[: chunk + 1]
-        prefix = _seed_reference(range(chunk + 2), table.tolist(), frac_bits)
-        # pi(x) just below, on and just above a block boundary of the cumulative sums
-        for x in (int(table[chunk - 1]) - 1, int(table[chunk - 1]), int(table[chunk])):
-            keys = KeySpace.build(x).keys
-            plist = table[: primes_1e6.count_upto(x)]
-            counts = np.searchsorted(plist, keys.astype(plist.dtype), side="right")
-            assert sums.seed_table(counts, plist, frac_bits) == [prefix[c] for c in counts]
+        keys = KeySpace.build(x).keys.tolist()
+        ledgers = [ledger for *_, ledger in sums._levels(KeySpace.build(x), primes_1e4.primes,
+                                                         frac_bits, 4)]
+        dense = _dense_levels(4, x, primes_1e4, frac_bits)
+        for (vals, _), exact, ledger in zip(dense, _exact_levels(4, x, primes_1e4), ledgers):
+            for v, computed in zip(keys, vals):
+                assert 0 <= exact[v] * 2**frac_bits - computed <= ledger, (x, v)
 
-    @pytest.mark.parametrize("frac_bits", [104, 232])
-    def test_divisors_beyond_32_bits(self, frac_bits):
-        # divisors near FAST_MAX_X take 30-bit limbs; the seed needs only ascending divisors
-        chunk = sums.SEED_CHUNK
-        divisors = np.arange(FAST_MAX_X - 2 * (chunk + 9), FAST_MAX_X, 2, dtype=np.int64) + 1
-        counts = np.array([0, 0, 1, 7, chunk - 1, chunk, chunk + 1, divisors.size])
-        expected = _seed_reference(counts.tolist(), divisors.tolist(), frac_bits)
-        assert sums.seed_table(counts, divisors, frac_bits) == expected
+    @pytest.mark.parametrize("x", [999, 65_537])
+    def test_abel_correction_covers_worst_case_level1(self, x, primes_1e6):
+        # a level-1 table off by up to e in the worst direction for the grouped part at x
+        frac_bits = sums.fixed_point_params(64)
+        ks = KeySpace.build(x)
+        keys, nk, s = ks.keys.tolist(), len(ks), ks.sqrt_x
+        exact = _exact_levels(1, x, primes_1e6)[0]
+        floor_table = [exact[v].numerator * 2**frac_bits // exact[v].denominator for v in keys]
+        level1, pi, _ = next(sums._levels(ks, primes_1e6.primes, frac_bits, 1))
+        e = 2 ** (frac_bits - 8)  # far above every floor the level drops
+        r = math.isqrt(x)
+        ymax = x // (r + 1)
+        worst = floor_table[:]
+        for y in range(1, ymax + 1):  # +e where Abel summation weighs prev upward
+            rising = level1[y - 1] >= (level1[y - 2] if y > 1 else 0)
+            worst[ks.indices(x, [y])[0]] += e if rising else -e
+        worst[r - 1] -= e
+        small_primes = primes_1e6.primes[: pi[s - 1]].tolist()
+        abel = _abel_bounds(level1, e + 1, s)  # worst is within e + 1 of 2^F S_1
+        out, _ = sums._advance(ks, keys, [nk - 1], small_primes, worst, pi, level1, pi,
+                               abel, frac_bits)
+        s2 = sum(Fraction(exact[x // p], p) for p in primes_1e6.primes.tolist() if p <= x)
+        assert 0 <= s2 * 2**frac_bits - out[-1]
 
-    def test_no_primes(self):
-        counts = np.zeros(3, dtype=np.int64)
-        assert sums.seed_table(counts, np.empty(0, dtype=np.uint32), 232) == [0, 0, 0]
+    @pytest.mark.parametrize("x", [999, 10**6])
+    def test_ledger_formula(self, x, primes_1e6):
+        # level 1: 2e; each next level: ledger * S_1 upper + pi(sqrt x) + twice the Abel bound + 1
+        frac_bits = sums.fixed_point_params(80)
+        ks = KeySpace.build(x)
+        small = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
+        _, _, e = sums._level_one(ks, small, frac_bits)
+        levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 3))
+        assert levels[0][2] == 2 * e
+        s1_upper = levels[0][0][-1] + 2 * e
+        for (prev, _, ledger), (_, _, nxt) in zip(levels, levels[1:]):
+            abel = _abel_bounds(prev, e, ks.sqrt_x)[-1]
+            want = (math.ceil(Fraction(ledger * s1_upper, 2**frac_bits)) + len(small)
+                    + math.ceil(Fraction(2 * abel, 2**frac_bits)) + 1)
+            assert nxt == want
+
+
+@pytest.fixture(scope="module")
+def primes_1e7():
+    return sieve(10**7 + 10**4)
+
+
+class TestLevelOne:
+    """The Lucy tables against a test-local floor-sum reference at every key."""
+
+    # both sides of: the first Euler-Maclaurin key (x // 2 > 2^12); the switch
+    # max(sqrt_x (F+32)/32, 2^12) leaving 2^12 at 1024, 192 and 64 bits (sqrt_x = 120, 497,
+    # 964); x // sqrt_x == sqrt_x (perfect squares and x = s (s + 1))
+    XS = [2, 3, 4, 48, 49, 50, 8193, 8194, 8195, 14399, 14400, 247008, 247009, 929295,
+          929296, 999999, 10**6, 1000001, 10**7, 3162 * 3163]
+
+    @pytest.mark.parametrize("precision", [64, 192, 1024, 5000])
+    def test_contains_floor_sum_interval(self, precision, primes_1e7):
+        frac_bits = sums.fixed_point_params(precision)
+        guard = 32  # reference at 2^(F+32): its interval is under one unit wide
+        plist = primes_1e7.primes.tolist()
+        cases = []
+        # the 5000-bit reference and table take seconds beyond x = 10^6
+        for x in (x for x in self.XS if precision <= 1024 or x <= 10**6):
+            ks = KeySpace.build(x)
+            small = plist[: primes_1e7.count_upto(ks.sqrt_x)]
+            cases.append((x, ks, *sums._level_one(ks, small, frac_bits)))
+        # sum of floor(2^(F+32) / p) over the first `count` primes, at every count needed
+        wanted = sorted({count for *_, pi, _ in cases for count in pi})
+        at = np.zeros(len(plist) + 1, dtype=bool)
+        at[wanted] = True
+        one = 1 << (frac_bits + guard)
+        floors = dict(zip(wanted, compress(accumulate((one // p for p in plist), initial=0),
+                                           at.tolist())))
+        for x, ks, t, pi, e in cases:
+            want_pi = np.searchsorted(primes_1e7.primes, ks.keys, side="right").tolist()
+            assert pi == want_pi, x
+            for v, tv, count in zip(ks.keys.tolist(), t, pi):
+                lo = floors[count]  # 2^(F+32) S_1(v) lies in [lo, lo + pi(v))
+                assert (tv - e) << guard <= lo and lo + count <= (tv + e) << guard, (x, v)
+
+    @pytest.mark.parametrize("x", [2, 50, 8194, 10**7])
+    def test_error_bound_recurrence(self, x, primes_1e7):
+        # e starts at 2 units and grows per prime p <= sqrt(x) by ceil(2e/p) + 1
+        ks = KeySpace.build(x)
+        small = primes_1e7.primes[: primes_1e7.count_upto(ks.sqrt_x)].tolist()
+        want = 2
+        for p in small:
+            want += math.ceil(Fraction(2 * want, p)) + 1
+        assert sums._level_one(ks, small, sums.fixed_point_params(64))[2] == want
+
+    def test_primes_only_to_sqrt_x(self, primes_1e7):
+        # a table to isqrt(x) gives the same bits as one to x; one prime short is refused
+        x = 3162**2 + 5
+        assert sieve(3161).limit < math.isqrt(x) == 3162
+        small, full = sk_fast(3, x, sieve(3162)), sk_fast(3, x, primes_1e7)
+        assert (small.value, small.error_bound, small.terms) == (full.value, full.error_bound,
+                                                                 full.terms)
+        with pytest.raises(ParameterError):
+            sk_fast(3, x, sieve(3161))
 
 
 class TestOracleEquivalence:
