@@ -4,7 +4,8 @@ Covers Euler's constant, integer zeta values, the Mertens constant
 
     c1 = gamma - sum_p { log(1/(1-1/p)) - 1/p }  ~ 0.261497,
 
-the series value g(1) = sum_{m>=2} P(m)/m (so that c1 = gamma - g(1)),
+the series value g(1) = sum_{m>=2} P(m)/m = -sum_{N>=2} mu(N) log zeta(N)/N
+(so that c1 = gamma - g(1); the tail past term N is below 2^(1-N)/N),
 and the derivatives a_m = (1/Gamma)^(m)(1), generated from
 
     1/Gamma(1+z) = exp( gamma z + sum_{j>=2} (-1)^(j+1) zeta(j) z^j / j ).
@@ -127,13 +128,8 @@ def pi_machin(precision: int = DEFAULT_PRECISION):
 
 @lru_cache(maxsize=None)
 def _bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n as an exact fraction (Akiyama-Tanigawa)."""
-    a = [Fraction(0)] * (n + 1)
-    for m in range(n + 1):
-        a[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-    return a[0]
+    """Bernoulli number B_n as an exact fraction (mpmath's ``bernfrac``)."""
+    return Fraction(*mp.bernfrac(n))
 
 
 # ----------------------------------------------------------------------
@@ -202,27 +198,29 @@ def zeta_real(s, precision: int = DEFAULT_PRECISION):
 # The Mertens constant and its series form.
 
 def g_at_1(precision: int = DEFAULT_PRECISION):
-    """g(1) = sum_{m>=2} P(m)/m over the prime zeta function P.
+    """g(1) = sum_{m>=2} P(m)/m = -sum_{N>=2} mu(N) log zeta(N) / N.
 
-    Terms are added until P(m)/m drops below the error budget; since
-    P(m) < 2^(1-m) the discarded tail is geometrically bounded.
+    Swapping the sums in P(m) = sum_n mu(n)/n log zeta(nm) leaves
+    sum_{n|N, n<N} mu(n) = -mu(N) at N = nm: one Moebius log-zeta series
+    (H. Cohen, High precision computation of Hardy-Littlewood constants,
+    1998).  It stops at the first N with 2^(1-N)/N below the error budget:
+    |log zeta(j)| <= zeta(j) - 1 < 2^(1-j) for j >= 3, and summed over
+    j > N that is below 2^(1-N)/N.
     """
     check_precision(precision, MAX_CONSTANT_PRECISION)
-    from .primes import prime_zeta  # deferred: primes imports this module
+    from .primes import mobius  # deferred: primes imports this module
 
     with working_precision(precision):
         eps = mpf(2) ** (-(precision + 16))
         total = mpf(0)
-        m = 2
+        n = 2
         while True:
-            term = prime_zeta(m, precision=precision + GUARD_BITS) / m
-            total += term
-            # tail bound: sum_{j>m} 2^(1-j)/j < 2^(1-m)/m
-            if mpf(2) ** (1 - m) / m < eps:
+            mu = mobius(n)
+            if mu:
+                total -= mu * mp.log(zeta_int(n, precision + GUARD_BITS)) / n
+            if mpf(2) ** (1 - n) / n < eps:
                 break
-            m += 1
-            if m > 8 * precision:
-                raise PrecisionNotMetError("g(1) series stalled", achieved_bound=term)
+            n += 1
         return +total
 
 

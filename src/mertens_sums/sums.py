@@ -58,6 +58,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from .bigreal import DEFAULT_PRECISION, check_precision, working_precision
+from .constants import _bernoulli
 from .errors import CapacityError, DomainError, ParameterError
 from .primes import PrimeTable
 
@@ -243,7 +244,7 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int):
     cut = int(np.searchsorted(keys, switch, side="right")) - 1
     b0, coeffs = int(keys[cut]), []
     while cut < nk - 1:  # B_2i / (2i b0^2i), scaled, while it reaches a unit
-        c = Fraction(*mp.bernfrac(2 * len(coeffs) + 2)) / (2 * len(coeffs) + 2)
+        c = _bernoulli(2 * len(coeffs) + 2) / (2 * len(coeffs) + 2)
         c /= b0 ** (2 * len(coeffs) + 2)
         if abs(c.numerator) << bits < c.denominator:
             break

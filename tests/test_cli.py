@@ -36,6 +36,15 @@ class TestConstantsCommand:
         assert set(payload["zeta"]) == {str(k) for k in range(2, 11)}
         assert set(payload["recip_gamma_deriv"]) == {str(m) for m in range(9)}
 
+    def test_golden_1024_bits(self, capsys):
+        # pinned stdout of the full-precision bundle, to 300 digits
+        code, out, _ = run(capsys, "constants", "--prec", "1024", "--digits", "300")
+        assert code == 0
+        assert len(out.encode()) == 6522
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b9cff082fe208af83f96d99b09459c99562c0df614d6cb3f1fc193e9fc05e44a"
+        )
+
     def test_direct_cross_check_exit_code(self, capsys):
         # the sieve-backed route cannot certify 192 bits: exit 3
         code, _, err = run(capsys, "constants", "--c1-method", "direct")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -8,6 +9,7 @@ from conftest import assert_close_digits
 from mertens_sums import constants as cn
 from mertens_sums.bigreal import MIN_PRECISION
 from mertens_sums.errors import CapacityError, DomainError, ParameterError, PrecisionNotMetError
+from mertens_sums.primes import prime_zeta
 
 # Frozen from the package's own series at 448 bits; independent anchors are
 # exercised in the tests below (Euler-Maclaurin, Machin, direct prime sums,
@@ -101,6 +103,41 @@ class TestGSeries:
     def test_precision_consistency(self):
         with mp.workprec(256):
             assert abs(cn.g_at_1(128) - cn.g_at_1(192)) < mpf(2) ** -(128 - 4)
+
+    @pytest.mark.parametrize("precision", [64, 128, 192])
+    def test_against_prime_zeta_double_sum(self, precision):
+        # the unswapped series sum_{m>=2} P(m)/m, cut where 2^(1-m)/m falls
+        # below 2^-(precision+16), each P(m) at 32 guard bits
+        with mp.workprec(precision + 32):
+            eps = mpf(2) ** -(precision + 16)
+            direct, m = mpf(0), 2
+            while True:
+                direct += prime_zeta(m, precision + 32) / m
+                if mpf(2) ** (1 - m) / m < eps:
+                    break
+                m += 1
+            assert abs(cn.g_at_1(precision) - direct) < mpf(2) ** -(precision - 4)
+
+
+def _bernoulli_akiyama_tanigawa(n):
+    a = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        a[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+    return a[0]
+
+
+class TestBernoulli:
+    def test_against_akiyama_tanigawa(self):
+        # the recurrence yields B_1 = +1/2; the package, like mpmath, takes
+        # B_1 = -1/2 and reads only even indices
+        assert cn._bernoulli(1) == -_bernoulli_akiyama_tanigawa(1) == Fraction(-1, 2)
+        for n in [0] + list(range(2, 41)):
+            assert cn._bernoulli(n) == _bernoulli_akiyama_tanigawa(n), n
+
+    def test_b12(self):
+        assert cn._bernoulli(12) == Fraction(-691, 2730)
 
 
 class TestMertensConstant:
