@@ -205,7 +205,9 @@ def g_at_1(precision: int = DEFAULT_PRECISION):
     (H. Cohen, High precision computation of Hardy-Littlewood constants,
     1998).  It stops at the first N with 2^(1-N)/N below the error budget:
     |log zeta(j)| <= zeta(j) - 1 < 2^(1-j) for j >= 3, and summed over
-    j > N that is below 2^(1-N)/N.
+    j > N that is below 2^(1-N)/N.  The result is an mpf of precision +
+    GUARD_BITS bits, but it is accurate only to about 2^-(precision+16),
+    the budget the series stops at; the guard bits below that are not.
     """
     check_precision(precision, MAX_CONSTANT_PRECISION)
     from .primes import mobius  # deferred: primes imports this module

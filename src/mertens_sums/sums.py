@@ -37,11 +37,18 @@ Every argument above is a key, so no level needs one division per
 the grouped part reads only keys up to sqrt(x) and the full level-1 and
 pi tables.  So level k is evaluated only at x, in O(sqrt(x)) operations,
 and level j < k only where level j + 1 reads it: at the keys up to
-sqrt(x), about (2/3) x^(3/4) operations, and at the large keys x // n
-with Omega(n) <= k - j.  Tuple counts follow the same split with pi in
-place of S_1.  Every entry is at most the true value, and each level's
-ledger (:func:`truncation_error_ledger`) bounds the shortfall at every key
-it fills.  Summation order is fixed, so results are bit-reproducible.
+sqrt(x) and at the large keys x // n with Omega(n) <= k - j.  Only those
+large keys take the step above.  A small key y needs no recursion:
+S_j(y) sums c_j(n)/n over n <= y with Omega(n) = j, where c_j(n) =
+j!/prod e_i! counts the ordered prime tuples with product n = prod p_i^e_i,
+so one running sum of these multinomial weights fills every key up to
+sqrt(x) within 2 units in O(sqrt(x)) operations, where a step per key
+would cost about (2/3) x^(3/4) (Deleglise-Rivat split the keys the same
+way).  Tuple counts follow the same split: pi in place of S_1 at the large
+keys, exact running sums of c_j(n) at the small ones.  Every entry is at
+most the true value, and each level's ledger
+(:func:`truncation_error_ledger`) bounds the shortfall at every key it
+fills.  Summation order is fixed, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -197,7 +204,7 @@ def sk_direct(
 
 LEDGER_MARGIN = 16  # frac bits beyond the requested precision
 HEADROOM_BITS = 24  # more frac bits: the room the error ledgers grow into
-INIT_GUARD_BITS = 32  # level 1 starts this many bits below its units
+INIT_GUARD_BITS = 32  # level 1 and the small keys of later levels sum this many bits below units
 
 
 def fixed_point_params(precision: int) -> int:
@@ -309,13 +316,36 @@ def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[
     return out, out_counts
 
 
+def _small_keys(omega: np.ndarray, efact: np.ndarray, j: int, frac_bits: int):
+    """(values, counts) of level j >= 2 at the keys 1..sqrt_x, sqrt_x = omega.size - 1.
+
+    S_j(y) sums c/n over n <= y with Omega(n) = j, c = j!/prod e_i! the
+    number of ordered prime tuples with product n = prod p_i^e_i.  Each term
+    is floored INIT_GUARD_BITS below a unit and the running sums shifted,
+    so every value is low by less than 1 + sqrt_x 2^-32 < 2 units; counts
+    are exact.
+    """
+    s, fact = omega.size - 1, math.factorial(j)
+    one = 1 << (frac_bits + INIT_GUARD_BITS)
+    terms, tuples = [0] * s, [0] * s
+    n = np.flatnonzero(omega == j)
+    for m, e in zip(n.tolist(), efact[n].tolist()):
+        tuples[m - 1] = fact // e
+        terms[m - 1] = one * tuples[m - 1] // m
+    return [v >> INIT_GUARD_BITS for v in accumulate(terms)], list(accumulate(tuples))
+
+
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     """Yield (values, counts, ledger) for levels 1..k, each computed once.
 
     ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  Level 1
     fills every key and level k only x.  Level j < k fills the keys level
-    j + 1 reads (see the module docstring): every key up to sqrt_x and the
-    large keys x // n with Omega(n) <= k - j.  Other entries are 0.
+    j + 1 reads (see the module docstring): every key up to sqrt_x, as
+    prefix sums of tuple counts (:func:`_small_keys`), and by a grouped-
+    quotient step the large keys x // n with Omega(n) <= k - j.  Other
+    entries are 0.  The small keys are within 2 units, and every ledger is
+    at least pi(sqrt_x) + 1 >= 2 for x >= 4; below 4 the only small key is
+    1, where every level is exactly 0.
     """
     s, nk = keyspace.sqrt_x, len(keyspace)
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
@@ -325,22 +355,22 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     if k == 1:
         return
     keys = keyspace.keys.tolist()
-    # Omega(n) for n <= x // (s + 1), the n of the large keys x // n (at nk - n)
+    # Omega(n) and prod e_i! for n = prod p_i^e_i <= sqrt_x, which covers the n
+    # of the large keys x // n (at nk - n, n <= x // (s + 1))
     big = keyspace.x // (s + 1)
-    omega = np.zeros(big + 1, dtype=np.int8)
+    omega = np.zeros(s + 1, dtype=np.int8)
+    efact = np.ones(s + 1, dtype=np.int64)
     for p in small_primes:
-        if p > big:
-            break
-        q = p
-        while q <= big:
+        q, a = p, 1
+        while q <= s:
             omega[q::q] += 1
-            q *= p
+            efact[q::q] *= a
+            q, a = q * p, a + 1
     s1_upper = level1[-1] + ledger
     vals, counts = level1, pi
     for j in range(2, k + 1):
         if j < k:
-            n = np.flatnonzero(omega[1:] <= k - j) + 1
-            positions = [*range(s), *(nk - n).tolist()]
+            positions = (nk - np.flatnonzero(omega[1 : big + 1] <= k - j) - 1).tolist()
         else:
             positions = [nk - 1]
         small = vals[:s]  # Abel bounds, nondecreasing in ymax
@@ -348,6 +378,8 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
         abel = [0, *(e * (t + v) for t, v in zip(tv, small))]
         vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi,
                                 vals, counts, abel, frac_bits)
+        if j < k:
+            vals[:s], counts[:s] = _small_keys(omega, efact, j, frac_bits)
         ledger = truncation_error_ledger(ledger, s1_upper, len(small_primes), abel[-1], frac_bits)
         yield vals, counts, ledger
 

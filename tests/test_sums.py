@@ -310,19 +310,35 @@ def _abel_bounds(prev: list[int], e: int, sqrt_x: int) -> list[int]:
     return bounds
 
 
+def _shape_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Omega(n) and prod e_i! (n = prod p_i^e_i) for n = 0..limit, from _tuple_shapes."""
+    shapes = _tuple_shapes(limit)
+    omega = np.array([omega for omega, _ in shapes], dtype=np.int8)
+    efact = np.array([math.factorial(omega) // max(count, 1) for omega, count in shapes],
+                     dtype=np.int64)
+    return omega, efact
+
+
 def _dense_levels(k: int, x: int, primes, frac_bits: int):
-    """Levels 1..k of the grouped-quotient DP, with every level filled at every key."""
+    """Levels 1..k of the DP with every level filled at every key.
+
+    Keys up to sqrt_x are prefix sums of tuple counts, as in _levels; every
+    large key takes a grouped-quotient step.
+    """
     ks = KeySpace.build(x)
-    keys = ks.keys.tolist()
+    keys, s = ks.keys.tolist(), ks.sqrt_x
     plist = primes.primes[: primes.count_upto(x)]
     level1, pi, ledger = next(sums._levels(ks, plist, frac_bits, 1))
     e = ledger // 2  # level 1's ledger is twice its two-sided error
-    small_primes = plist[: pi[ks.sqrt_x - 1]].tolist()
+    small_primes = plist[: pi[s - 1]].tolist()
+    omega, efact = _shape_arrays(s)
     levels = [(level1, pi)]
-    for _ in range(2, k + 1):
-        abel = _abel_bounds(levels[-1][0], e, ks.sqrt_x)
-        levels.append(sums._advance(ks, keys, range(len(keys)), small_primes, level1, pi,
-                                    *levels[-1], abel, frac_bits))
+    for j in range(2, k + 1):
+        abel = _abel_bounds(levels[-1][0], e, s)
+        vals, counts = sums._advance(ks, keys, range(s, len(keys)), small_primes, level1, pi,
+                                     *levels[-1], abel, frac_bits)
+        vals[:s], counts[:s] = sums._small_keys(omega, efact, j, frac_bits)
+        levels.append((vals, counts))
     return levels
 
 
@@ -367,6 +383,29 @@ class TestLedgerAtEveryKey:
         for (vals, _), exact, ledger in zip(dense, _exact_levels(4, x, primes_1e4), ledgers):
             for v, computed in zip(keys, vals):
                 assert 0 <= exact[v] * 2**frac_bits - computed <= ledger, (x, v)
+
+    @pytest.mark.parametrize("x", [2, 3, 4, 16, 48, 49, 50, 210, 361, 600, 999, 4096, 9999])
+    def test_filled_entries_against_exact(self, x, primes_1e4):
+        # at k = 5, _levels fills every key of level 1, the small keys and the large
+        # keys x // n with Omega(n) <= 5 - j of level 1 < j < 5, and x at level 5
+        ks = KeySpace.build(x)
+        keys, nk, s = ks.keys.tolist(), len(ks), ks.sqrt_x
+        shapes = _tuple_shapes(s)
+        exact_levels = _exact_levels(5, x, primes_1e4)
+        for precision in (64, 192):
+            frac_bits = sums.fixed_point_params(precision)
+            levels = sums._levels(ks, primes_1e4.primes, frac_bits, 5)
+            for j, ((vals, counts, ledger), exact) in enumerate(zip(levels, exact_levels), 1):
+                large = [nk - n for n in range(1, x // (s + 1) + 1) if shapes[n][0] <= 5 - j]
+                filled = range(nk) if j == 1 else [nk - 1] if j == 5 else [*range(s), *large]
+                for i in filled:
+                    gap = exact[keys[i]] * 2**frac_bits - vals[i]
+                    assert 0 <= gap <= ledger, (precision, j, x, keys[i])
+                    if 1 < j < 5 and i < s:  # prefix sums of tuple counts
+                        assert gap < 2, (precision, j, x, keys[i])
+                if 1 < j < 5:
+                    tuples = accumulate(count if omega == j else 0 for omega, count in shapes[1:])
+                    assert counts[:s] == list(tuples), (j, x)
 
     @pytest.mark.parametrize("x", [999, 65_537])
     def test_abel_correction_covers_worst_case_level1(self, x, primes_1e6):
