@@ -27,10 +27,14 @@ Number Theory, I.3):
 * primes p > r are grouped by their quotient y = v // p, y = 1..v//(r+1).
   All primes of a group share S_{j-1}(y), and their reciprocals sum to
   S_1(v // y) - S_1(max(v // (y + 1), r)), a difference of level-1 entries.
-  The group products (scale 2^(2 frac_bits)) are summed exactly.  Those
+  The group products (scale 2^(2 frac_bits)) are summed exactly, by parts
+  (Tenenbaum I.0) over the y where P = S_{j-1} steps: with A(y) level 1
+  at v // y and at r for y = ymax + 1, sum_y P(y) (A(y) - A(y + 1)) =
+  sum_y A(y) (P(y) - P(y - 1)) - P(ymax) A(ymax + 1).  The A(y) - A(y + 1)
   are differences of level 1 + e, a table within e of S_1, so by Abel
-  summation the sum is off by at most e (TV + S_{j-1}(ymax)), TV the total
-  variation of level j-1 up to ymax; that is subtracted before the shift.
+  summation the sum is off by at most e (TV + S_{j-1}(ymax)), TV the
+  total variation of level j-1 up to ymax; that is subtracted before the
+  shift.
 
 Every argument above is a key, so no level needs one division per
 (key, prime) pair.  The per-prime part at x // n reads x // (n p), and
@@ -38,7 +42,9 @@ the grouped part reads only keys up to sqrt(x) and the full level-1 and
 pi tables.  So level k is evaluated only at x, in O(sqrt(x)) operations,
 and level j < k only where level j + 1 reads it: at the keys up to
 sqrt(x) and at the large keys x // n with Omega(n) <= k - j.  Only those
-large keys take the step above.  A small key y needs no recursion:
+large keys take the step above, its grouped part one product per step of
+level j-1 up to ymax (for j >= 3 at Omega(y) = j-1), not one per y.
+A small key y needs no recursion:
 S_j(y) sums c_j(n)/n over n <= y with Omega(n) = j, where c_j(n) =
 j!/prod e_i! counts the ordered prime tuples with product n = prod p_i^e_i,
 so one running sum of these multinomial weights fills every key up to
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -288,11 +295,18 @@ def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[
              abel: list[int], frac_bits: int):
     """One grouped-quotient level (see module docstring) at the table positions given.
 
+    The grouped part is summed by parts: one product per step of ``prev`` up to ymax.
     ``abel[ymax]`` is e (TV + prev) at key ymax, at scale 2^(2 frac_bits).
     Returns full-length (values, counts) lists whose other entries are 0.
     """
     indices = keyspace.indices
     prev_at, counts_at = prev.__getitem__, prev_counts.__getitem__
+    s1_at, pi_at = level1.__getitem__, pi.__getitem__
+    # the keys y <= sqrt_x where level j - 1 or its counts change, and by how much
+    pv, pc = [0, *prev[: keyspace.sqrt_x]], [0, *prev_counts[: keyspace.sqrt_x]]
+    steps = [y for y in range(1, len(pv)) if pv[y] != pv[y - 1] or pc[y] != pc[y - 1]]
+    dvals = [pv[y] - pv[y - 1] for y in steps]
+    dcounts = [pc[y] - pc[y - 1] for y in steps]
     out = [0] * len(keys)
     out_counts = [0] * len(keys)
     for pos in positions:
@@ -303,14 +317,13 @@ def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[
         idx = indices(v, ps)
         acc = sum(map(floordiv, map(prev_at, idx), ps))
         cnt = sum(map(counts_at, idx))
-        # primes p > r, grouped by y = v // p; the last group starts above r
+        # primes p > r, grouped by y = v // p and summed by parts over steps y <= ymax
         ymax = v // (r + 1)
-        idx = indices(v, range(1, ymax + 1))
-        idx.append(r - 1)
-        s1 = [level1[i] for i in idx]
-        grouped = sum(map(mul, prev[:ymax], map(sub, s1, s1[1:]))) - abel[ymax]
-        pis = [pi[i] for i in idx]
-        cnt += sum(map(mul, prev_counts[:ymax], map(sub, pis, pis[1:])))
+        m = bisect_right(steps, ymax)
+        idx = indices(v, steps[:m])
+        grouped = (sum(map(mul, dvals[:m], map(s1_at, idx))) - pv[ymax] * level1[r - 1]
+                   - abel[ymax])
+        cnt += sum(map(mul, dcounts[:m], map(pi_at, idx))) - pc[ymax] * pi[r - 1]
         out[pos] = acc + (max(grouped, 0) >> frac_bits)
         out_counts[pos] = cnt
     return out, out_counts

@@ -448,6 +448,56 @@ class TestLedgerAtEveryKey:
             assert nxt == want
 
 
+def _advance_per_y(keys, positions, small_primes, level1, pi, prev, prev_counts, abel,
+                   frac_bits):
+    """The grouped-quotient step with one product per y <= ymax, no summation by parts."""
+    position = {v: i for i, v in enumerate(keys)}  # independent of KeySpace.indices
+    out, out_counts = [0] * len(keys), [0] * len(keys)
+    for pos in positions:
+        v = keys[pos]
+        r = math.isqrt(v)
+        ps = small_primes[: pi[r - 1]]
+        acc = sum(prev[position[v // p]] // p for p in ps)
+        cnt = sum(prev_counts[position[v // p]] for p in ps)
+        ymax = v // (r + 1)
+        idx = [position[v // y] for y in range(1, ymax + 1)] + [r - 1]
+        grouped = sum(prev[y - 1] * (level1[idx[y - 1]] - level1[idx[y]])
+                      for y in range(1, ymax + 1)) - abel[ymax]
+        cnt += sum(prev_counts[y - 1] * (pi[idx[y - 1]] - pi[idx[y]])
+                   for y in range(1, ymax + 1))
+        out[pos] = acc + (max(grouped, 0) >> frac_bits)
+        out_counts[pos] = cnt
+    return out, out_counts
+
+
+class TestGroupedByParts:
+    """_advance sums the grouped part over the steps of the level it reads, bit for bit."""
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 4, 48, 49, 50, 999, 65_537, 10**6])
+    @pytest.mark.parametrize("precision", [64, 192])
+    def test_matches_per_y_sum(self, x, precision, primes_1e6):
+        frac_bits = sums.fixed_point_params(precision)
+        ks = KeySpace.build(x)
+        keys, nk, s = ks.keys.tolist(), len(ks), ks.sqrt_x
+        small_primes = primes_1e6.primes[: primes_1e6.count_upto(s)].tolist()
+        # level 1 (a step at nearly every y), levels 2 and 3 (steps only where
+        # Omega(y) = j at the small keys), and a random nondecreasing table
+        # whose values and counts step at different y
+        tables = _dense_levels(3, x, primes_1e6, frac_bits)
+        level1, pi = tables[0]
+        rng = random.Random(x + precision)
+        jumps = [(rng.choice([0, rng.getrandbits(frac_bits + 2)]), rng.choice([0, 0, 1, 7]))
+                 for _ in keys]
+        tables.append(tuple(list(accumulate(col)) for col in zip(*jumps)))
+        e = 2 ** (frac_bits - 8)
+        for prev, prev_counts in tables:
+            args = (small_primes, level1, pi, prev, prev_counts, _abel_bounds(prev, e, s),
+                    frac_bits)
+            # every key: x = 1 has no large key, and ymax = 0 only at key 1
+            want = _advance_per_y(keys, range(nk), *args)
+            assert sums._advance(ks, keys, range(nk), *args) == want, x
+
+
 @pytest.fixture(scope="module")
 def primes_1e7():
     return sieve(10**7 + 10**4)
