@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 2 invalid arguments or domain errors,
 3 precision-not-met, 4 capacity exceeded.  ``verify`` evaluates each grid
-point once for all requested k and prints the rows k-major, in ``--k``
-order.  Nothing is read from or written to disk except ``--out``.
+point once for all requested k and writes the rows k-major, in ``--k``
+order, as a report laid out by :func:`harness.emit_report` (``--format
+text|csv|json``); on an abort it writes the completed rows to ``--out`` in
+the same format.  The other commands print one payload as indented JSON
+or as text lines (``--format text|json``).  Nothing is read from or
+written to disk except ``--out``.
 """
 
 from __future__ import annotations
@@ -24,21 +28,17 @@ from .harness import (
     DEFAULT_K_SET,
     GridSpec,
     VerificationAborted,
-    check_ks,
     emit_report,
-    summary_stats,
     verify_grid,
 )
 
 
-def _common_flags(sp: argparse.ArgumentParser) -> None:
+def _common_flags(sp: argparse.ArgumentParser, formats=("text", "json")) -> None:
     sp.add_argument("--prec", type=int, default=DEFAULT_PRECISION, metavar="BITS",
                     help="working precision in bits (default %(default)s)")
     sp.add_argument("--digits", type=int, default=DEFAULT_DIGITS, metavar="D",
                     help="printed decimal digits (default %(default)s)")
-    sp.add_argument("--sieve-limit", type=int, default=None, metavar="N",
-                    help="prime table limit (default: smallest that covers the request)")
-    sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--out", metavar="PATH", default=None,
                     help="write output to PATH instead of stdout")
 
@@ -55,21 +55,19 @@ def _emit(args, text: str | bytes) -> None:
         sys.stdout.write(data.decode())
 
 
-def _build_sieve(limit: int, args):
-    from .primes import sieve
-
-    lim = args.sieve_limit if args.sieve_limit is not None else limit
-    return sieve(lim)
+def _emit_payload(args, payload: dict, lines: list[str]) -> int:
+    """Write ``payload`` as indented JSON or ``lines`` as text, per ``--format``."""
+    if args.format == "json":
+        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        _emit(args, "\n".join(lines) + "\n")
+    return 0
 
 
 def _cmd_constants(args) -> int:
-    from .constants import ConstantsBundle, mertens_c1
+    from .constants import ConstantsBundle
 
     bundle = ConstantsBundle.build(args.prec, m_max=12)
-    if args.c1_method == "direct":
-        # independent cross-check route; certifies only the sieve-tail bound
-        primes = _build_sieve(10**6, args)
-        mertens_c1(args.prec, "direct", primes=primes)
     d = args.digits
     payload = {
         "gamma": to_decimal(bundle.gamma, d),
@@ -80,9 +78,6 @@ def _cmd_constants(args) -> int:
             str(m): to_decimal(bundle.recip_gamma_derivs[m], d) for m in range(9)
         },
     }
-    if args.format == "json":
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 0
     lines = [
         f"gamma = {payload['gamma']}",
         f"c1    = {payload['c1']}",
@@ -90,8 +85,7 @@ def _cmd_constants(args) -> int:
     ]
     lines += [f"zeta({k}) = {payload['zeta'][str(k)]}" for k in range(2, 11)]
     lines += [f"a_{m} = {payload['recip_gamma_deriv'][str(m)]}" for m in range(9)]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit_payload(args, payload, lines)
 
 
 def _cmd_poly(args) -> int:
@@ -105,17 +99,9 @@ def _cmd_poly(args) -> int:
     k = args.k
     bundle = ConstantsBundle.build(args.prec, m_max=max(12, k))
     table = lambda_coeffs(k, bundle)
-    d = args.digits
-    if args.format == "json":
-        payload = {
-            "k": k,
-            "coefficients": {str(j): to_decimal(c, d) for j, c in enumerate(table.lam)},
-        }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 0
+    coefficients = {str(j): to_decimal(c, args.digits) for j, c in enumerate(table.lam)}
     lines = [f"P_{k}(X) coefficients (degree: value)"]
-    for j, c in enumerate(table.lam):
-        lines.append(f"  X^{j}: {to_decimal(c, d)}")
+    lines += [f"  X^{j}: {c}" for j, c in coefficients.items()]
     if args.symbolic:
         if k in CLOSED_FORM_STRINGS:
             lines.append(CLOSED_FORM_STRINGS[k])
@@ -124,8 +110,7 @@ def _cmd_poly(args) -> int:
                 lines.append(f"  X^{j} delta vs closed form: {to_decimal(abs(a - b), 3)}")
         else:
             lines.append(f"(no recorded closed form for k={k}; numeric table only)")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit_payload(args, {"k": k, "coefficients": coefficients}, lines)
 
 
 def _cmd_hankel(args) -> int:
@@ -137,13 +122,11 @@ def _cmd_hankel(args) -> int:
         res = hankel_power_quad(args.z, args.x)
         closed = power_law_closed_form(args.z, args.x)
         label = f"(log x)^z / Gamma(z+1) at z={args.z}, x={args.x}"
-    elif args.m is not None:
+    else:
         res = im_quad(args.m, args.x)
         bundle = ConstantsBundle.build(args.prec, m_max=max(8, args.m))
         closed = float(im_closed_form(args.m, args.x, bundle))
         label = f"I_{args.m}({args.x})"
-    else:
-        raise MertensArgumentError("one of --m or --z is required")
     abs_delta = abs(res.value - closed)
     rel_delta = abs_delta / abs(closed) if closed != 0 else float("inf")
     payload = {
@@ -155,22 +138,17 @@ def _cmd_hankel(args) -> int:
         "error_estimate": f"{res.error_estimate:.3e}",
         "refinements": res.refinements,
     }
-    if args.format == "json":
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 0
-    lines = [label] + [f"{key} = {val}" for key, val in payload.items()]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit_payload(args, payload, [label] + [f"{key} = {val}" for key, val in payload.items()])
 
 
 def _cmd_sum(args) -> int:
+    from .primes import sieve
     from .sums import sk_direct, sk_fast
 
-    primes = _build_sieve(args.x if args.method == "direct" else math.isqrt(max(args.x, 0)), args)
-    if args.method == "direct":
-        res = sk_direct(args.k, args.x, primes, precision=args.prec)
+    if args.method == "direct":  # the oracle reads primes up to x, the engine up to isqrt(x)
+        res = sk_direct(args.k, args.x, sieve(args.x), precision=args.prec)
     else:
-        res = sk_fast(args.k, args.x, primes, precision=args.prec)
+        res = sk_fast(args.k, args.x, sieve(math.isqrt(max(args.x, 0))), precision=args.prec)
     payload = {
         "k": res.k,
         "x": res.x,
@@ -180,43 +158,21 @@ def _cmd_sum(args) -> int:
         "terms": res.terms,
         "elapsed_s": round(res.elapsed, 6),
     }
-    if args.format == "json":
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 0
-    _emit(args, "\n".join(f"{key} = {val}" for key, val in payload.items()) + "\n")
-    return 0
+    return _emit_payload(args, payload, [f"{key} = {val}" for key, val in payload.items()])
 
 
 def _cmd_verify(args) -> int:
     grid = GridSpec(start=args.start, stop=args.stop, points=args.points)
-    ks = check_ks(args.k if args.k else DEFAULT_K_SET)
-    primes = _build_sieve(math.isqrt(grid.stop), args)
     try:
-        rows = verify_grid(ks, grid, precision=args.prec, digits=args.digits, primes=primes)
+        rows = verify_grid(args.k or DEFAULT_K_SET, grid, precision=args.prec, digits=args.digits)
     except VerificationAborted as exc:
         if exc.rows and args.out:  # persist partial results before failing
-            fmt = "json" if args.format == "json" else "csv"
             try:
-                _emit(args, emit_report(exc.rows, fmt, digits=args.digits))
+                _emit(args, emit_report(exc.rows, args.format, digits=args.digits))
             except MertensError as write_exc:  # report it, but fail with the cause
                 print(f"mertens: partial results not written: {write_exc}", file=sys.stderr)
         raise
-    fmt = args.format
-    if fmt in ("csv", "json"):
-        _emit(args, emit_report(rows, fmt, digits=args.digits))
-        return 0
-    # text: aligned table plus summary
-    widths = [6, 12, 24, 24, 14, 12]
-    header = ["k", "x", "S_k", "P_k", "abs_err", "ratio"]
-    lines = ["".join(h.ljust(w) for h, w in zip(header, widths))]
-    for r in rows:
-        cells = [str(r.k), str(r.x), r.s_value[:22], r.main_term[:22],
-                 r.abs_err[:12], r.ratio[:10]]
-        lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
-    stats = summary_stats(rows, args.digits)
-    lines.append(f"max_ratio    = {stats['max_ratio']}")
-    lines.append(f"median_ratio = {stats['median_ratio']}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, emit_report(rows, args.format, digits=args.digits))
     return 0
 
 
@@ -235,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("constants", help="print gamma, c1, h0, zeta(2..10), a_0..a_8")
     _common_flags(sp)
-    sp.add_argument("--c1-method", choices=("accelerated", "direct"),
-                    default="accelerated",
-                    help="also run the sieve-based c1 cross-check (direct)")
     sp.set_defaults(func=_cmd_constants)
 
     sp = sub.add_parser("poly", help="main-term polynomial coefficients")
@@ -249,10 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hankel", help="contour quadrature vs closed forms")
     _common_flags(sp)
-    sp.add_argument("--m", type=int, default=None, help="order of I_m")
     sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--z", type=float, default=None,
-                    help="check x^s s^(-1-z) against (log x)^z/Gamma(z+1) instead")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--m", type=int, help="order of I_m")
+    mode.add_argument("--z", type=float,
+                      help="check x^s s^(-1-z) against (log x)^z/Gamma(z+1) instead")
     sp.set_defaults(func=_cmd_hankel)
 
     sp = sub.add_parser("sum", help="evaluate S_k(x)")
@@ -263,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_sum)
 
     sp = sub.add_parser("verify", help="sweep a grid and report normalized remainders")
-    _common_flags(sp)
+    _common_flags(sp, formats=("text", "csv", "json"))
     sp.add_argument("--k", type=int, action="append", default=None,
                     help="repeatable; default 1 2 3 4")
     sp.add_argument("--start", type=int, default=DEFAULT_GRID_START)

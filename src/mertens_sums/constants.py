@@ -143,17 +143,18 @@ def _zeta_em(s, precision: int):
     """
     with working_precision(precision):
         s = mpf(s)
+        e = int(s) if s == int(s) else s  # mpmath's integer-power path is cheaper
         budget_bits = precision + 24
         # Direct tail alone decays like N^(1-s); Euler-Maclaurin corrections
         # decay like (2 pi N)^(-2i), so N ~ budget/2 suffices for every s.
-        n_direct = max(8, min(budget_bits // 2 + 8, int(mpf(2) ** (budget_bits / (s - 1)) + 2)))
+        n_direct = min(budget_bits // 2 + 8, int(mpf(2) ** (budget_bits / (s - 1)) + 2))
         total = mpf(0)
         for n in range(n_direct, 0, -1):
-            total += mpf(n) ** (-s)
-        total += mpf(n_direct) ** (1 - s) / (s - 1)
-        total -= mpf(n_direct) ** (-s) / 2
+            total += mpf(n) ** -e
+        total += mpf(n_direct) ** (1 - e) / (s - 1)
+        total -= mpf(n_direct) ** -e / 2
         rising = mpf(s)  # (s)(s+1)...(s+2i-2), starts with one factor
-        npow = mpf(n_direct) ** (-s - 1)
+        npow = mpf(n_direct) ** (-e - 1)
         fact = mpf(2)  # (2i)!
         eps = mpf(2) ** (-budget_bits)
         for i in range(1, 300):

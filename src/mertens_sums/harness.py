@@ -32,7 +32,7 @@ from .constants import ConstantsBundle
 from .asymptotics import MAX_DEGREE, evaluate_main_term
 from .errors import CapacityError, DomainError, MertensError
 from .primes import PrimeTable, sieve
-from .sums import MertensSumResult, sk_levels
+from .sums import FAST_MAX_X, MertensSumResult, sk_levels
 
 DEFAULT_GRID_START = 1_000
 DEFAULT_GRID_STOP = 100_000_000
@@ -41,7 +41,8 @@ MAX_GRID_POINTS = 1_000  # every point is a full S_k evaluation
 DEFAULT_K_SET = (1, 2, 3, 4)
 RATIO_BOUND = 10.0  # empirical calibration; the asymptotic statement fixes no constant
 
-CSV_HEADER = ["k", "x", "S_k", "P_k", "abs_err", "ratio"]
+CSV_HEADER = ["k", "x", "S_k", "P_k", "abs_err", "ratio"]  # also the text table's header
+TEXT_WIDTHS = (6, 12, 24, 24, 14, 12)  # text table column widths
 JSON_SCHEMA_ID = "mertens-verification-report/1"
 
 
@@ -145,13 +146,16 @@ def verify_grid(
     Each x is evaluated once, by one :func:`sk_levels` pass up to the
     largest k.  Rows come out k-major in the order of ``ks``, repeats
     included: the same list as concatenating one single-k call per entry.
-    Each k is checked (:func:`check_ks`) before any work.  Later
+    Each k (:func:`check_ks`) and the grid's top against ``FAST_MAX_X``
+    are checked before any work.  Later
     capacity or precision failures abort the sweep with
     :class:`VerificationAborted` carrying, in the same order, the rows of
     every grid point completed before the failure, so callers can persist
     partial results.
     """
     ks = check_ks(ks)
+    if grid.stop > FAST_MAX_X:
+        raise CapacityError(f"grid stop {grid.stop} exceeds the configured maximum {FAST_MAX_X}")
     if primes is None:
         primes = sieve(math.isqrt(grid.stop))
     if bundle is None:
@@ -184,14 +188,24 @@ def summary_stats(rows: list[VerificationRow], digits: int = DEFAULT_DIGITS) -> 
 
 def emit_report(rows: list[VerificationRow], format: str = "csv",
                 digits: int = DEFAULT_DIGITS) -> bytes:
-    """Serialize rows (plus summary) to CSV or JSON bytes.
+    """Serialize rows (plus summary) to text, CSV or JSON bytes.
 
-    Output is byte-identical for identical inputs: fixed field order,
-    fixed separators, no timestamps.
+    ``text`` is an aligned table with each value cut to fit its column;
+    CSV and JSON carry every field in full.  Output is byte-identical for
+    identical inputs: fixed field order, fixed separators, no timestamps.
     """
     if not rows:
         raise DomainError("cannot emit an empty report")
     summary = summary_stats(rows, digits)
+    if format == "text":
+        lines = ["".join(h.ljust(w) for h, w in zip(CSV_HEADER, TEXT_WIDTHS))]
+        for r in rows:
+            cells = [str(r.k), str(r.x), r.s_value[:22], r.main_term[:22],
+                     r.abs_err[:12], r.ratio[:10]]
+            lines.append("".join(c.ljust(w) for c, w in zip(cells, TEXT_WIDTHS)))
+        lines.append(f"max_ratio    = {summary['max_ratio']}")
+        lines.append(f"median_ratio = {summary['median_ratio']}")
+        return ("\n".join(lines) + "\n").encode()
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -83,9 +83,9 @@ def _odd_flags_segment(low: int, high: int, base_odd: np.ndarray) -> np.ndarray:
 def sieve(limit: int) -> PrimeTable:
     """All primes <= limit via a segmented odd-only sieve.
 
-    Memory is O(segment) for the working flags plus the output array
-    (uint32 below 2^32, int64 above).  ``limit`` is capped at
-    ``DEFAULT_MAX_LIMIT``; segments span ``DEFAULT_SEGMENT_SPAN`` integers.
+    Memory is O(segment) for the working flags plus the uint32 output
+    array.  ``limit`` is capped at ``DEFAULT_MAX_LIMIT`` (below 2^32);
+    segments span ``DEFAULT_SEGMENT_SPAN`` integers.
     """
     limit = int(limit)
     if limit < 0:
@@ -94,21 +94,17 @@ def sieve(limit: int) -> PrimeTable:
         raise CapacityError(
             f"sieve limit {limit} exceeds configured maximum {DEFAULT_MAX_LIMIT}"
         )
-    dtype = np.uint32 if limit < 2**32 else np.int64
     if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=dtype))
-
-    if limit < (1 << 16):
-        return PrimeTable(limit, _small_sieve(limit).astype(dtype))
+        return PrimeTable(limit, np.empty(0, dtype=np.uint32))
 
     base = _small_sieve(math.isqrt(limit))
     base_odd = base[1:]
-    chunks = [np.array([2], dtype=dtype)]
+    chunks = [np.array([2], dtype=np.uint32)]
     low = 3
     while low <= limit:
         high = min(low + 2 * DEFAULT_SEGMENT_SPAN, limit + 1)  # exclusive
         flags = _odd_flags_segment(low, high, base_odd)
-        seg = (low + 2 * np.flatnonzero(flags)).astype(dtype)
+        seg = (low + 2 * np.flatnonzero(flags)).astype(np.uint32)
         chunks.append(seg)
         low = high
     return PrimeTable(limit, np.concatenate(chunks))

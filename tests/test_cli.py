@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mertens_sums import harness, primes, sums
 from mertens_sums.cli import main
+from mertens_sums.errors import CapacityError
 from mertens_sums.primes import sieve
 
 
@@ -44,12 +45,6 @@ class TestConstantsCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b9cff082fe208af83f96d99b09459c99562c0df614d6cb3f1fc193e9fc05e44a"
         )
-
-    def test_direct_cross_check_exit_code(self, capsys):
-        # the sieve-backed route cannot certify 192 bits: exit 3
-        code, _, err = run(capsys, "constants", "--c1-method", "direct")
-        assert code == 3
-        assert "certifies only" in err
 
 
 class TestPolyCommand:
@@ -88,6 +83,11 @@ class TestHankelCommand:
         code, _, err = run(capsys, "hankel", "--x", "50")
         assert code == 2
         assert "error" in err
+
+    def test_both_selectors(self, capsys):
+        code, out, err = run(capsys, "hankel", "--m", "3", "--z", "0.5", "--x", "1000")
+        assert code == 2
+        assert out == "" and "not allowed with argument" in err
 
     @pytest.mark.parametrize("argv", [
         ("--z", "nan", "--x", "1000"),
@@ -147,6 +147,48 @@ class TestSumCommand:
         }
 
 
+def fail_at_third_point(monkeypatch):
+    """Make ``harness.sk_levels`` fail with a capacity error at the third grid point."""
+    calls = []
+
+    def failing(k, x, *args, **kwargs):
+        calls.append(x)
+        if len(calls) == 3:
+            raise CapacityError(f"no capacity at x={x}")
+        return sums.sk_levels(k, x, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "sk_levels", failing)
+
+
+def forbid_work(monkeypatch):
+    """Make every sieve, DP pass and constants build fail the test."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the capacity checks")
+
+    for module, name in ((primes, "sieve"), (harness, "sieve"), (sums, "sk_levels"),
+                         (harness, "sk_levels"), (harness.ConstantsBundle, "build")):
+        monkeypatch.setattr(module, name, no_work)
+
+
+def check_partial_report(capsys, monkeypatch, tmp_path, ks):
+    """The rows of both grid points completed before the abort, for every k in --k
+    order, land in --out in each format; the exit code maps the cause."""
+    grid = harness.GridSpec(1000, 100000, 5)
+    done = grid.values()[:2]
+    rows = harness.verify_grid(ks, grid)
+    for fmt in ("text", "csv", "json"):
+        fail_at_third_point(monkeypatch)
+        out = tmp_path / f"partial.{fmt}"
+        argv = ["verify", "--start", "1000", "--stop", "100000", "--points", "5",
+                "--format", fmt, "--out", str(out)]
+        code, stdout, err = run(capsys, *argv, *(a for k in ks for a in ("--k", str(k))))
+        assert code == 4, fmt
+        assert stdout == ""
+        assert err == "mertens: error: verification aborted: no capacity at x=10000\n"
+        expected = harness.emit_report([r for r in rows if r.x in done], fmt)
+        assert out.read_bytes() == expected, fmt
+
+
 class TestVerifyCommand:
     def test_csv_to_file_and_determinism(self, capsys, tmp_path):
         args = ["verify", "--k", "1", "--start", "1000", "--stop", "100000",
@@ -177,16 +219,20 @@ class TestVerifyCommand:
 
     def test_degree_cap_before_any_work(self, capsys, monkeypatch):
         # k above the main term's degree cap exits 4 before sieving or summing
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the k check")
+        forbid_work(monkeypatch)
+        code, out, err = run(capsys, "verify", "--k", "13", "--stop", "100000000")
+        assert code == 4
+        assert out == "" and len(err.splitlines()) == 1
 
-        for module, name in ((primes, "sieve"), (harness, "sieve"), (sums, "sk_levels"),
-                             (harness, "sk_levels"), (harness.ConstantsBundle, "build")):
-            monkeypatch.setattr(module, name, no_work)
-        for extra in ((), ("--sieve-limit", "100000000")):
-            code, out, err = run(capsys, "verify", "--k", "13", "--stop", "100000000", *extra)
-            assert code == 4, extra
-            assert out == "" and len(err.splitlines()) == 1
+    def test_stop_cap_before_any_work(self, capsys, monkeypatch):
+        # a grid above the engine's FAST_MAX_X exits 4 before its lower points run
+        forbid_work(monkeypatch)
+        code, out, err = run(capsys, "verify", "--k", "1", "--stop", "20000000000",
+                             "--points", "12")
+        assert code == 4
+        assert out == ""
+        assert err == ("mertens: error: grid stop 20000000000 exceeds the configured "
+                       "maximum 10000000000\n")
 
     def test_sieves_only_to_isqrt(self, capsys, monkeypatch):
         # the engine reads primes up to isqrt(x); only the direct oracle needs them up to x
@@ -204,30 +250,11 @@ class TestVerifyCommand:
         assert run(capsys, "sum", "--k", "2", "--x", "1000", "--method", "direct")[0] == 0
         assert limits == [1000, 500, 1000]
 
-    def test_partial_results_on_abort(self, capsys, tmp_path):
-        # sieve covers isqrt of the grid start but not of its stop: partial rows
-        # land in the output file and the exit code maps the cause
-        out = tmp_path / "partial.csv"
-        code = main(["verify", "--k", "1", "--start", "1000", "--stop", "10000000",
-                     "--points", "5", "--sieve-limit", "1000", "--format", "csv",
-                     "--out", str(out)])
-        assert code == 2
-        assert out.exists()
-        body = out.read_text()
-        assert body.startswith("k,x,S_k,P_k,abs_err,ratio\n")
-        assert len([l for l in body.splitlines() if not l.startswith(("#", "k,"))]) >= 1
+    def test_partial_results_on_abort(self, capsys, monkeypatch, tmp_path):
+        check_partial_report(capsys, monkeypatch, tmp_path, [1])
 
-    def test_partial_results_on_abort_multi_k(self, capsys, tmp_path):
-        # every completed grid point is written for every k, k-major in --k order
-        out = tmp_path / "partial.csv"
-        code = main(["verify", "--k", "2", "--k", "1", "--start", "1000", "--stop", "10000000",
-                     "--points", "5", "--sieve-limit", "1000", "--format", "csv",
-                     "--out", str(out)])
-        assert code == 2
-        body = [l for l in out.read_text().splitlines() if not l.startswith(("#", "k,"))]
-        ks = [int(l.split(",")[0]) for l in body]
-        done = len(ks) // 2
-        assert done >= 1 and ks == [2] * done + [1] * done
+    def test_partial_results_on_abort_multi_k(self, capsys, monkeypatch, tmp_path):
+        check_partial_report(capsys, monkeypatch, tmp_path, [2, 1])
 
 
 class TestArgumentHandling:
@@ -255,15 +282,31 @@ class TestArgumentHandling:
         assert err.startswith("mertens: error: --out directory does not exist")
         assert len(err.splitlines()) == 1
 
-    def test_failed_partial_write_keeps_cause(self, capsys, tmp_path):
+    def test_failed_partial_write_keeps_cause(self, capsys, monkeypatch, tmp_path):
         # --out names a directory: the partial write fails, the abort still reports its cause
-        code, _, err = run(capsys, "verify", "--k", "1", "--start", "1000", "--stop", "10000000",
-                           "--points", "5", "--sieve-limit", "1000", "--format", "csv",
-                           "--out", str(tmp_path))
-        assert code == 2
+        fail_at_third_point(monkeypatch)
+        code, _, err = run(capsys, "verify", "--k", "1", "--start", "1000", "--stop", "100000",
+                           "--points", "5", "--out", str(tmp_path))
+        assert code == 4
         lines = err.splitlines()
+        assert len(lines) == 2
         assert lines[0].startswith("mertens: partial results not written: cannot write")
-        assert lines[-1].startswith("mertens: error: verification aborted: prime table covers")
+        assert lines[1] == "mertens: error: verification aborted: no capacity at x=10000"
+
+    @pytest.mark.parametrize("argv", [
+        ("sum", "--k", "2", "--x", "100", "--format", "csv"),
+        ("poly", "--k", "2", "--format", "csv"),
+        ("constants", "--format", "csv"),
+        ("hankel", "--m", "2", "--x", "100", "--format", "csv"),
+        ("sum", "--k", "2", "--x", "100", "--sieve-limit", "100"),
+        ("verify", "--k", "1", "--stop", "5000", "--sieve-limit", "1000"),
+        ("constants", "--c1-method", "direct"),
+    ])
+    def test_removed_options_exit_2(self, capsys, argv):
+        # csv is a verify report format only; --sieve-limit and --c1-method are gone
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and "error" in err
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
@@ -276,7 +319,7 @@ COMMON_FLAGS = {"--prec": ("64", "192"), "--digits": ("1", "20"),
                 "--format": ("text", "csv", "json")}
 SUBCOMMAND_FLAGS = {  # small valid values keep each example well under a second
     "sum": {"--k": ("1", "2", "4"), "--x": ("1", "2", "10", "1000"),
-            "--method": ("direct", "fast"), "--sieve-limit": ("10", "1000")},
+            "--method": ("direct", "fast")},
     "verify": {"--k": ("1", "3"), "--start": ("3", "100"), "--stop": ("20", "2000"),
                "--points": ("2", "5")},
     "poly": {"--k": ("1", "4"), "--symbolic": None},
