@@ -1,13 +1,14 @@
 """Command-line front door: ``mertens sum|poly|constants|hankel|verify``.
 
 Exit codes: 0 success, 2 invalid arguments or domain errors,
-3 precision-not-met, 4 capacity exceeded.  ``verify`` evaluates each grid
-point once for all requested k and writes the rows k-major, in ``--k``
-order, as a report laid out by :func:`harness.emit_report` (``--format
-text|csv|json``); on an abort it writes the completed rows to ``--out`` in
-the same format.  The other commands print one payload as indented JSON
-or as text lines (``--format text|json``).  Nothing is read from or
-written to disk except ``--out``.
+3 precision-not-met, 4 capacity exceeded.  An error, usage errors
+included, prints the one line ``mertens: error: <message>`` to stderr.
+``verify`` evaluates each grid point once for all requested k and writes
+the rows k-major, in ``--k`` order, as a report laid out by
+:func:`harness.emit_report` (``--format text|csv|json``); on an abort it
+writes the completed rows to ``--out`` in the same format.  The other
+commands print one payload as indented JSON or as text lines (``--format
+text|json``).  Nothing is read from or written to disk except ``--out``.
 """
 
 from __future__ import annotations
@@ -102,15 +103,19 @@ def _cmd_poly(args) -> int:
     coefficients = {str(j): to_decimal(c, args.digits) for j, c in enumerate(table.lam)}
     lines = [f"P_{k}(X) coefficients (degree: value)"]
     lines += [f"  X^{j}: {c}" for j, c in coefficients.items()]
+    payload = {"k": k, "coefficients": coefficients}
     if args.symbolic:
+        payload["closed_form"] = payload["deltas"] = None
         if k in CLOSED_FORM_STRINGS:
-            lines.append(CLOSED_FORM_STRINGS[k])
             closed = closed_form_coefficients(k, bundle)
-            for j, (a, b) in enumerate(zip(table.lam, closed)):
-                lines.append(f"  X^{j} delta vs closed form: {to_decimal(abs(a - b), 3)}")
+            payload["closed_form"] = CLOSED_FORM_STRINGS[k]
+            payload["deltas"] = {str(j): to_decimal(abs(a - b), 3)
+                                 for j, (a, b) in enumerate(zip(table.lam, closed))}
+            lines.append(CLOSED_FORM_STRINGS[k])
+            lines += [f"  X^{j} delta vs closed form: {d}" for j, d in payload["deltas"].items()]
         else:
             lines.append(f"(no recorded closed form for k={k}; numeric table only)")
-    return _emit_payload(args, {"k": k, "coefficients": coefficients}, lines)
+    return _emit_payload(args, payload, lines)
 
 
 def _cmd_hankel(args) -> int:
@@ -180,8 +185,18 @@ class MertensArgumentError(MertensError):
     exit_code = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one line ``mertens: error: <message>``, exit 2.
+
+    Subparsers are made of the same class, so every subcommand does the same.
+    """
+
+    def error(self, message: str):
+        self.exit(2, f"mertens: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mertens",
         description="Generalized Mertens prime sums: exact engines, main-term "
                     "polynomials, and contour-quadrature checks.",

@@ -37,24 +37,27 @@ Number Theory, I.3):
   shift.
 
 Every argument above is a key, so no level needs one division per
-(key, prime) pair.  The per-prime part at x // n reads x // (n p), and
-the grouped part reads only keys up to sqrt(x) and the full level-1 and
-pi tables.  So level k is evaluated only at x, in O(sqrt(x)) operations,
-and level j < k only where level j + 1 reads it: at the keys up to
-sqrt(x) and at the large keys x // n with Omega(n) <= k - j.  Only those
-large keys take the step above, its grouped part one product per step of
-level j-1 up to ymax (for j >= 3 at Omega(y) = j-1), not one per y.
-A small key y needs no recursion:
-S_j(y) sums c_j(n)/n over n <= y with Omega(n) = j, where c_j(n) =
-j!/prod e_i! counts the ordered prime tuples with product n = prod p_i^e_i,
-so one running sum of these multinomial weights fills every key up to
-sqrt(x) within 2 units in O(sqrt(x)) operations, where a step per key
-would cost about (2/3) x^(3/4) (Deleglise-Rivat split the keys the same
-way).  Tuple counts follow the same split: pi in place of S_1 at the large
-keys, exact running sums of c_j(n) at the small ones.  Every entry is at
-most the true value, and each level's ledger
-(:func:`truncation_error_ledger`) bounds the shortfall at every key it
-fills.  Summation order is fixed, so results are bit-reproducible.
+(key, prime) pair.  A key y needs no recursion, though: S_j(y) sums
+c_j(n)/n over n <= y with Omega(n) = j, where c_j(n) = j!/prod e_i!
+counts the ordered prime tuples with product n = prod p_i^e_i.  So one
+running sum of these multinomial weights over n <= y0 = max(x^(2/3),
+sqrt(x)) fills level j at every key up to y0 within 2 units, in
+O(y0 loglog x) operations; Omega and c_j come from the primes up to
+sqrt(y0) = x^(1/3), divided out of a cofactor array.  Only the top keys
+x // n > y0, n <= x^(1/3), take the step above (Deleglise-Rivat, Math.
+Comp. 65, 1996, split the keys at x^(2/3) the same way).  Level k is
+evaluated only at x, and level j < k only where level j + 1 reads it: at
+every key up to y0 and at the top keys x // n with Omega(n) <= k - j.
+That closes, because the per-prime part at a top key x // n reads
+x // (n p), either a key up to y0 or a top key with Omega(n p) <=
+k - j + 1, and the grouped part reads only keys up to sqrt(x) and the full
+level-1 and pi tables.  A step costs pi(sqrt(v)) floors plus one product
+per step of level j-1 up to ymax (for j >= 3 at Omega(y) = j-1), not one
+per y.  Tuple counts follow the same split: pi in place of S_1 at the top
+keys, exact running sums of c_j(n) up to y0.  Every entry is at most the
+true value, and each level's ledger (:func:`truncation_error_ledger`)
+bounds the shortfall at every key it fills.  Summation order is fixed, so
+results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import floordiv, mul, sub
 
 import numpy as np
@@ -329,23 +332,57 @@ def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[
     return out, out_counts
 
 
-def _small_keys(omega: np.ndarray, efact: np.ndarray, j: int, frac_bits: int):
-    """(values, counts) of level j >= 2 at the keys 1..sqrt_x, sqrt_x = omega.size - 1.
+def _cutoff(keyspace: KeySpace) -> int:
+    """y0 = max(floor(x^(2/3)), sqrt_x): the cube root of x^2 by Newton's method from above."""
+    n = keyspace.x * keyspace.x
+    r = 1 << -(-n.bit_length() // 3)
+    while (t := (2 * r + n // (r * r)) // 3) < r:
+        r = t
+    return max(r, keyspace.sqrt_x)
 
-    S_j(y) sums c/n over n <= y with Omega(n) = j, c = j!/prod e_i! the
-    number of ordered prime tuples with product n = prod p_i^e_i.  Each term
-    is floored INIT_GUARD_BITS below a unit and the running sums shifted,
-    so every value is low by less than 1 + sqrt_x 2^-32 < 2 units; counts
-    are exact.
+
+def _tuple_counts(limit: int, small_primes: list[int]):
+    """(Omega(n), c(n)) for n = 0..limit, c(n) = Omega(n)!/prod e_i! for n = prod p_i^e_i.
+
+    c(n) counts the ordered prime tuples with product n.  The primes up to
+    isqrt(limit) are divided out of a cofactor array, and a cofactor left
+    above 1 is one more prime.  The a-th power of a prime after t other
+    factors multiplies c by (t + a)/a, exactly.  c stays under 10^6 up to
+    4.7e6, the largest limit, where prod e_i! passes 2^63 at n = 2^21.
     """
-    s, fact = omega.size - 1, math.factorial(j)
+    omega, tuples = np.zeros(limit + 1, dtype=np.int8), np.ones(limit + 1, dtype=np.int64)
+    rem = np.arange(limit + 1, dtype=np.int32)  # limit < 2^31
+    for p in small_primes[: bisect_right(small_primes, math.isqrt(limit))]:
+        q, a = p, 1
+        while q <= limit:
+            omega[q::q] += 1
+            tuples[q::q] = tuples[q::q] * omega[q::q] // a
+            rem[q::q] //= p
+            q, a = q * p, a + 1
+    left = rem > 1
+    omega[left] += 1
+    tuples[left] *= omega[left]
+    return omega, tuples
+
+
+def _running_sums(omega, tuples, low: np.ndarray, j: int, frac_bits: int):
+    """(values, counts) of level j >= 2 at the ascending keys ``low`` <= omega.size - 1.
+
+    S_j(y) sums c(n)/n over n <= y with Omega(n) = j (:func:`_tuple_counts`).
+    The terms are streamed in n order, floored INIT_GUARD_BITS below a unit,
+    and the running sum is read off at each key and shifted: every value is
+    low by less than 1 + N 2^-32 < 2 units, N < 2^32 terms.  Counts are exact.
+    """
     one = 1 << (frac_bits + INIT_GUARD_BITS)
-    terms, tuples = [0] * s, [0] * s
     n = np.flatnonzero(omega == j)
-    for m, e in zip(n.tolist(), efact[n].tolist()):
-        tuples[m - 1] = fact // e
-        terms[m - 1] = one * tuples[m - 1] // m
-    return [v >> INIT_GUARD_BITS for v in accumulate(terms)], list(accumulate(tuples))
+    c = tuples[n]
+    ends = np.searchsorted(n, low, side="right")  # the number of terms at or below each key
+    marks = np.zeros(n.size + 1, dtype=bool)
+    marks[ends] = True
+    terms = map(floordiv, map(one.__mul__, c.tolist()), n.tolist())
+    sums = [v >> INIT_GUARD_BITS for v in compress(accumulate(terms, initial=0), marks.tolist())]
+    counts = np.concatenate(([0], np.cumsum(c)))[ends].tolist()
+    return [sums[i] for i in (np.cumsum(marks)[ends] - 1).tolist()], counts
 
 
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
@@ -353,37 +390,30 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
 
     ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  Level 1
     fills every key and level k only x.  Level j < k fills the keys level
-    j + 1 reads (see the module docstring): every key up to sqrt_x, as
-    prefix sums of tuple counts (:func:`_small_keys`), and by a grouped-
-    quotient step the large keys x // n with Omega(n) <= k - j.  Other
-    entries are 0.  The small keys are within 2 units, and every ledger is
-    at least pi(sqrt_x) + 1 >= 2 for x >= 4; below 4 the only small key is
-    1, where every level is exactly 0.
+    j + 1 reads (see the module docstring): every key up to y0 = max(x^(2/3),
+    sqrt_x) by one running sum (:func:`_running_sums`), and by a grouped-
+    quotient step the top keys x // n > y0 with Omega(n) <= k - j.  Other
+    entries are 0.  Running-sum entries are within 2 units, and every ledger
+    is at least pi(sqrt_x) + 1 >= 2 for x >= 4; below 4 the only key up to y0
+    is 1, where every level is exactly 0.
     """
-    s, nk = keyspace.sqrt_x, len(keyspace)
+    s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
-    t, pi, e = _level_one(keyspace, small_primes, frac_bits)
-    level1, ledger = [max(v - e, 0) for v in t], 2 * e
+    level1, pi, e = _level_one(keyspace, small_primes, frac_bits)
+    level1, ledger = [max(v - e, 0) for v in level1], 2 * e
     yield level1, pi, ledger
     if k == 1:
         return
     keys = keyspace.keys.tolist()
-    # Omega(n) and prod e_i! for n = prod p_i^e_i <= sqrt_x, which covers the n
-    # of the large keys x // n (at nk - n, n <= x // (s + 1))
-    big = keyspace.x // (s + 1)
-    omega = np.zeros(s + 1, dtype=np.int8)
-    efact = np.ones(s + 1, dtype=np.int64)
-    for p in small_primes:
-        q, a = p, 1
-        while q <= s:
-            omega[q::q] += 1
-            efact[q::q] *= a
-            q, a = q * p, a + 1
+    y0 = _cutoff(keyspace)
+    top = x // (y0 + 1)  # the keys above y0 are x // n for n <= top, at nk - n
+    if k > 2:
+        omega, tuples = _tuple_counts(y0, small_primes)
     s1_upper = level1[-1] + ledger
     vals, counts = level1, pi
     for j in range(2, k + 1):
         if j < k:
-            positions = (nk - np.flatnonzero(omega[1 : big + 1] <= k - j) - 1).tolist()
+            positions = (nk - np.flatnonzero(omega[1 : top + 1] <= k - j) - 1).tolist()
         else:
             positions = [nk - 1]
         small = vals[:s]  # Abel bounds, nondecreasing in ymax
@@ -392,7 +422,8 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
         vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi,
                                 vals, counts, abel, frac_bits)
         if j < k:
-            vals[:s], counts[:s] = _small_keys(omega, efact, j, frac_bits)
+            vals[: nk - top], counts[: nk - top] = _running_sums(
+                omega, tuples, keyspace.keys[: nk - top], j, frac_bits)
         ledger = truncation_error_ledger(ledger, s1_upper, len(small_primes), abel[-1], frac_bits)
         yield vals, counts, ledger
 
@@ -427,11 +458,21 @@ def _fixed_value_bound(value_int: int, ledger: int, frac_bits: int, precision: i
     return value, bound
 
 
-def _estimate_bytes(n_keys: int, frac_bits: int) -> int:
-    # level-1, previous and next values as Python ints (header plus 30-bit
-    # digits), pi and two count tables, and one list slot per entry
-    digits = frac_bits // 30 + 2
-    return n_keys * (3 * (24 + 4 * digits) + 3 * 32 + 6 * 8)
+def _estimate_bytes(keyspace: KeySpace, k: int, frac_bits: int) -> int:
+    """An upper estimate of the bytes :func:`sk_levels` holds at its peak.
+
+    Per key: four tables of (frac_bits + INIT_GUARD_BITS)-bit ints (a level-1
+    table and its update, the level read and the level written), a list slot
+    and an int object each, and 250 bytes of keys, pi and count tables.  For
+    k > 2, per n <= y0 (:func:`_levels`): 9 bytes of Omega and tuple counts,
+    and the larger of the sieve's cofactor array with its temporaries and the
+    index lists of at most y0 / 2 running-sum terms.  The Bernoulli numbers
+    of level 1's Euler-Maclaurin start peak below bits^2 / 8 bytes (measured
+    up to 8192 bits), and 1 MiB covers the rest.
+    """
+    bits, y0 = frac_bits + INIT_GUARD_BITS, _cutoff(keyspace) if k > 2 else 0
+    return ((1 << 20) + bits * bits // 8 + len(keyspace) * (4 * (36 + bits // 30 * 4) + 250)
+            + 54 * y0)
 
 
 def sk_levels(
@@ -471,7 +512,7 @@ def sk_levels(
     t0 = time.perf_counter()
     keyspace = KeySpace.build(x)
     frac_bits = fixed_point_params(precision)
-    est = _estimate_bytes(len(keyspace), frac_bits)
+    est = _estimate_bytes(keyspace, k, frac_bits)
     if est > MEMORY_BUDGET_BYTES:
         raise CapacityError(
             f"estimated working set {est / 1e9:.2f} GB exceeds budget "

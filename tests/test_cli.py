@@ -63,8 +63,25 @@ class TestPolyCommand:
         code, out, _ = run(capsys, "poly", "--k", "2", "--format", "json")
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == {"k", "coefficients"}
         assert payload["k"] == 2
         assert payload["coefficients"]["2"].startswith("1.0")
+
+    def test_symbolic_json(self, capsys):
+        # the closed form and per-degree deltas join the payload; null past k = 4
+        _, plain, _ = run(capsys, "poly", "--k", "4", "--format", "json")
+        code, out, _ = run(capsys, "poly", "--k", "4", "--symbolic", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["closed_form"].startswith("P_4(X) = (X + c1)^4 - pi^2 (X + c1)^2")
+        assert set(payload["deltas"]) == {str(j) for j in range(5)}
+        assert all(float(d) < 1e-50 for d in payload["deltas"].values())
+        del payload["closed_form"], payload["deltas"]
+        assert payload == json.loads(plain)
+        code, out, _ = run(capsys, "poly", "--k", "5", "--symbolic", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["closed_form"] is None and payload["deltas"] is None
 
 
 class TestHankelCommand:
@@ -80,14 +97,14 @@ class TestHankelCommand:
         assert float(payload["abs_delta"]) < 1e-6
 
     def test_missing_selector(self, capsys):
-        code, _, err = run(capsys, "hankel", "--x", "50")
+        code, out, err = run(capsys, "hankel", "--x", "50")
         assert code == 2
-        assert "error" in err
+        assert out == "" and err == "mertens: error: one of the arguments --m --z is required\n"
 
     def test_both_selectors(self, capsys):
         code, out, err = run(capsys, "hankel", "--m", "3", "--z", "0.5", "--x", "1000")
         assert code == 2
-        assert out == "" and "not allowed with argument" in err
+        assert out == "" and err == "mertens: error: argument --z: not allowed with argument --m\n"
 
     @pytest.mark.parametrize("argv", [
         ("--z", "nan", "--x", "1000"),
@@ -306,7 +323,20 @@ class TestArgumentHandling:
         # csv is a verify report format only; --sieve-limit and --c1-method are gone
         code, out, err = run(capsys, *argv)
         assert code == 2
-        assert out == "" and "error" in err
+        assert out == "" and err.startswith("mertens: error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        ((), "the following arguments are required: command"),
+        (("transmogrify",), "argument command: invalid choice: 'transmogrify'"),
+        (("sum", "--k", "2"), "the following arguments are required: --x"),
+        (("sum", "--k", "2", "--x", "1e3"), "argument --x: invalid int value: '1e3'"),
+        (("verify", "--points"), "argument --points: expected one argument"),
+        (("sum", "--k", "2", "--x", "10", "--bogus"), "unrecognized arguments: --bogus"),
+    ])
+    def test_usage_errors_are_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith(f"mertens: error: {message}") and err.count("\n") == 1
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
@@ -357,3 +387,5 @@ class TestFuzz:
         assert "Traceback" not in err.getvalue(), argv
         if code == 0:
             assert out.getvalue(), argv
+        else:
+            assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())

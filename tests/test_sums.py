@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, compress
 
@@ -179,6 +180,20 @@ class TestFastEngine:
         with pytest.raises(CapacityError):
             sk_fast(2, 70_000, primes_1e6)
 
+    # (4, 10^5, 8192) starts level 1 by Euler-Maclaurin with hundreds of Bernoulli numbers
+    @pytest.mark.parametrize("k,x,precision", [(4, 10**7, 192), (6, 10**6, 64),
+                                               (2, 10**6, 8192), (4, 10**5, 8192)])
+    def test_memory_estimate_covers_traced_peak(self, k, x, precision):
+        primes = sieve(math.isqrt(x))
+        tracemalloc.start()
+        try:
+            sk_levels(k, x, primes, precision)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        est = sums._estimate_bytes(KeySpace.build(x), k, sums.fixed_point_params(precision))
+        assert est >= peak, (k, x, precision, est, peak)
+
     @pytest.mark.parametrize("k,x,precision", [(3, 10, 5000), (2, 1000, 2048)])
     def test_high_precision_against_exact(self, k, x, precision, primes_1e4):
         exact = sk_direct(k, x, primes_1e4, exact=True).value
@@ -311,33 +326,59 @@ def _abel_bounds(prev: list[int], e: int, sqrt_x: int) -> list[int]:
 
 
 def _shape_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Omega(n) and prod e_i! (n = prod p_i^e_i) for n = 0..limit, from _tuple_shapes."""
-    shapes = _tuple_shapes(limit)
-    omega = np.array([omega for omega, _ in shapes], dtype=np.int8)
-    efact = np.array([math.factorial(omega) // max(count, 1) for omega, count in shapes],
-                     dtype=np.int64)
-    return omega, efact
+    """Omega(n) and the number of ordered prime tuples with product n, for n = 0..limit.
+
+    Each n is factored by repeated division by the smallest prime factor of
+    what is left: the a-th power of a prime, after t other factors, takes the
+    count from c to c (t + a) / a, so it ends at Omega(n)! / prod e_i!.
+    """
+    spf = np.arange(limit + 1)
+    small = [p for p in range(2, math.isqrt(limit) + 1)
+             if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for p in reversed(small):  # smaller primes overwrite larger ones
+        spf[p * p :: p] = p
+    rest, last = np.arange(limit + 1), np.zeros(limit + 1, dtype=np.int64)
+    omega, counts, run = (np.zeros(limit + 1, dtype=np.int64) for _ in range(3))
+    counts[1:] = 1
+    while (live := np.flatnonzero(rest > 1)).size:
+        p = spf[rest[live]]
+        run[live] = np.where(p == last[live], run[live] + 1, 1)
+        omega[live] += 1
+        counts[live] = counts[live] * omega[live] // run[live]
+        rest[live] //= p
+        last[live] = p
+    return omega, counts
+
+
+def _cutoff(x: int) -> int:
+    """The running-sum cutoff y0 = max(floor(x^(2/3)), isqrt(x)) of _levels."""
+    y0 = round((x * x) ** (1 / 3))
+    y0 -= y0**3 > x * x
+    y0 += (y0 + 1) ** 3 <= x * x
+    return max(y0, math.isqrt(x))
 
 
 def _dense_levels(k: int, x: int, primes, frac_bits: int):
     """Levels 1..k of the DP with every level filled at every key.
 
-    Keys up to sqrt_x are prefix sums of tuple counts, as in _levels; every
-    large key takes a grouped-quotient step.
+    Keys up to y0 are running sums of tuple counts, as in _levels; every key
+    above y0 takes a grouped-quotient step.
     """
     ks = KeySpace.build(x)
     keys, s = ks.keys.tolist(), ks.sqrt_x
+    low = ks.keys[ks.keys <= _cutoff(x)]
     plist = primes.primes[: primes.count_upto(x)]
     level1, pi, ledger = next(sums._levels(ks, plist, frac_bits, 1))
     e = ledger // 2  # level 1's ledger is twice its two-sided error
     small_primes = plist[: pi[s - 1]].tolist()
-    omega, efact = _shape_arrays(s)
+    omega, tuples = _shape_arrays(_cutoff(x))
     levels = [(level1, pi)]
     for j in range(2, k + 1):
         abel = _abel_bounds(levels[-1][0], e, s)
-        vals, counts = sums._advance(ks, keys, range(s, len(keys)), small_primes, level1, pi,
-                                     *levels[-1], abel, frac_bits)
-        vals[:s], counts[:s] = sums._small_keys(omega, efact, j, frac_bits)
+        vals, counts = sums._advance(ks, keys, range(low.size, len(keys)), small_primes, level1,
+                                     pi, *levels[-1], abel, frac_bits)
+        vals[: low.size], counts[: low.size] = sums._running_sums(omega, tuples, low, j,
+                                                                  frac_bits)
         levels.append((vals, counts))
     return levels
 
@@ -358,6 +399,33 @@ class TestDemandDrivenLevels:
             assert [(vals[-1], counts[-1]) for vals, counts, _ in levels] == dense_tops[:k], (k, x)
 
 
+class TestTupleCounts:
+    """Omega(n) and the ordered tuple counts up to y0, the running sums' input."""
+
+    def test_reference_against_trial_division(self):
+        omega, counts = _shape_arrays(3000)
+        assert list(zip(omega.tolist(), counts.tolist())) == _tuple_shapes(3000)
+
+    def test_cutoff(self):
+        # x^2 is a cube at x = m^3; 2154^3 and 2155^3 straddle FAST_MAX_X
+        cubes = [m**3 + d for m in (2, 3, 10, 2154, 2155) for d in (-1, 0, 1)]
+        for x in [*range(1, 3000), *cubes, 10**9, FAST_MAX_X]:
+            assert sums._cutoff(KeySpace.build(x)) == _cutoff(x), x
+        assert _cutoff(9999) == 464 and 9999 // (464 + 1) == 21
+
+    @pytest.mark.parametrize("x", [2, 48, 1000, 9999, 65_537, 10**6, 2 * 10**7 + 3])
+    def test_against_factorisation(self, x, primes_1e6):
+        y0 = _cutoff(x)
+        small = primes_1e6.primes[: primes_1e6.count_upto(math.isqrt(x))].tolist()
+        omega, tuples = sums._tuple_counts(y0, small)
+        want_omega, want_tuples = _shape_arrays(y0)
+        assert omega[1:].tolist() == want_omega[1:].tolist(), x  # n = 0 is no product
+        assert tuples[1:].tolist() == want_tuples[1:].tolist(), x
+        # composites 2q with q a prime above isqrt(y0) = x^(1/3), left in the cofactor
+        cofactor = [q for q in range(math.isqrt(y0) + 1, y0 // 2 + 1) if want_omega[q] == 1]
+        assert bool(cofactor) == (x > 2), x
+
+
 def _exact_levels(k: int, x: int, primes) -> list[dict]:
     """Exact S_1..S_k as Fractions at every key of x, by the defining recursion."""
     keys = KeySpace.build(x).keys.tolist()
@@ -366,6 +434,27 @@ def _exact_levels(k: int, x: int, primes) -> list[dict]:
     for _ in range(2, k + 1):
         prev = levels[-1]
         levels.append({v: sum(Fraction(prev[v // p], p) for p in plist if p <= v) for v in keys})
+    return levels
+
+
+BOUND_GUARD = 64  # _exact_bounds works this many bits below the engine's units
+
+
+def _exact_bounds(k: int, keys: list[int], omega, tuples, bits: int):
+    """(lo, hi, counts) of S_1..S_k at every key, lo <= 2^bits S_j(v) <= hi.
+
+    S_j(v) sums c/n over n <= v with Omega(n) = j, c the ordered prime
+    tuples with product n (from _shape_arrays); lo floors each term, and hi
+    adds one unit per term.  No step of the DP is used.
+    """
+    one, levels = 1 << bits, []
+    for j in range(1, k + 1):
+        n = np.flatnonzero(omega == j)
+        lo = list(accumulate((one * c // m for m, c in zip(n.tolist(), tuples[n].tolist())),
+                             initial=0))
+        at = np.searchsorted(n, keys, side="right").tolist()
+        counts = np.concatenate(([0], np.cumsum(tuples[n])))[at].tolist()
+        levels.append(([lo[i] for i in at], [lo[i] + i for i in at], counts))
     return levels
 
 
@@ -384,28 +473,30 @@ class TestLedgerAtEveryKey:
             for v, computed in zip(keys, vals):
                 assert 0 <= exact[v] * 2**frac_bits - computed <= ledger, (x, v)
 
-    @pytest.mark.parametrize("x", [2, 3, 4, 16, 48, 49, 50, 210, 361, 600, 999, 4096, 9999])
-    def test_filled_entries_against_exact(self, x, primes_1e4):
-        # at k = 5, _levels fills every key of level 1, the small keys and the large
-        # keys x // n with Omega(n) <= 5 - j of level 1 < j < 5, and x at level 5
+    @pytest.mark.parametrize("x", [2, 3, 4, 16, 48, 49, 50, 210, 361, 600, 999, 4096, 9999,
+                                   65_537, 10**6])
+    def test_filled_entries_against_exact(self, x, primes_1e6):
+        # at k = 5, _levels fills every key of level 1; at level 1 < j < 5 every key up
+        # to y0 by running sums and the top keys x // n > y0 with Omega(n) <= 5 - j; and
+        # x at level 5.  9999 has y0 = 464 and top keys for n <= 21.
         ks = KeySpace.build(x)
-        keys, nk, s = ks.keys.tolist(), len(ks), ks.sqrt_x
-        shapes = _tuple_shapes(s)
-        exact_levels = _exact_levels(5, x, primes_1e4)
+        keys, nk = ks.keys.tolist(), len(ks)
+        top = x // (_cutoff(x) + 1)
+        omega, tuples = _shape_arrays(x)
         for precision in (64, 192):
             frac_bits = sums.fixed_point_params(precision)
-            levels = sums._levels(ks, primes_1e4.primes, frac_bits, 5)
-            for j, ((vals, counts, ledger), exact) in enumerate(zip(levels, exact_levels), 1):
-                large = [nk - n for n in range(1, x // (s + 1) + 1) if shapes[n][0] <= 5 - j]
-                filled = range(nk) if j == 1 else [nk - 1] if j == 5 else [*range(s), *large]
+            exact = _exact_bounds(5, keys, omega, tuples, frac_bits + BOUND_GUARD)
+            levels = sums._levels(ks, primes_1e6.primes, frac_bits, 5)
+            for j, ((vals, counts, ledger), (lo, hi, want)) in enumerate(zip(levels, exact), 1):
+                tops = [nk - n for n in range(1, top + 1) if omega[n] <= 5 - j]
+                filled = range(nk) if j == 1 else [nk - 1] if j == 5 else [*range(nk - top), *tops]
                 for i in filled:
-                    gap = exact[keys[i]] * 2**frac_bits - vals[i]
-                    assert 0 <= gap <= ledger, (precision, j, x, keys[i])
-                    if 1 < j < 5 and i < s:  # prefix sums of tuple counts
-                        assert gap < 2, (precision, j, x, keys[i])
-                if 1 < j < 5:
-                    tuples = accumulate(count if omega == j else 0 for omega, count in shapes[1:])
-                    assert counts[:s] == list(tuples), (j, x)
+                    # computed <= 2^F S_j <= computed + ledger, and the exact tuple count
+                    assert vals[i] << BOUND_GUARD <= lo[i], (precision, j, x, keys[i])
+                    assert hi[i] <= (vals[i] + ledger) << BOUND_GUARD, (precision, j, x, keys[i])
+                    assert counts[i] == want[i], (j, x, keys[i])
+                    if 1 < j < 5 and i < nk - top:  # running sums of tuple counts
+                        assert hi[i] < (vals[i] + 2) << BOUND_GUARD, (precision, j, x, keys[i])
 
     @pytest.mark.parametrize("x", [999, 65_537])
     def test_abel_correction_covers_worst_case_level1(self, x, primes_1e6):
@@ -569,6 +660,26 @@ class TestOracleEquivalence:
                     f = sk_fast(k, x, primes_1e4)
                     assert abs(d.value - f.value) < mpf(10) ** -15
                     assert d.terms == f.terms
+
+
+class TestPublishedCounts:
+    """terms against published counts, with no code of the package on the reference side.
+
+    At k = 1, terms is pi(10^n).  At k = 2 it is 2 A066265(n) - pi(isqrt(10^n)): every
+    semiprime pq with p != q is two ordered pairs, and every p^2 one.
+    """
+
+    PI = {3: 168, 4: 1229, 5: 9592, 6: 78498, 7: 664579, 8: 5761455, 9: 50847534}
+    PI_SQRT = {3: 11, 4: 25, 5: 65, 6: 168, 7: 446, 8: 1229, 9: 3401}
+    SEMIPRIMES = {3: 299, 4: 2625, 5: 23378, 6: 210035, 7: 1904324, 8: 17427258,
+                  9: 160788536}  # OEIS A066265
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_terms(self, n):
+        x = 10**n
+        s1, s2 = sk_levels(2, x, sieve(math.isqrt(x)), precision=64)
+        assert s1.terms == self.PI[n]
+        assert s2.terms == 2 * self.SEMIPRIMES[n] - self.PI_SQRT[n]
 
 
 class TestPrimeRecipTable:
