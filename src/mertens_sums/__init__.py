@@ -23,6 +23,7 @@ from .constants import (
     g_at_1,
     mertens_c1,
     pi_value,
+    prime_zeta,
     recip_gamma_derivs,
     zeta_int,
 )
@@ -43,7 +44,7 @@ from .harness import (
     summary_stats,
     verify_grid,
 )
-from .primes import PrimeTable, mobius, prime_zeta, sieve
+from .primes import PrimeTable, mobius, sieve
 from .sums import (
     KeySpace,
     MertensSumResult,

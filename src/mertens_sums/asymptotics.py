@@ -126,7 +126,7 @@ def pk_polynomial(k: int, bundle: ConstantsBundle, path: str = "lambda") -> Poly
     return Polynomial(coeffs=coeffs)
 
 
-def _loglog(x, precision: int):
+def _loglog(x):
     xv = mpf(x)
     if xv < 3:
         raise DomainError(f"x must be >= 3 so that loglog x is positive, got {x!r}")
@@ -141,7 +141,7 @@ def im_closed_form(m: int, x, bundle: ConstantsBundle):
         raise CapacityError(f"m={m} exceeds the bundle's derivative range")
     a = bundle.recip_gamma_derivs
     with working_precision(bundle.precision):
-        ll = _loglog(x, bundle.precision)
+        ll = _loglog(x)
         acc = mpf(0)
         llpow = mpf(1)
         for j in range(m + 1):
@@ -154,7 +154,7 @@ def evaluate_main_term(k: int, x, bundle: ConstantsBundle):
     """P_k(loglog x) with Horner evaluation of the lambda-path polynomial."""
     _check_k(k, bundle)
     with working_precision(bundle.precision):
-        ll = _loglog(x, bundle.precision)
+        ll = _loglog(x)
         return +pk_polynomial(k, bundle, "lambda")(ll)
 
 

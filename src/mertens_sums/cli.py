@@ -20,8 +20,16 @@ import os
 import sys
 
 from . import __version__
+from .asymptotics import (
+    CLOSED_FORM_STRINGS,
+    closed_form_coefficients,
+    im_closed_form,
+    lambda_coeffs,
+)
 from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, check_digits, to_decimal
+from .constants import ConstantsBundle
 from .errors import MertensError
+from .hankel import hankel_power_quad, im_quad, power_law_closed_form
 from .harness import (
     DEFAULT_GRID_POINTS,
     DEFAULT_GRID_START,
@@ -32,6 +40,8 @@ from .harness import (
     emit_report,
     verify_grid,
 )
+from .primes import sieve
+from .sums import sk_direct, sk_fast
 
 
 def _common_flags(sp: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -66,8 +76,6 @@ def _emit_payload(args, payload: dict, lines: list[str]) -> int:
 
 
 def _cmd_constants(args) -> int:
-    from .constants import ConstantsBundle
-
     bundle = ConstantsBundle.build(args.prec, m_max=12)
     d = args.digits
     payload = {
@@ -90,13 +98,6 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    from .asymptotics import (
-        CLOSED_FORM_STRINGS,
-        closed_form_coefficients,
-        lambda_coeffs,
-    )
-    from .constants import ConstantsBundle
-
     k = args.k
     bundle = ConstantsBundle.build(args.prec, m_max=max(12, k))
     table = lambda_coeffs(k, bundle)
@@ -119,10 +120,6 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_hankel(args) -> int:
-    from .asymptotics import im_closed_form
-    from .constants import ConstantsBundle
-    from .hankel import hankel_power_quad, im_quad, power_law_closed_form
-
     if args.z is not None:
         res = hankel_power_quad(args.z, args.x)
         closed = power_law_closed_form(args.z, args.x)
@@ -147,9 +144,6 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    from .primes import sieve
-    from .sums import sk_direct, sk_fast
-
     if args.method == "direct":  # the oracle reads primes up to x, the engine up to isqrt(x)
         res = sk_direct(args.k, args.x, sieve(args.x), precision=args.prec)
     else:

@@ -1,6 +1,7 @@
 """Extended-precision evaluation of the constants the main term consumes.
 
-Covers Euler's constant, integer zeta values, the Mertens constant
+Covers Euler's constant, zeta values, the prime zeta function
+P(s) = sum_p p^(-s) = sum_{n>=1} mu(n)/n log zeta(ns), the Mertens constant
 
     c1 = gamma - sum_p { log(1/(1-1/p)) - 1/p }  ~ 0.261497,
 
@@ -27,6 +28,7 @@ from mpmath import mp, mpf
 
 from .bigreal import DEFAULT_PRECISION, GUARD_BITS, check_precision, working_precision
 from .errors import CapacityError, DomainError, ParameterError, PrecisionNotMetError
+from .primes import mobius, sieve
 
 # Highest precision servable from the embedded literals (335 digits ~ 1112 bits).
 MAX_CONSTANT_PRECISION = 1024
@@ -135,11 +137,13 @@ def _bernoulli(n: int) -> Fraction:
 # ----------------------------------------------------------------------
 # Zeta values.
 
+@lru_cache(maxsize=4096)
 def _zeta_em(s, precision: int):
     """zeta(s) for real s > 1 by direct summation plus Euler-Maclaurin tail.
 
     N is chosen from the error budget; correction terms are added until
     they fall below it, and the first omitted term bounds the remainder.
+    Cached on (s, precision), the one cache zeta_int and zeta_real share.
     """
     with working_precision(precision):
         s = mpf(s)
@@ -172,27 +176,19 @@ def _zeta_em(s, precision: int):
         )
 
 
-@lru_cache(maxsize=4096)
-def _zeta_int_cached(k: int, prec_bucket: int):
-    return _zeta_em(k, prec_bucket)
-
-
 def zeta_int(k: int, precision: int = DEFAULT_PRECISION):
     """zeta(k) for integer k >= 2."""
     if not isinstance(k, int) or k < 2:
         raise DomainError(f"zeta_int requires an integer k >= 2, got {k!r}")
-    check_precision(precision, MAX_SERIES_PRECISION)
-    with working_precision(precision):
-        return +_zeta_int_cached(k, int(precision))
+    return _zeta_em(k, check_precision(precision, MAX_SERIES_PRECISION))
 
 
 def zeta_real(s, precision: int = DEFAULT_PRECISION):
     """zeta(s) for real s > 1 (same Euler-Maclaurin engine as zeta_int)."""
-    check_precision(precision, MAX_SERIES_PRECISION)
+    precision = check_precision(precision, MAX_SERIES_PRECISION)
     if not mpf(s) > 1:
         raise DomainError(f"zeta_real requires s > 1, got {s!r}")
-    with working_precision(precision):
-        return +_zeta_em(s, int(precision))
+    return _zeta_em(s, precision)
 
 
 # ----------------------------------------------------------------------
@@ -211,8 +207,6 @@ def g_at_1(precision: int = DEFAULT_PRECISION):
     the budget the series stops at; the guard bits below that are not.
     """
     check_precision(precision, MAX_CONSTANT_PRECISION)
-    from .primes import mobius  # deferred: primes imports this module
-
     with working_precision(precision):
         eps = mpf(2) ** (-(precision + 16))
         total = mpf(0)
@@ -224,6 +218,38 @@ def g_at_1(precision: int = DEFAULT_PRECISION):
             if mpf(2) ** (1 - n) / n < eps:
                 break
             n += 1
+        return +total
+
+
+def prime_zeta(s, precision: int = DEFAULT_PRECISION):
+    """P(s) = sum_p p^(-s) for real s >= 3/2.
+
+    Uses P(s) = sum_n mu(n)/n log zeta(ns), truncated at the first n whose
+    log-zeta falls below the error budget; zeta(m) - 1 < 2^(1-m) makes the
+    dropped tail geometric.  Below s = 3/2 the series is not used and the
+    argument is rejected.  :func:`g_at_1` sums these values over m without
+    calling this function; the tests check the two against each other.
+    """
+    check_precision(precision, MAX_SERIES_PRECISION)
+    with working_precision(precision):
+        s_mp = mpf(s)
+        if s_mp < mpf(3) / 2:
+            raise DomainError(f"prime_zeta requires s >= 3/2, got {s!r}")
+        eps = mpf(2) ** (-(precision + 8))
+        total = mpf(0)
+        n = 1
+        while True:
+            mu = mobius(n)
+            if mu != 0:
+                lz = mp.log(zeta_real(n * s_mp, precision))
+                total += mpf(mu) / n * lz
+                # tail: sum_{j>n} |log zeta(js)|/j <= 2^(1-(n+1)s)/((n+1)(1-2^-s))
+                tail = mpf(2) ** (1 - (n + 1) * s_mp) / ((n + 1) * (1 - mpf(2) ** (-s_mp)))
+                if abs(lz) < eps / 2 and tail < eps:
+                    break
+            n += 1
+            if n > 100_000:  # unreachable for s >= 3/2; defensive cap
+                raise CapacityError("prime_zeta series failed to terminate")
         return +total
 
 
@@ -260,8 +286,6 @@ def mertens_c1(
         raise DomainError(f"unknown method {method!r}; expected 'direct' or 'accelerated'")
 
     if primes is None:
-        from .primes import sieve
-
         primes = sieve(10**6)
     return _mertens_c1_direct(precision, primes, abs_tol)
 
@@ -422,7 +446,3 @@ class ConstantsBundle:
     @property
     def m_max(self) -> int:
         return len(self.recip_gamma_derivs) - 1
-
-    def pi(self):
-        return pi_value(self.precision)
-

@@ -1,12 +1,8 @@
-"""Prime generation and prime-indexed series.
+"""Primes and the Moebius function, in integers only.
 
 A segmented sieve of Eratosthenes producing an immutable :class:`PrimeTable`,
-the Moebius function, and the prime zeta function
-
-    P(s) = sum_p p^(-s) = sum_{n>=1} mu(n)/n * log zeta(n s),
-
-evaluated through the Moebius-weighted log-zeta identity, which converges
-geometrically for s >= 3/2.
+and the Moebius function by trial division.  The series built from them
+(the prime zeta function among them) live in :mod:`.constants`.
 """
 
 from __future__ import annotations
@@ -15,10 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mp, mpf
 
-from .bigreal import DEFAULT_PRECISION, check_precision, working_precision
-from .constants import MAX_SERIES_PRECISION, zeta_int, zeta_real
 from .errors import CapacityError, DomainError
 
 DEFAULT_MAX_LIMIT = 2_000_000_000
@@ -112,77 +105,17 @@ def sieve(limit: int) -> PrimeTable:
 
 # ----------------------------------------------------------------------
 
-_TRIAL_PRIMES = _small_sieve(1024)
-
-
 def mobius(n: int) -> int:
     """mu(n): 0 on a squared factor, else (-1)^(number of prime factors)."""
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"mobius requires an integer n >= 1, got {n!r}")
-    if n == 1:
-        return 1
     result = 1
-    rem = n
-    for p in _TRIAL_PRIMES.tolist():
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            rem //= p
-            if rem % p == 0:
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
                 return 0
             result = -result
-    if rem > 1:
-        if rem <= _TRIAL_PRIMES[-1] ** 2:
-            result = -result
-        else:  # n beyond the trial table: factor the leftover naively
-            f = 3 if rem % 2 else 2
-            while f * f <= rem:
-                if rem % f == 0:
-                    rem //= f
-                    if rem % f == 0:
-                        return 0
-                    result = -result
-                else:
-                    f += 1
-            if rem > 1:
-                result = -result
-    return result
-
-
-def prime_zeta(s, precision: int = DEFAULT_PRECISION):
-    """P(s) = sum_p p^(-s) for real s >= 3/2.
-
-    Uses P(s) = sum_n mu(n)/n log zeta(ns), truncated at the first n whose
-    log-zeta falls below the error budget; zeta(m) - 1 < 2^(1-m) makes the
-    dropped tail geometric.  Below s = 3/2 the series is not used and the
-    argument is rejected.
-    """
-    check_precision(precision, MAX_SERIES_PRECISION)
-    with working_precision(precision):
-        s_mp = mpf(s)
-        if s_mp < mpf(3) / 2:
-            raise DomainError(f"prime_zeta requires s >= 3/2, got {s!r}")
-        eps = mpf(2) ** (-(precision + 8))
-        total = mpf(0)
-        n = 1
-        while True:
-            mu = mobius(n)
-            if mu != 0:
-                lz = mp.log(_zeta_arg(n * s_mp, s, n, precision))
-                total += mpf(mu) / n * lz
-                # tail: sum_{j>n} |log zeta(js)|/j <= 2^(1-(n+1)s)/((n+1)(1-2^-s))
-                tail = mpf(2) ** (1 - (n + 1) * s_mp) / ((n + 1) * (1 - mpf(2) ** (-s_mp)))
-                if abs(lz) < eps / 2 and tail < eps:
-                    break
-            n += 1
-            if n > 100_000:  # unreachable for s >= 3/2; defensive cap
-                raise CapacityError("prime_zeta series failed to terminate")
-        return +total
-
-
-def _zeta_arg(ns, s, n, precision):
-    # Integer arguments go through the cached integer path; anything else
-    # through the same Euler-Maclaurin engine at real argument.
-    if isinstance(s, int) or (isinstance(s, float) and s.is_integer()):
-        return zeta_int(int(round(float(s))) * n, precision)
-    return zeta_real(ns, precision)
+        f += 1
+    return -result if n > 1 else result

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mertens_sums import harness, primes, sums
+from mertens_sums import cli, harness, primes, sums
 from mertens_sums.cli import main
 from mertens_sums.errors import CapacityError
 from mertens_sums.primes import sieve
@@ -260,6 +260,7 @@ class TestVerifyCommand:
             return sieve(limit)
 
         monkeypatch.setattr(primes, "sieve", recording_sieve)
+        monkeypatch.setattr(cli, "sieve", recording_sieve)
         monkeypatch.setattr(harness, "sieve", recording_sieve)
         assert run(capsys, "sum", "--k", "2", "--x", "1000000")[0] == 0
         assert run(capsys, "verify", "--k", "1", "--start", "1000", "--stop", "250000",

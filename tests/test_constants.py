@@ -8,8 +8,8 @@ from mpmath import mp, mpf
 from conftest import assert_close_digits
 from mertens_sums import constants as cn
 from mertens_sums.bigreal import MIN_PRECISION
+from mertens_sums.constants import prime_zeta
 from mertens_sums.errors import CapacityError, DomainError, ParameterError, PrecisionNotMetError
-from mertens_sums.primes import prime_zeta
 
 # Frozen from the package's own series at 448 bits; independent anchors are
 # exercised in the tests below (Euler-Maclaurin, Machin, direct prime sums,

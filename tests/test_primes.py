@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mertens_sums import primes as primes_mod
+from mertens_sums.constants import prime_zeta
 from mertens_sums.errors import CapacityError, DomainError
-from mertens_sums.primes import mobius, prime_zeta, sieve
+from mertens_sums.primes import mobius, sieve
 
 # Independent of the accelerated series: direct prime sum over p <= 1e8 plus
 # an integral tail bracket certifies the first 8+ digits; the remaining
@@ -82,7 +83,10 @@ class TestSieve:
 class TestMobius:
     @pytest.mark.parametrize(
         "n,expected",
-        [(1, 1), (2, -1), (4, 0), (6, 1), (12, 0), (30, -1), (210, 1), (97, -1)],
+        [(1, 1), (2, -1), (4, 0), (6, 1), (12, 0), (30, -1), (210, 1), (97, -1),
+         # prime factors above 1024, and a prime above 10^6
+         (1031 * 1033, 1), (1031**2, 0), (1031 * 1033 * 1039, -1),
+         (1000003, -1), (2 * 1000003, 1), (1000003**2, 0)],
     )
     def test_values(self, n, expected):
         assert mobius(n) == expected
