@@ -5,10 +5,10 @@ Exit codes: 0 success, 2 invalid arguments or domain errors,
 included, prints the one line ``mertens: error: <message>`` to stderr.
 ``verify`` evaluates each grid point once for all requested k and writes
 the rows k-major, in ``--k`` order, as a report laid out by
-:func:`harness.emit_report` (``--format text|csv|json``); on an abort it
-writes the completed rows to ``--out`` in the same format.  The other
-commands print one payload as indented JSON or as text lines (``--format
-text|json``).  Nothing is read from or written to disk except ``--out``.
+:func:`harness.emit_report` (``--format text|csv|json``); a failed sweep
+writes nothing.  The other commands print one payload as indented JSON or
+as text lines (``--format text|json``).  Nothing is read from or written
+to disk except ``--out``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import sys
 from . import __version__
 from .asymptotics import (
     CLOSED_FORM_STRINGS,
+    MAX_DEGREE,
     closed_form_coefficients,
     im_closed_form,
     lambda_coeffs,
@@ -36,12 +37,11 @@ from .harness import (
     DEFAULT_GRID_STOP,
     DEFAULT_K_SET,
     GridSpec,
-    VerificationAborted,
     emit_report,
     verify_grid,
 )
 from .primes import sieve
-from .sums import sk_direct, sk_fast
+from .sums import DIRECT_MAX_X, sk_direct, sk_fast
 
 
 def _common_flags(sp: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -99,7 +99,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_poly(args) -> int:
     k = args.k
-    bundle = ConstantsBundle.build(args.prec, m_max=max(12, k))
+    bundle = ConstantsBundle.build(args.prec, m_max=MAX_DEGREE)
     table = lambda_coeffs(k, bundle)
     coefficients = {str(j): to_decimal(c, args.digits) for j, c in enumerate(table.lam)}
     lines = [f"P_{k}(X) coefficients (degree: value)"]
@@ -126,7 +126,7 @@ def _cmd_hankel(args) -> int:
         label = f"(log x)^z / Gamma(z+1) at z={args.z}, x={args.x}"
     else:
         res = im_quad(args.m, args.x)
-        bundle = ConstantsBundle.build(args.prec, m_max=max(8, args.m))
+        bundle = ConstantsBundle.build(args.prec, m_max=8)
         closed = float(im_closed_form(args.m, args.x, bundle))
         label = f"I_{args.m}({args.x})"
     abs_delta = abs(res.value - closed)
@@ -145,7 +145,7 @@ def _cmd_hankel(args) -> int:
 
 def _cmd_sum(args) -> int:
     if args.method == "direct":  # the oracle reads primes up to x, the engine up to isqrt(x)
-        res = sk_direct(args.k, args.x, sieve(args.x), precision=args.prec)
+        res = sk_direct(args.k, args.x, sieve(min(args.x, DIRECT_MAX_X)), precision=args.prec)
     else:
         res = sk_fast(args.k, args.x, sieve(math.isqrt(max(args.x, 0))), precision=args.prec)
     payload = {
@@ -162,15 +162,7 @@ def _cmd_sum(args) -> int:
 
 def _cmd_verify(args) -> int:
     grid = GridSpec(start=args.start, stop=args.stop, points=args.points)
-    try:
-        rows = verify_grid(args.k or DEFAULT_K_SET, grid, precision=args.prec, digits=args.digits)
-    except VerificationAborted as exc:
-        if exc.rows and args.out:  # persist partial results before failing
-            try:
-                _emit(args, emit_report(exc.rows, args.format, digits=args.digits))
-            except MertensError as write_exc:  # report it, but fail with the cause
-                print(f"mertens: partial results not written: {write_exc}", file=sys.stderr)
-        raise
+    rows = verify_grid(args.k or DEFAULT_K_SET, grid, precision=args.prec, digits=args.digits)
     _emit(args, emit_report(rows, args.format, digits=args.digits))
     return 0
 

@@ -30,8 +30,8 @@ from mpmath import mp, mpf
 from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, to_decimal, working_precision
 from .constants import ConstantsBundle
 from .asymptotics import MAX_DEGREE, evaluate_main_term
-from .errors import CapacityError, DomainError, MertensError
-from .primes import PrimeTable, sieve
+from .errors import CapacityError, DomainError
+from .primes import sieve
 from .sums import FAST_MAX_X, MertensSumResult, sk_levels
 
 DEFAULT_GRID_START = 1_000
@@ -87,16 +87,6 @@ class VerificationRow:
     ratio: str
 
 
-class VerificationAborted(MertensError):
-    """A grid sweep failed partway; ``rows`` holds completed points."""
-
-    def __init__(self, cause: Exception, rows: list):
-        super().__init__(f"verification aborted: {cause}")
-        self.cause = cause
-        self.rows = rows
-        self.exit_code = getattr(cause, "exit_code", 1)
-
-
 def verify_row(
     result: MertensSumResult,
     bundle: ConstantsBundle,
@@ -138,37 +128,29 @@ def verify_grid(
     grid: GridSpec,
     precision: int = DEFAULT_PRECISION,
     digits: int = DEFAULT_DIGITS,
-    primes: PrimeTable | None = None,
     bundle: ConstantsBundle | None = None,
 ) -> list[VerificationRow]:
     """One row per grid point for each k in ``ks`` (a k or a sequence of ks).
 
     Each x is evaluated once, by one :func:`sk_levels` pass up to the
-    largest k.  Rows come out k-major in the order of ``ks``, repeats
-    included: the same list as concatenating one single-k call per entry.
-    Each k (:func:`check_ks`) and the grid's top against ``FAST_MAX_X``
-    are checked before any work.  Later
-    capacity or precision failures abort the sweep with
-    :class:`VerificationAborted` carrying, in the same order, the rows of
-    every grid point completed before the failure, so callers can persist
-    partial results.
+    largest k over the primes up to isqrt(``grid.stop``).  Rows come out
+    k-major in the order of ``ks``, repeats included: the same list as
+    concatenating one single-k call per entry.  Each k (:func:`check_ks`)
+    and the grid's top against ``FAST_MAX_X`` are checked before any work;
+    every other failure (precision, digits, the bundle's range) raises
+    before the first row exists.
     """
     ks = check_ks(ks)
     if grid.stop > FAST_MAX_X:
         raise CapacityError(f"grid stop {grid.stop} exceeds the configured maximum {FAST_MAX_X}")
-    if primes is None:
-        primes = sieve(math.isqrt(grid.stop))
+    primes = sieve(math.isqrt(grid.stop))
     if bundle is None:
         bundle = ConstantsBundle.build(precision, m_max=MAX_DEGREE)
     by_k: dict[int, list[VerificationRow]] = {k: [] for k in ks}
     for x in grid.values():
-        try:
-            levels = sk_levels(max(ks), x, primes, precision=precision)
-            rows = {k: verify_row(levels[k - 1], bundle, precision, digits) for k in by_k}
-        except MertensError as exc:
-            raise VerificationAborted(exc, [r for k in ks for r in by_k[k]]) from exc
-        for k, row in rows.items():
-            by_k[k].append(row)
+        levels = sk_levels(max(ks), x, primes, precision=precision)
+        for k, rows in by_k.items():
+            rows.append(verify_row(levels[k - 1], bundle, precision, digits))
     return [r for k in ks for r in by_k[k]]
 
 

@@ -82,7 +82,6 @@ from .primes import PrimeTable
 DIRECT_MAX_X = 100_000
 FAST_MAX_X = 10_000_000_000
 MAX_K = FAST_MAX_X.bit_length()  # S_k(x) = 0 once 2^k > x: larger k adds only zero levels
-MEMORY_BUDGET_BYTES = 1 << 31  # estimate guard for table + prime storage
 
 
 @dataclass(frozen=True)
@@ -458,23 +457,6 @@ def _fixed_value_bound(value_int: int, ledger: int, frac_bits: int, precision: i
     return value, bound
 
 
-def _estimate_bytes(keyspace: KeySpace, k: int, frac_bits: int) -> int:
-    """An upper estimate of the bytes :func:`sk_levels` holds at its peak.
-
-    Per key: four tables of (frac_bits + INIT_GUARD_BITS)-bit ints (a level-1
-    table and its update, the level read and the level written), a list slot
-    and an int object each, and 250 bytes of keys, pi and count tables.  For
-    k > 2, per n <= y0 (:func:`_levels`): 9 bytes of Omega and tuple counts,
-    and the larger of the sieve's cofactor array with its temporaries and the
-    index lists of at most y0 / 2 running-sum terms.  The Bernoulli numbers
-    of level 1's Euler-Maclaurin start peak below bits^2 / 8 bytes (measured
-    up to 8192 bits), and 1 MiB covers the rest.
-    """
-    bits, y0 = frac_bits + INIT_GUARD_BITS, _cutoff(keyspace) if k > 2 else 0
-    return ((1 << 20) + bits * bits // 8 + len(keyspace) * (4 * (36 + bits // 30 * 4) + 250)
-            + 54 * y0)
-
-
 def sk_levels(
     k: int,
     x: int,
@@ -492,8 +474,8 @@ def sk_levels(
     fractional bits (see the module docstring), summed in a fixed order, so
     results are deterministic to the bit and each level's error ledger is a
     one-sided truncation bound.  x is capped at ``FAST_MAX_X``, k at
-    ``MAX_K``, precision at ``bigreal.MAX_PRECISION``, and the estimated
-    working set at ``MEMORY_BUDGET_BYTES``.
+    ``MAX_K`` and precision at ``bigreal.MAX_PRECISION``; those caps bound
+    the working set.
     Entry j-1 has ``k == j``; its ``elapsed`` runs from the call to the end
     of level j.
     """
@@ -512,13 +494,6 @@ def sk_levels(
     t0 = time.perf_counter()
     keyspace = KeySpace.build(x)
     frac_bits = fixed_point_params(precision)
-    est = _estimate_bytes(keyspace, k, frac_bits)
-    if est > MEMORY_BUDGET_BYTES:
-        raise CapacityError(
-            f"estimated working set {est / 1e9:.2f} GB exceeds budget "
-            f"{MEMORY_BUDGET_BYTES / 1e9:.2f} GB"
-        )
-
     results = []
     levels = _levels(keyspace, primes.primes, frac_bits, k)
     for j, (values, counts, ledger) in enumerate(levels, start=1):

@@ -183,10 +183,9 @@ class TestAcceptance:
 
     def test_criterion_6_remainder_bound_at_desk_scale(self, bundle192):
         grid = GridSpec()  # 25 geometric points in [1e3, 1e8]
-        primes = sieve(grid.stop)
         max_ratios = {}
         rows_by_k = {}
-        all_rows = verify_grid((1, 2, 3, 4), grid, primes=primes, bundle=bundle192)
+        all_rows = verify_grid((1, 2, 3, 4), grid, bundle=bundle192)
         for k in (1, 2, 3, 4):
             rows = [r for r in all_rows if r.k == k]
             rows_by_k[k] = rows
@@ -236,12 +235,12 @@ class TestAcceptance:
             f"in {sieve_elapsed:.1f}s",
         )
 
-    def test_criterion_8_determinism_and_formats(self, primes_1e6, bundle192):
+    def test_criterion_8_determinism_and_formats(self, bundle192):
         grid = GridSpec(start=1000, stop=10**6, points=6)
         rows1, rows2 = [], []
         for k in (1, 2):
-            rows1.extend(verify_grid(k, grid, primes=primes_1e6, bundle=bundle192))
-            rows2.extend(verify_grid(k, grid, primes=primes_1e6, bundle=bundle192))
+            rows1.extend(verify_grid(k, grid, bundle=bundle192))
+            rows2.extend(verify_grid(k, grid, bundle=bundle192))
         csv1, csv2 = emit_report(rows1, "csv"), emit_report(rows2, "csv")
         json1, json2 = emit_report(rows1, "json"), emit_report(rows2, "json")
         assert csv1 == csv2 and json1 == json2, "repeated runs are not byte-identical"

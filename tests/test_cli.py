@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mertens_sums import cli, harness, primes, sums
 from mertens_sums.cli import main
-from mertens_sums.errors import CapacityError
 from mertens_sums.primes import sieve
 
 
@@ -83,6 +82,13 @@ class TestPolyCommand:
         payload = json.loads(out)
         assert payload["closed_form"] is None and payload["deltas"] is None
 
+    def test_degree_cap(self, capsys):
+        # the bundle is built at the degree cap, so any larger k meets the cap itself
+        code, out, err = run(capsys, "poly", "--k", "100")
+        assert code == 4
+        assert out == ""
+        assert err == "mertens: error: k=100 exceeds the supported degree cap 12\n"
+
 
 class TestHankelCommand:
     def test_power_mode(self, capsys):
@@ -137,6 +143,18 @@ class TestSumCommand:
         assert code == 0
         assert "1.17619047619" in out
 
+    def test_direct_above_oracle_scale_sieves_nothing_large(self, capsys, monkeypatch):
+        # x above the oracle's scale is refused without sieving up to x
+        def small_sieve(limit):
+            assert limit <= 10**5, f"sieved to {limit}"
+            return sieve(limit)
+
+        monkeypatch.setattr(cli, "sieve", small_sieve)
+        code, out, err = run(capsys, "sum", "--k", "2", "--x", "1000000000", "--method", "direct")
+        assert code == 4
+        assert out == ""
+        assert "oracle scale" in err and len(err.splitlines()) == 1
+
     def test_exit_code_capacity(self, capsys):
         code, _, err = run(capsys, "sum", "--k", "2", "--x", "10**15")
         assert code == 2  # argparse rejects the literal -> invalid arguments
@@ -164,19 +182,6 @@ class TestSumCommand:
         }
 
 
-def fail_at_third_point(monkeypatch):
-    """Make ``harness.sk_levels`` fail with a capacity error at the third grid point."""
-    calls = []
-
-    def failing(k, x, *args, **kwargs):
-        calls.append(x)
-        if len(calls) == 3:
-            raise CapacityError(f"no capacity at x={x}")
-        return sums.sk_levels(k, x, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "sk_levels", failing)
-
-
 def forbid_work(monkeypatch):
     """Make every sieve, DP pass and constants build fail the test."""
     def no_work(*args, **kwargs):
@@ -185,25 +190,6 @@ def forbid_work(monkeypatch):
     for module, name in ((primes, "sieve"), (harness, "sieve"), (sums, "sk_levels"),
                          (harness, "sk_levels"), (harness.ConstantsBundle, "build")):
         monkeypatch.setattr(module, name, no_work)
-
-
-def check_partial_report(capsys, monkeypatch, tmp_path, ks):
-    """The rows of both grid points completed before the abort, for every k in --k
-    order, land in --out in each format; the exit code maps the cause."""
-    grid = harness.GridSpec(1000, 100000, 5)
-    done = grid.values()[:2]
-    rows = harness.verify_grid(ks, grid)
-    for fmt in ("text", "csv", "json"):
-        fail_at_third_point(monkeypatch)
-        out = tmp_path / f"partial.{fmt}"
-        argv = ["verify", "--start", "1000", "--stop", "100000", "--points", "5",
-                "--format", fmt, "--out", str(out)]
-        code, stdout, err = run(capsys, *argv, *(a for k in ks for a in ("--k", str(k))))
-        assert code == 4, fmt
-        assert stdout == ""
-        assert err == "mertens: error: verification aborted: no capacity at x=10000\n"
-        expected = harness.emit_report([r for r in rows if r.x in done], fmt)
-        assert out.read_bytes() == expected, fmt
 
 
 class TestVerifyCommand:
@@ -268,13 +254,6 @@ class TestVerifyCommand:
         assert run(capsys, "sum", "--k", "2", "--x", "1000", "--method", "direct")[0] == 0
         assert limits == [1000, 500, 1000]
 
-    def test_partial_results_on_abort(self, capsys, monkeypatch, tmp_path):
-        check_partial_report(capsys, monkeypatch, tmp_path, [1])
-
-    def test_partial_results_on_abort_multi_k(self, capsys, monkeypatch, tmp_path):
-        check_partial_report(capsys, monkeypatch, tmp_path, [2, 1])
-
-
 class TestArgumentHandling:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["transmogrify"]) == 2
@@ -299,17 +278,6 @@ class TestArgumentHandling:
         assert out == ""
         assert err.startswith("mertens: error: --out directory does not exist")
         assert len(err.splitlines()) == 1
-
-    def test_failed_partial_write_keeps_cause(self, capsys, monkeypatch, tmp_path):
-        # --out names a directory: the partial write fails, the abort still reports its cause
-        fail_at_third_point(monkeypatch)
-        code, _, err = run(capsys, "verify", "--k", "1", "--start", "1000", "--stop", "100000",
-                           "--points", "5", "--out", str(tmp_path))
-        assert code == 4
-        lines = err.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("mertens: partial results not written: cannot write")
-        assert lines[1] == "mertens: error: verification aborted: no capacity at x=10000"
 
     @pytest.mark.parametrize("argv", [
         ("sum", "--k", "2", "--x", "100", "--format", "csv"),

@@ -10,22 +10,20 @@ from mertens_sums.errors import CapacityError, DomainError
 from mertens_sums.harness import (
     MAX_GRID_POINTS,
     GridSpec,
-    VerificationAborted,
     VerificationRow,
     emit_report,
     parse_report,
     summary_stats,
     verify_grid,
 )
-from mertens_sums.primes import sieve
 
 
 @pytest.fixture(scope="module")
-def small_rows(primes_1e6, bundle192):
+def small_rows(bundle192):
     grid = GridSpec(start=1000, stop=10**6, points=4)
     rows = []
     for k in (1, 2):
-        rows.extend(verify_grid(k, grid, primes=primes_1e6, bundle=bundle192))
+        rows.extend(verify_grid(k, grid, bundle=bundle192))
     return rows
 
 
@@ -60,11 +58,11 @@ class TestVerifyGrid:
             oracle = math.fsum(1.0 / p for p in primes_1e6.primes[:upto].tolist())
             assert abs(float(mpf(row.s_value)) - oracle) < 1e-12
 
-    def test_zero_sum_region(self, primes_1e6, bundle192):
+    def test_zero_sum_region(self, bundle192):
         # every grid point below 2^k has S_k = 0; main term and ratio are
         # still produced normally
         grid = GridSpec(start=3, stop=7, points=3)
-        rows = verify_grid(3, grid, primes=primes_1e6, bundle=bundle192)
+        rows = verify_grid(3, grid, bundle=bundle192)
         assert rows  # grid is nonempty even in the degenerate corner
         for r in rows:
             assert r.x < 2**3
@@ -93,40 +91,23 @@ class TestVerifyGrid:
             for r in (r for r in small_rows if r.k == 1):
                 assert abs(mpf(r.ratio) - mpf(r.abs_err) * mp.log(r.x)) < mpf(10) ** -18
 
-    def test_determinism(self, primes_1e6, bundle192):
+    def test_determinism(self, bundle192):
         grid = GridSpec(start=1000, stop=100_000, points=3)
-        a = verify_grid(2, grid, primes=primes_1e6, bundle=bundle192)
-        b = verify_grid(2, grid, primes=primes_1e6, bundle=bundle192)
+        a = verify_grid(2, grid, bundle=bundle192)
+        b = verify_grid(2, grid, bundle=bundle192)
         assert a == b
 
-    def test_abort_carries_partial_rows(self, bundle192):
-        # the grid's isqrt(stop) exceeds the prime table: the first points
-        # succeed, the rest abort with partial results attached
-        grid = GridSpec(start=1000, stop=10**7, points=5)
-        with pytest.raises(VerificationAborted) as err:
-            verify_grid(1, grid, primes=sieve(1000), bundle=bundle192)
-        assert 0 < len(err.value.rows) < 5
-        assert err.value.exit_code == 2
-
-    def test_multi_k_equals_per_k_calls(self, primes_1e6, bundle192):
+    def test_multi_k_equals_per_k_calls(self, bundle192):
         grid = GridSpec(start=1000, stop=100_000, points=3)
         per_k = [row for k in (4, 1, 1)
-                 for row in verify_grid(k, grid, primes=primes_1e6, bundle=bundle192)]
-        assert verify_grid([4, 1, 1], grid, primes=primes_1e6, bundle=bundle192) == per_k
+                 for row in verify_grid(k, grid, bundle=bundle192)]
+        assert verify_grid([4, 1, 1], grid, bundle=bundle192) == per_k
 
-    def test_multi_k_abort_carries_completed_points(self, bundle192):
-        grid = GridSpec(start=1000, stop=10**7, points=5)
-        with pytest.raises(VerificationAborted) as err:  # the table covers isqrt(x <= 10^6)
-            verify_grid([2, 1], grid, primes=sieve(1000), bundle=bundle192)
-        done = [x for x in grid.values() if x <= 10**6]
-        assert done
-        assert [(r.k, r.x) for r in err.value.rows] == [(k, x) for k in (2, 1) for x in done]
-
-    def test_k_validation(self, primes_1e6, bundle192):
+    def test_k_validation(self, bundle192):
         grid = GridSpec(start=1000, stop=10_000, points=2)
         for ks in ([], [1, 0], 0):
             with pytest.raises(DomainError):
-                verify_grid(ks, grid, primes=primes_1e6, bundle=bundle192)
+                verify_grid(ks, grid, bundle=bundle192)
 
 
 class TestReports:
