@@ -145,7 +145,8 @@ def _cmd_hankel(args) -> int:
 
 def _cmd_sum(args) -> int:
     if args.method == "direct":  # the oracle reads primes up to x, the engine up to isqrt(x)
-        res = sk_direct(args.k, args.x, sieve(min(args.x, DIRECT_MAX_X)), precision=args.prec)
+        limit = min(max(args.x, 0), DIRECT_MAX_X)
+        res = sk_direct(args.k, args.x, sieve(limit), precision=args.prec)
     else:
         res = sk_fast(args.k, args.x, sieve(math.isqrt(max(args.x, 0))), precision=args.prec)
     payload = {

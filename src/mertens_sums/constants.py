@@ -11,6 +11,12 @@ and the derivatives a_m = (1/Gamma)^(m)(1), generated from
 
     1/Gamma(1+z) = exp( gamma z + sum_{j>=2} (-1)^(j+1) zeta(j) z^j / j ).
 
+zeta(s) is a direct sum plus an Euler-Maclaurin tail (:func:`_zeta_em`).
+Integer s, which is every zeta value the constants above use, is summed in
+exact integer fixed point: each term is one floor, and the ledger stays
+under 2^-(precision+24) (1 + 2^-6).  Only non-integer s (zeta_real(2.5),
+prime_zeta(1.5)) sums in mpf.
+
 gamma and pi enter as embedded decimal literals; the test suite recomputes
 both from scratch (Euler-Maclaurin for gamma, a Machin arctan series for
 pi) and requires at least 100 digits of agreement, so every embedded digit
@@ -137,43 +143,109 @@ def _bernoulli(n: int) -> Fraction:
 # ----------------------------------------------------------------------
 # Zeta values.
 
+EM_MAX_TERMS = 299  # Euler-Maclaurin corrections before the tail counts as stalled
+
+
 @lru_cache(maxsize=4096)
 def _zeta_em(s, precision: int):
-    """zeta(s) for real s > 1 by direct summation plus Euler-Maclaurin tail.
+    """zeta(s) for real s > 1 by N direct terms plus an Euler-Maclaurin tail.
 
-    N is chosen from the error budget; correction terms are added until
-    they fall below it, and the first omitted term bounds the remainder.
+        zeta(s) = sum_{n<=N} n^-s + N^(1-s)/(s-1) - N^-s/2
+                  + sum_{i>=1} B_2i/(2i)! s(s+1)...(s+2i-2) N^-(s+2i-1)
+
+    The error budget is 2^-budget_bits, budget_bits = precision + 24.  The
+    direct sum alone leaves N^(1-s), and the corrections fall like
+    (2 pi N)^-2i, so N = min(budget_bits // 2 + 8, floor(2^(budget_bits /
+    (s-1))) + 2) suffices for every s.  Corrections are added until one falls
+    below the budget; the first omitted one bounds the remainder.
+
+    Two routes, chosen by the value of s:
+
+    * integer s (an int, or an mpf such as the 2.0 that prime_zeta(2) passes
+      to zeta_real): exact integer fixed point at scale 2^bits, bits =
+      budget_bits + 16, in :func:`_zeta_fixed`.  Each term is one floor and
+      loses under one unit 2^-bits.  There are at most budget_bits // 2 + 8
+      direct terms (564 at MAX_SERIES_PRECISION), 2 tail terms and
+      EM_MAX_TERMS corrections, fewer than 2^10 floors, so they lose under
+      2^-(budget_bits + 6), and the total error stays under
+      2^-budget_bits (1 + 2^-6).  One ldexp rounds the sum to an mpf of
+      precision + GUARD_BITS bits.
+    * any other s (prime_zeta(1.5), zeta_real(2.5)): the same sums in mpf at
+      precision + GUARD_BITS bits, in :func:`_zeta_mpf`.
+
     Cached on (s, precision), the one cache zeta_int and zeta_real share.
     """
+    budget_bits = precision + 24
     with working_precision(precision):
-        s = mpf(s)
-        e = int(s) if s == int(s) else s  # mpmath's integer-power path is cheaper
-        budget_bits = precision + 24
-        # Direct tail alone decays like N^(1-s); Euler-Maclaurin corrections
-        # decay like (2 pi N)^(-2i), so N ~ budget/2 suffices for every s.
-        n_direct = min(budget_bits // 2 + 8, int(mpf(2) ** (budget_bits / (s - 1)) + 2))
-        total = mpf(0)
-        for n in range(n_direct, 0, -1):
-            total += mpf(n) ** -e
-        total += mpf(n_direct) ** (1 - e) / (s - 1)
-        total -= mpf(n_direct) ** -e / 2
-        rising = mpf(s)  # (s)(s+1)...(s+2i-2), starts with one factor
-        npow = mpf(n_direct) ** (-e - 1)
-        fact = mpf(2)  # (2i)!
-        eps = mpf(2) ** (-budget_bits)
-        for i in range(1, 300):
-            b = _bernoulli(2 * i)
-            term = mpf(b.numerator) / b.denominator / fact * rising * npow
-            total += term
-            if abs(term) < eps:
-                return +total
-            rising *= (s + 2 * i - 1) * (s + 2 * i)
-            npow /= n_direct * n_direct
-            fact *= (2 * i + 1) * (2 * i + 2)
-        raise PrecisionNotMetError(
-            f"zeta({s}) Euler-Maclaurin tail stalled above the error budget",
-            achieved_bound=abs(term),
-        )
+        if s == int(s):
+            return _zeta_fixed(int(s), budget_bits)
+        return _zeta_mpf(mpf(s), budget_bits)
+
+
+def _stalled(s, bound):
+    return PrecisionNotMetError(
+        f"zeta({s}) Euler-Maclaurin tail stalled above the error budget",
+        achieved_bound=bound,
+    )
+
+
+def _zeta_fixed(s: int, budget_bits: int):
+    """zeta(s) for integer s >= 2 in integer fixed point (see :func:`_zeta_em`)."""
+    bits = budget_bits + 16
+    one = 1 << bits
+    if s > bits:  # every term but n = 1 floors to zero; skip the huge powers
+        return mpf(1)
+    eps = one >> budget_bits  # 2^-budget_bits in units of 2^-bits
+    limit = 1 << budget_bits
+    n_direct = budget_bits // 2 + 8
+    if (n_direct - 2) ** (s - 1) > limit:
+        # N = floor(2^(budget_bits/(s-1))) + 2, the floor as an exact integer root
+        m = int(2.0 ** (budget_bits / (s - 1)))
+        while m ** (s - 1) > limit:
+            m -= 1
+        while (m + 1) ** (s - 1) <= limit:
+            m += 1
+        n_direct = m + 2
+    total = sum(one // n**s for n in range(1, n_direct + 1))
+    npow = n_direct ** (s - 1)
+    total += one // ((s - 1) * npow)
+    total -= one // (2 * npow * n_direct)
+    npow *= n_direct * n_direct  # N^(s+2i-1), from i = 1
+    rising, fact = s, 2  # s(s+1)...(s+2i-2) and (2i)!
+    for i in range(1, EM_MAX_TERMS + 1):
+        b = _bernoulli(2 * i)
+        term = (b.numerator * rising << bits) // (b.denominator * fact * npow)
+        total += term
+        if abs(term) < eps:
+            return mp.ldexp(total, -bits)
+        rising *= (s + 2 * i - 1) * (s + 2 * i)
+        npow *= n_direct * n_direct
+        fact *= (2 * i + 1) * (2 * i + 2)
+    raise _stalled(s, mp.ldexp(abs(term), -bits))
+
+
+def _zeta_mpf(s, budget_bits: int):
+    """zeta(s) for non-integer mpf s > 1 at the working precision (see :func:`_zeta_em`)."""
+    n_direct = min(budget_bits // 2 + 8, int(mpf(2) ** (budget_bits / (s - 1)) + 2))
+    total = mpf(0)
+    for n in range(n_direct, 0, -1):
+        total += mpf(n) ** -s
+    total += mpf(n_direct) ** (1 - s) / (s - 1)
+    total -= mpf(n_direct) ** -s / 2
+    rising = s  # (s)(s+1)...(s+2i-2), starts with one factor
+    npow = mpf(n_direct) ** (-s - 1)
+    fact = mpf(2)  # (2i)!
+    eps = mpf(2) ** (-budget_bits)
+    for i in range(1, EM_MAX_TERMS + 1):
+        b = _bernoulli(2 * i)
+        term = mpf(b.numerator) / b.denominator / fact * rising * npow
+        total += term
+        if abs(term) < eps:
+            return +total
+        rising *= (s + 2 * i - 1) * (s + 2 * i)
+        npow /= n_direct * n_direct
+        fact *= (2 * i + 1) * (2 * i + 2)
+    raise _stalled(s, abs(term))
 
 
 def zeta_int(k: int, precision: int = DEFAULT_PRECISION):

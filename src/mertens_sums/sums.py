@@ -162,12 +162,15 @@ def sk_direct(
     Each tuple with product d adds floor(2^F / d) in integers, F the
     engine's fractional bits, so the ledger is under one unit per tuple.
     ``exact=True`` adds Fraction(1, d) instead; practical only for small x
-    since denominators grow as products of primes.  Capacity-capped at
-    x = 10^5: beyond that use :func:`sk_fast`.
+    since denominators grow as products of primes.  x must be >= 1, as in
+    :func:`sk_levels`.  Capacity-capped at x = 10^5: beyond that use
+    :func:`sk_fast`.
     """
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"k must be an integer >= 0, got {k!r}")
     x = int(x)
+    if x < 1:
+        raise DomainError(f"x must be >= 1, got {x}")
     if x > DIRECT_MAX_X:
         raise CapacityError(
             f"x={x} exceeds the direct oracle scale {DIRECT_MAX_X}; use sk_fast"
@@ -177,7 +180,7 @@ def sk_direct(
     check_precision(precision)
 
     t0 = time.perf_counter()
-    plist = primes.primes[: primes.count_upto(max(x, 0))].tolist()
+    plist = primes.primes[: primes.count_upto(x)].tolist()
     frac_bits = fixed_point_params(precision)
     scale = 1 << frac_bits
     unit = (lambda d: Fraction(1, d)) if exact else (lambda d: scale // d)
@@ -196,7 +199,7 @@ def sk_direct(
             total += rec(j - 1, y // p, d * p)
         return total
 
-    total = rec(k, x, 1) if x >= 1 else 0
+    total = rec(k, x, 1)
     if exact:
         value, bound = Fraction(total), Fraction(0)
     else:

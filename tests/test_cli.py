@@ -166,6 +166,12 @@ class TestSumCommand:
         code, _, err = run(capsys, "sum", "--k", "0", "--x", "100")
         assert code == 2
 
+    @pytest.mark.parametrize("x", ["-5", "0"])
+    def test_x_below_one_same_message_for_both_methods(self, capsys, x):
+        for method in ("fast", "direct"):
+            code, out, err = run(capsys, "sum", "--k", "2", "--x", x, "--method", method)
+            assert (code, out, err) == (2, "", f"mertens: error: x must be >= 1, got {x}\n")
+
     def test_golden_json(self, capsys):
         # pinned output of the fixed-point engine; any change to its bits shows here
         code, out, _ = run(capsys, "sum", "--k", "4", "--x", "1000000", "--format", "json")

@@ -83,6 +83,32 @@ class TestZeta:
         with pytest.raises(DomainError):
             cn.zeta_int(0, 128)
 
+    @pytest.mark.parametrize("precision", [64, 224, 1088])
+    def test_integers_against_mpmath(self, precision):
+        # mpmath's zeta is the oracle; the series budget is 2^-(precision+24)
+        with mp.workprec(precision + 64):
+            for s in range(2, 261):
+                got = cn.zeta_int(s, precision)
+                ref = mp.zeta(s)
+                assert abs(got - ref) <= mpf(2) ** -(precision + 24) * ref, s
+                # an integer-valued mpf takes the same fixed-point route; the
+                # cache would hand back zeta_int's entry, since mpf(s) == s
+                cn._zeta_em.cache_clear()
+                assert cn.zeta_real(mpf(s), precision) == got, s
+
+    def test_huge_integer(self):
+        # zeta(s) - 1 < 2^(1-s) is far below the budget: no power of s is built
+        assert cn.zeta_int(10**12, 192) == 1
+        assert cn.zeta_real(10**12, 192) == 1
+
+    @pytest.mark.parametrize("precision", [64, 224, 1088])
+    @pytest.mark.parametrize("s", ["2.5", "3.5"])
+    def test_non_integers_against_mpmath(self, s, precision):
+        with mp.workprec(precision + 64):
+            got = cn.zeta_real(mpf(s), precision)
+            ref = mp.zeta(mpf(s))
+            assert abs(got - ref) <= mpf(2) ** -(precision + 24) * ref
+
 
 class TestGSeries:
     def test_value(self):

@@ -108,6 +108,11 @@ class TestDirectOracle:
         with pytest.raises(DomainError):
             sk_direct(-1, 10, primes_1e4)
 
+    def test_x_below_one(self, primes_1e4):
+        # the same contract as sk_levels: S_k(0) is not a value, it is an error
+        with pytest.raises(DomainError, match="x must be >= 1, got 0"):
+            sk_direct(1, 0, primes_1e4)
+
 
 class TestFastEngine:
     @pytest.mark.parametrize("k,x,expected,_terms", HAND_VALUES)
