@@ -15,7 +15,6 @@ from mertens_sums import (
     euler_gamma,
     g_at_1,
     mertens_c1,
-    pi_value,
     recip_gamma_derivs,
     to_decimal,
     zeta_int,
@@ -23,17 +22,16 @@ from mertens_sums import (
 
 print("=== base constants at 192 bits ===")
 print("gamma   =", to_decimal(euler_gamma(192), 40))
-print("pi      =", to_decimal(pi_value(192), 40))
 print("zeta(2) =", to_decimal(zeta_int(2, 192), 40))
 print("zeta(3) =", to_decimal(zeta_int(3, 192), 40))
 
 print()
-print("=== the Mertens constant, two ways ===")
+print("=== the Mertens constant through the series g(1) ===")
 c1 = mertens_c1(192)
 g1 = g_at_1(192)
-print("accelerated  c1 = gamma - g(1) =", to_decimal(c1, 40))
-print("series value g(1)              =", to_decimal(g1, 40))
-print("published 6-decimal value        0.261497")
+print("c1 = gamma - g(1)  =", to_decimal(c1, 40))
+print("series value g(1)  =", to_decimal(g1, 40))
+print("published c1          0.261497")
 
 print()
 print("=== precision is a knob, not a constant ===")

@@ -9,8 +9,8 @@ counts, and error ledgers.
 import math
 import time
 
-from mertens_sums import sieve, sk_direct, sk_fast, to_decimal
-from mertens_sums.sums import KeySpace, prime_recip_table
+from mertens_sums import sieve, sk_direct, sk_fast, sk_levels, to_decimal
+from mertens_sums.sums import KeySpace
 
 print("=== exact rational values (enumeration) ===")
 # the oracle walks every prime up to x; the engine reads primes only up to isqrt(x)
@@ -28,9 +28,9 @@ for x in (10**4, 10**6, 10**7):
 
 print()
 print("=== level 1: prime reciprocal partial sums at the keys of x=30 ===")
-tbl = prime_recip_table(KeySpace.build(30), engine_primes)
-for key in sorted(tbl):
-    print(f"  sum 1/p over p <= {key:3d}  =  {to_decimal(tbl[key], 15)}")
+for key in KeySpace.build(30).keys.tolist():
+    s1 = sk_levels(1, key, engine_primes)[0]
+    print(f"  sum 1/p over p <= {key:3d}  =  {to_decimal(s1.value, 15)}")
 
 print()
 print("=== oracle vs engine ===")

@@ -22,8 +22,6 @@ from .constants import (
     euler_gamma,
     g_at_1,
     mertens_c1,
-    pi_value,
-    prime_zeta,
     recip_gamma_derivs,
     zeta_int,
 )
@@ -48,7 +46,6 @@ from .primes import PrimeTable, mobius, sieve
 from .sums import (
     KeySpace,
     MertensSumResult,
-    prime_recip_table,
     sk_direct,
     sk_fast,
     sk_levels,
@@ -83,10 +80,7 @@ __all__ = [
     "mertens_c1",
     "mobius",
     "parse_report",
-    "pi_value",
     "pk_polynomial",
-    "prime_recip_table",
-    "prime_zeta",
     "recip_gamma_derivs",
     "sieve",
     "sk_direct",

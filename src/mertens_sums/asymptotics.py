@@ -51,10 +51,6 @@ class Polynomial:
 
     coeffs: tuple  # coeffs[j] multiplies X^j
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x):
         """Horner evaluation; x may be int, float or mpf."""
         acc = mpf(0)

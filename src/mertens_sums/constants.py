@@ -1,26 +1,22 @@
 """Extended-precision evaluation of the constants the main term consumes.
 
-Covers Euler's constant, zeta values, the prime zeta function
-P(s) = sum_p p^(-s) = sum_{n>=1} mu(n)/n log zeta(ns), the Mertens constant
+Covers Euler's constant, zeta(k) at integers k >= 2, the Mertens constant
 
     c1 = gamma - sum_p { log(1/(1-1/p)) - 1/p }  ~ 0.261497,
 
-the series value g(1) = sum_{m>=2} P(m)/m = -sum_{N>=2} mu(N) log zeta(N)/N
-(so that c1 = gamma - g(1); the tail past term N is below 2^(1-N)/N),
-and the derivatives a_m = (1/Gamma)^(m)(1), generated from
+computed as gamma - g(1) from the series value g(1) = sum_p { log(1/(1-1/p))
+- 1/p } = -sum_{N>=2} mu(N) log zeta(N)/N (the tail past term N is below
+2^(1-N)/N), and the derivatives a_m = (1/Gamma)^(m)(1), generated from
 
     1/Gamma(1+z) = exp( gamma z + sum_{j>=2} (-1)^(j+1) zeta(j) z^j / j ).
 
-zeta(s) is a direct sum plus an Euler-Maclaurin tail (:func:`_zeta_em`).
-Integer s, which is every zeta value the constants above use, is summed in
-exact integer fixed point: each term is one floor, and the ledger stays
-under 2^-(precision+24) (1 + 2^-6).  Only non-integer s (zeta_real(2.5),
-prime_zeta(1.5)) sums in mpf.
+zeta(k) is a direct sum plus an Euler-Maclaurin tail (:func:`_zeta_fixed`),
+summed in exact integer fixed point: each term is one floor, and the ledger
+stays under 2^-(precision+24) (1 + 2^-6).
 
-gamma and pi enter as embedded decimal literals; the test suite recomputes
-both from scratch (Euler-Maclaurin for gamma, a Machin arctan series for
-pi) and requires at least 100 digits of agreement, so every embedded digit
-stays auditable.
+gamma enters as an embedded decimal literal; the test suite recomputes it
+from scratch (Euler-Maclaurin on H_n - log n) and requires at least 100
+digits of agreement, so every embedded digit stays auditable.
 """
 
 from __future__ import annotations
@@ -33,10 +29,10 @@ from functools import lru_cache
 from mpmath import mp, mpf
 
 from .bigreal import DEFAULT_PRECISION, GUARD_BITS, check_precision, working_precision
-from .errors import CapacityError, DomainError, ParameterError, PrecisionNotMetError
-from .primes import mobius, sieve
+from .errors import CapacityError, DomainError, PrecisionNotMetError
+from .primes import mobius
 
-# Highest precision servable from the embedded literals (335 digits ~ 1112 bits).
+# Highest precision servable from the embedded literal (335 digits ~ 1112 bits).
 MAX_CONSTANT_PRECISION = 1024
 # Series evaluations may run guard bits above the public ceiling.
 MAX_SERIES_PRECISION = MAX_CONSTANT_PRECISION + 2 * GUARD_BITS
@@ -49,89 +45,12 @@ _GAMMA_LITERAL = (
     "614669402960432542151905877553526733139925401296742051375"
 )
 
-_PI_LITERAL = (
-    "3.14159265358979323846264338327950288419716939937510582097494459230781"
-    "6406286208998628034825342117067982148086513282306647093844609550582231"
-    "7253594081284811174502841027019385211055596446229489549303819644288109"
-    "7566593344612847564823378678316527120190914564856692346034861045432664"
-    "821339360726024914127372458700660631558817488152092096282"
-)
-
 
 def euler_gamma(precision: int = DEFAULT_PRECISION):
     """Euler's constant at the requested bit precision (from the literal)."""
     check_precision(precision, MAX_CONSTANT_PRECISION)
     with working_precision(precision):
         return mpf(_GAMMA_LITERAL)
-
-
-def pi_value(precision: int = DEFAULT_PRECISION):
-    """pi at the requested bit precision (from the literal)."""
-    check_precision(precision, MAX_CONSTANT_PRECISION)
-    with working_precision(precision):
-        return mpf(_PI_LITERAL)
-
-
-# ----------------------------------------------------------------------
-# Independent oracles for the embedded literals.  These are slower and
-# exist so that tests can re-derive gamma and pi without trusting any
-# library constant or the literals themselves.
-
-def euler_gamma_euler_maclaurin(precision: int = DEFAULT_PRECISION, n: int = 10000):
-    """gamma via Euler-Maclaurin applied to H_n - log n.
-
-        gamma = H_n - log n - 1/(2n) + sum_{i>=1} B_{2i} / (2i n^{2i})
-
-    The Bernoulli correction terms decrease until around i ~ pi*n, far
-    beyond any truncation used here, so the first omitted term bounds the
-    remainder.
-    """
-    check_precision(precision, MAX_CONSTANT_PRECISION)
-    with working_precision(precision):
-        h = mpf(0)
-        for i in range(n, 0, -1):  # ascending magnitudes: sum small terms first
-            h += mpf(1) / i
-        val = h - mp.log(n) - mpf(1) / (2 * n)
-        eps = mpf(2) ** (-(precision + 16))
-        n2 = mpf(n) ** 2
-        pw = n2
-        for i in range(1, 400):
-            b = _bernoulli(2 * i)
-            term = mpf(b.numerator) / (b.denominator * 2 * i * pw)
-            val += term
-            if abs(term) < eps:
-                break
-            pw *= n2
-        else:
-            raise PrecisionNotMetError(
-                "Euler-Maclaurin tail did not reach the error budget; increase n",
-                achieved_bound=abs(term),
-            )
-        return +val
-
-
-def pi_machin(precision: int = DEFAULT_PRECISION):
-    """pi from Machin's identity pi/4 = 4 arctan(1/5) - arctan(1/239).
-
-    The arctan series are alternating, so each truncation error is below
-    the first omitted term.
-    """
-    check_precision(precision, MAX_CONSTANT_PRECISION)
-    with working_precision(precision):
-        def arctan_inv(q: int):
-            # arctan(1/q) = sum_{k>=0} (-1)^k / ((2k+1) q^(2k+1))
-            eps = mpf(2) ** (-(precision + 16))
-            q2 = q * q
-            term = mpf(1) / q
-            total = mpf(0)
-            k = 0
-            while abs(term) > eps:
-                total += term if k % 2 == 0 else -term
-                term = term / q2 * (2 * k + 1) / (2 * k + 3)
-                k += 1
-            return total
-
-        return +(16 * arctan_inv(5) - 4 * arctan_inv(239))
 
 
 @lru_cache(maxsize=None)
@@ -147,8 +66,8 @@ EM_MAX_TERMS = 299  # Euler-Maclaurin corrections before the tail counts as stal
 
 
 @lru_cache(maxsize=4096)
-def _zeta_em(s, precision: int):
-    """zeta(s) for real s > 1 by N direct terms plus an Euler-Maclaurin tail.
+def _zeta_fixed(s: int, precision: int):
+    """zeta(s) for integer s >= 2 by N direct terms plus an Euler-Maclaurin tail.
 
         zeta(s) = sum_{n<=N} n^-s + N^(1-s)/(s-1) - N^-s/2
                   + sum_{i>=1} B_2i/(2i)! s(s+1)...(s+2i-2) N^-(s+2i-1)
@@ -159,38 +78,15 @@ def _zeta_em(s, precision: int):
     (s-1))) + 2) suffices for every s.  Corrections are added until one falls
     below the budget; the first omitted one bounds the remainder.
 
-    Two routes, chosen by the value of s:
-
-    * integer s (an int, or an mpf such as the 2.0 that prime_zeta(2) passes
-      to zeta_real): exact integer fixed point at scale 2^bits, bits =
-      budget_bits + 16, in :func:`_zeta_fixed`.  Each term is one floor and
-      loses under one unit 2^-bits.  There are at most budget_bits // 2 + 8
-      direct terms (564 at MAX_SERIES_PRECISION), 2 tail terms and
-      EM_MAX_TERMS corrections, fewer than 2^10 floors, so they lose under
-      2^-(budget_bits + 6), and the total error stays under
-      2^-budget_bits (1 + 2^-6).  One ldexp rounds the sum to an mpf of
-      precision + GUARD_BITS bits.
-    * any other s (prime_zeta(1.5), zeta_real(2.5)): the same sums in mpf at
-      precision + GUARD_BITS bits, in :func:`_zeta_mpf`.
-
-    Cached on (s, precision), the one cache zeta_int and zeta_real share.
+    Everything is exact integer fixed point at scale 2^bits, bits =
+    budget_bits + 16.  Each term is one floor and loses under one unit
+    2^-bits.  There are at most budget_bits // 2 + 8 direct terms (564 at
+    MAX_SERIES_PRECISION), 2 tail terms and EM_MAX_TERMS corrections, fewer
+    than 2^10 floors, so they lose under 2^-(budget_bits + 6), and the total
+    error stays under 2^-budget_bits (1 + 2^-6).  One ldexp rounds the sum
+    to an mpf of precision + GUARD_BITS bits.
     """
     budget_bits = precision + 24
-    with working_precision(precision):
-        if s == int(s):
-            return _zeta_fixed(int(s), budget_bits)
-        return _zeta_mpf(mpf(s), budget_bits)
-
-
-def _stalled(s, bound):
-    return PrecisionNotMetError(
-        f"zeta({s}) Euler-Maclaurin tail stalled above the error budget",
-        achieved_bound=bound,
-    )
-
-
-def _zeta_fixed(s: int, budget_bits: int):
-    """zeta(s) for integer s >= 2 in integer fixed point (see :func:`_zeta_em`)."""
     bits = budget_bits + 16
     one = 1 << bits
     if s > bits:  # every term but n = 1 floors to zero; skip the huge powers
@@ -217,50 +113,22 @@ def _zeta_fixed(s: int, budget_bits: int):
         term = (b.numerator * rising << bits) // (b.denominator * fact * npow)
         total += term
         if abs(term) < eps:
-            return mp.ldexp(total, -bits)
+            with working_precision(precision):
+                return mp.ldexp(total, -bits)
         rising *= (s + 2 * i - 1) * (s + 2 * i)
         npow *= n_direct * n_direct
         fact *= (2 * i + 1) * (2 * i + 2)
-    raise _stalled(s, mp.ldexp(abs(term), -bits))
-
-
-def _zeta_mpf(s, budget_bits: int):
-    """zeta(s) for non-integer mpf s > 1 at the working precision (see :func:`_zeta_em`)."""
-    n_direct = min(budget_bits // 2 + 8, int(mpf(2) ** (budget_bits / (s - 1)) + 2))
-    total = mpf(0)
-    for n in range(n_direct, 0, -1):
-        total += mpf(n) ** -s
-    total += mpf(n_direct) ** (1 - s) / (s - 1)
-    total -= mpf(n_direct) ** -s / 2
-    rising = s  # (s)(s+1)...(s+2i-2), starts with one factor
-    npow = mpf(n_direct) ** (-s - 1)
-    fact = mpf(2)  # (2i)!
-    eps = mpf(2) ** (-budget_bits)
-    for i in range(1, EM_MAX_TERMS + 1):
-        b = _bernoulli(2 * i)
-        term = mpf(b.numerator) / b.denominator / fact * rising * npow
-        total += term
-        if abs(term) < eps:
-            return +total
-        rising *= (s + 2 * i - 1) * (s + 2 * i)
-        npow /= n_direct * n_direct
-        fact *= (2 * i + 1) * (2 * i + 2)
-    raise _stalled(s, abs(term))
+    raise PrecisionNotMetError(
+        f"zeta({s}) Euler-Maclaurin tail stalled above the error budget",
+        achieved_bound=mp.ldexp(abs(term), -bits),
+    )
 
 
 def zeta_int(k: int, precision: int = DEFAULT_PRECISION):
-    """zeta(k) for integer k >= 2."""
+    """zeta(k) for integer k >= 2 (:func:`_zeta_fixed`, cached on k and precision)."""
     if not isinstance(k, int) or k < 2:
         raise DomainError(f"zeta_int requires an integer k >= 2, got {k!r}")
-    return _zeta_em(k, check_precision(precision, MAX_SERIES_PRECISION))
-
-
-def zeta_real(s, precision: int = DEFAULT_PRECISION):
-    """zeta(s) for real s > 1 (same Euler-Maclaurin engine as zeta_int)."""
-    precision = check_precision(precision, MAX_SERIES_PRECISION)
-    if not mpf(s) > 1:
-        raise DomainError(f"zeta_real requires s > 1, got {s!r}")
-    return _zeta_em(s, precision)
+    return _zeta_fixed(k, check_precision(precision, MAX_SERIES_PRECISION))
 
 
 # ----------------------------------------------------------------------
@@ -269,14 +137,15 @@ def zeta_real(s, precision: int = DEFAULT_PRECISION):
 def g_at_1(precision: int = DEFAULT_PRECISION):
     """g(1) = sum_{m>=2} P(m)/m = -sum_{N>=2} mu(N) log zeta(N) / N.
 
-    Swapping the sums in P(m) = sum_n mu(n)/n log zeta(nm) leaves
-    sum_{n|N, n<N} mu(n) = -mu(N) at N = nm: one Moebius log-zeta series
-    (H. Cohen, High precision computation of Hardy-Littlewood constants,
-    1998).  It stops at the first N with 2^(1-N)/N below the error budget:
-    |log zeta(j)| <= zeta(j) - 1 < 2^(1-j) for j >= 3, and summed over
-    j > N that is below 2^(1-N)/N.  The result is an mpf of precision +
-    GUARD_BITS bits, but it is accurate only to about 2^-(precision+16),
-    the budget the series stops at; the guard bits below that are not.
+    P(m) = sum_p p^-m is the prime zeta function.  Swapping the sums in
+    P(m) = sum_n mu(n)/n log zeta(nm) leaves sum_{n|N, n<N} mu(n) = -mu(N)
+    at N = nm: one Moebius log-zeta series (H. Cohen, High precision
+    computation of Hardy-Littlewood constants, 1998).  It stops at the first
+    N with 2^(1-N)/N below the error budget: |log zeta(j)| <= zeta(j) - 1 <
+    2^(1-j) for j >= 3, and summed over j > N that is below 2^(1-N)/N.  The
+    result is an mpf of precision + GUARD_BITS bits, but it is accurate only
+    to about 2^-(precision+16), the budget the series stops at; the guard
+    bits below that are not.
     """
     check_precision(precision, MAX_CONSTANT_PRECISION)
     with working_precision(precision):
@@ -293,96 +162,11 @@ def g_at_1(precision: int = DEFAULT_PRECISION):
         return +total
 
 
-def prime_zeta(s, precision: int = DEFAULT_PRECISION):
-    """P(s) = sum_p p^(-s) for real s >= 3/2.
-
-    Uses P(s) = sum_n mu(n)/n log zeta(ns), truncated at the first n whose
-    log-zeta falls below the error budget; zeta(m) - 1 < 2^(1-m) makes the
-    dropped tail geometric.  Below s = 3/2 the series is not used and the
-    argument is rejected.  :func:`g_at_1` sums these values over m without
-    calling this function; the tests check the two against each other.
-    """
-    check_precision(precision, MAX_SERIES_PRECISION)
-    with working_precision(precision):
-        s_mp = mpf(s)
-        if s_mp < mpf(3) / 2:
-            raise DomainError(f"prime_zeta requires s >= 3/2, got {s!r}")
-        eps = mpf(2) ** (-(precision + 8))
-        total = mpf(0)
-        n = 1
-        while True:
-            mu = mobius(n)
-            if mu != 0:
-                lz = mp.log(zeta_real(n * s_mp, precision))
-                total += mpf(mu) / n * lz
-                # tail: sum_{j>n} |log zeta(js)|/j <= 2^(1-(n+1)s)/((n+1)(1-2^-s))
-                tail = mpf(2) ** (1 - (n + 1) * s_mp) / ((n + 1) * (1 - mpf(2) ** (-s_mp)))
-                if abs(lz) < eps / 2 and tail < eps:
-                    break
-            n += 1
-            if n > 100_000:  # unreachable for s >= 3/2; defensive cap
-                raise CapacityError("prime_zeta series failed to terminate")
-        return +total
-
-
-def mertens_c1_direct_bound(limit: int):
-    """Certified absolute bound for the direct method at a given sieve limit.
-
-    The dropped prime tail is below sum_{n>limit} n^(-2) < 1/limit; a factor
-    2 absorbs arithmetic rounding with a wide margin.
-    """
-    return mpf(2) / limit
-
-
-def mertens_c1(
-    precision: int = DEFAULT_PRECISION,
-    method: str = "accelerated",
-    primes=None,
-    abs_tol=None,
-):
-    """The Mertens constant c1 = gamma - sum_p { log(1/(1-1/p)) - 1/p }.
-
-    ``accelerated`` evaluates gamma - g(1) and reaches the full requested
-    precision.  ``direct`` sums the defining prime series over the supplied
-    table (limit >= 10^6 required) and is certified only to
-    :func:`mertens_c1_direct_bound`; it exists as an independent
-    cross-check.  When the certified bound exceeds ``abs_tol`` (default:
-    2^-precision), the direct method raises ``PrecisionNotMetError``
-    carrying the bound it did achieve.
-    """
+def mertens_c1(precision: int = DEFAULT_PRECISION):
+    """The Mertens constant c1 = gamma - sum_p { log(1/(1-1/p)) - 1/p } = gamma - g(1)."""
     check_precision(precision, MAX_CONSTANT_PRECISION)
-    if method == "accelerated":
-        with working_precision(precision):
-            return +(euler_gamma(precision) - g_at_1(precision))
-    if method != "direct":
-        raise DomainError(f"unknown method {method!r}; expected 'direct' or 'accelerated'")
-
-    if primes is None:
-        primes = sieve(10**6)
-    return _mertens_c1_direct(precision, primes, abs_tol)
-
-
-def _mertens_c1_direct(precision: int, primes, abs_tol):
-    if primes.limit < 10**6:
-        raise ParameterError(
-            f"direct method needs a prime table with limit >= 10^6, got {primes.limit}"
-        )
-    certified = mertens_c1_direct_bound(primes.limit)
-    if abs_tol is None:
-        abs_tol = mpf(2) ** (-precision)
-    if certified > abs_tol:
-        raise PrecisionNotMetError(
-            f"direct method at limit {primes.limit} certifies only {float(certified):.3e}",
-            achieved_bound=certified,
-        )
     with working_precision(precision):
-        total = mpf(0)
-        one = mpf(1)
-        # sum_p { log(1/(1-1/p)) - 1/p }, ascending primes
-        for p in primes.primes.tolist():
-            invp = one / p
-            total += -mp.log(one - invp) - invp
-        return +(euler_gamma(precision) - total)
+        return +(euler_gamma(precision) - g_at_1(precision))
 
 
 # ----------------------------------------------------------------------
@@ -496,7 +280,7 @@ class ConstantsBundle:
             gamma = euler_gamma(precision)
             zmax = max(m_max, 10)
             zmap = {k: zeta_int(k, precision) for k in range(2, zmax + 1)}
-            c1 = mertens_c1(precision, "accelerated")
+            c1 = mertens_c1(precision)
             h0 = +(c1 - gamma)
         return cls(
             precision=int(precision),

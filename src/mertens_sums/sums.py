@@ -517,18 +517,3 @@ def sk_fast(
     """S_k(x) by the level-by-level DP over KeySpace(x): the last of :func:`sk_levels`."""
     return sk_levels(k, x, primes, precision)[-1]
 
-
-def prime_recip_table(
-    keyspace: KeySpace,
-    primes: PrimeTable,
-    precision: int = DEFAULT_PRECISION,
-) -> dict[int, object]:
-    """Lower bounds, within the level-1 ledger, on sum_{p <= v} 1/p at every key v."""
-    _require_cover(primes, keyspace.sqrt_x)
-    check_precision(precision)
-    frac_bits = fixed_point_params(precision)
-    values, _, _ = next(_levels(keyspace, primes.primes, frac_bits, 1))
-    return {
-        int(key): _fixed_to_mpf(val, frac_bits, precision)
-        for key, val in zip(keyspace.keys.tolist(), values)
-    }

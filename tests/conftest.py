@@ -35,3 +35,19 @@ def assert_close_digits(actual, expected, digits, label=""):
             f"{label or 'value'}: |{mp.nstr(a, digits + 5)} - {mp.nstr(e, digits + 5)}| "
             f"= {mp.nstr(abs(a - e), 5)} >= {mp.nstr(tol, 3)}"
         )
+
+
+def prime_log_series(primes, precision):
+    """sum_p { log(1/(1-1/p)) - 1/p } over the table's primes, ascending, at ``precision`` bits.
+
+    The series over all primes is g(1) = gamma - c1.  The dropped tail over
+    p > primes.limit is below sum_{n > limit} n^-2 < 1/limit, so 2/limit
+    bounds it with room for the rounding of this sum.
+    """
+    with mp.workprec(precision):
+        one = mpf(1)
+        total = mpf(0)
+        for p in primes.primes.tolist():
+            invp = one / p
+            total += -mp.log(one - invp) - invp
+        return total

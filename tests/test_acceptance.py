@@ -17,6 +17,7 @@ import jsonschema
 import pytest
 from mpmath import mp, mpf
 
+from conftest import prime_log_series
 import mertens_sums.asymptotics as asy
 import mertens_sums.constants as cn
 from mertens_sums.harness import GridSpec, emit_report, parse_report, verify_grid
@@ -33,16 +34,19 @@ class TestAcceptance:
     def test_criterion_1_mertens_constant(self, primes_1e6):
         t0 = time.perf_counter()
         with mp.workprec(420):
-            acc = cn.mertens_c1(192, "accelerated")
+            acc = cn.mertens_c1(192)
             rounded = mp.nstr(acc, 6)
             assert rounded == "0.261497", f"six published decimals, got {rounded}"
 
-            direct = cn.mertens_c1(192, "direct", primes=primes_1e6, abs_tol=1e-4)
-            bound = cn.mertens_c1_direct_bound(primes_1e6.limit)
+            # the defining prime series, summed directly at 224 bits, is
+            # short by under 1/limit; 2/limit covers its rounding as well
+            with mp.workprec(224):
+                direct = cn.euler_gamma(192) - prime_log_series(primes_1e6, 224)
+            bound = mpf(2) / primes_1e6.limit
             assert bound < mpf(10) ** -5
             assert abs(acc - direct) < bound
 
-            doubled = cn.mertens_c1(384, "accelerated")
+            doubled = cn.mertens_c1(384)
             self_consistency = abs(acc - doubled)
             assert self_consistency < mpf(10) ** -25
         elapsed = time.perf_counter() - t0

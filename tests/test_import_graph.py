@@ -5,17 +5,26 @@ Every ``from .x import`` or ``from mertens_sums.x import`` in
 these intra-package imports has no cycle, so each layer loads whole before
 any layer above it.  ``primes`` holds integers only: it imports nothing
 that computes in multiprecision.
+
+The other way round, every name that ``perfbench/`` and ``demos/`` import
+from the package exists, and so does every entry of ``__all__``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mertens_sums"
+import mertens_sums
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mertens_sums"
+CLIENTS = sorted(path.relative_to(ROOT).as_posix()
+                 for top in ("perfbench", "demos") for path in (ROOT / top).glob("*.py"))
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -73,3 +82,38 @@ def test_primes_imports_no_multiprecision_code():
               if isinstance(node, ast.ImportFrom) and not node.level}
     assert "mpmath" not in roots
     assert {module for module, _ in _package_imports(tree)} == {"errors"}
+
+
+def _client_imports(tree: ast.Module):
+    """(module, name or None) of each import from the package, at any depth of one file."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "mertens_sums":
+                    yield alias.name, None
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+                and node.module.partition(".")[0] == "mertens_sums"):
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+def test_client_imports_resolve(client):
+    tree = ast.parse((ROOT / client).read_text(), filename=client)
+    missing = []
+    for module, name in _client_imports(tree):
+        owner = importlib.import_module(module)
+        if name is not None and not hasattr(owner, name):
+            try:  # ``from mertens_sums import cli`` names a submodule
+                importlib.import_module(f"{module}.{name}")
+            except ModuleNotFoundError:
+                missing.append(f"{module}.{name}")
+    assert not missing, f"{client} imports names the package lacks: {missing}"
+
+
+def test_public_names_resolve():
+    missing = [name for name in mertens_sums.__all__ if not hasattr(mertens_sums, name)]
+    assert not missing, f"__all__ lists names the package lacks: {missing}"
+    namespace = {}
+    exec("from mertens_sums import *", namespace)
+    assert set(mertens_sums.__all__) <= namespace.keys()

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
 
 from mertens_sums import primes as primes_mod
-from mertens_sums.constants import prime_zeta
 from mertens_sums.errors import CapacityError, DomainError
 from mertens_sums.primes import mobius, sieve
-
-# Independent of the accelerated series: direct prime sum over p <= 1e8 plus
-# an integral tail bracket certifies the first 8+ digits; the remaining
-# digits pin the series against itself at doubled precision.
-PRIME_ZETA_2 = "0.4522474200410654985065433648322479341732"
 
 
 def trial_division_primes(limit):
@@ -118,46 +111,3 @@ class TestMobius:
 
         if math.gcd(a, b) == 1:
             assert mobius(a * b) == mobius(a) * mobius(b)
-
-
-class TestPrimeZeta:
-    def test_known_value_at_2(self):
-        with mp.workprec(300):
-            assert abs(prime_zeta(2, 224) - mpf(PRIME_ZETA_2)) < mpf(10) ** -38
-
-    @pytest.mark.parametrize("s", range(2, 11))
-    def test_direct_sum_bracketing(self, s, primes_1e6):
-        # P(s) must sit within the direct-sum window [sum, sum + integral tail]
-        with mp.workprec(260):
-            direct = mpf(0)
-            for p in primes_1e6.primes.tolist():
-                direct += mpf(p) ** (-s)
-            tail = mpf(10**6) ** (1 - s) / (s - 1)  # sum_{n>1e6} n^-s < tail
-            val = prime_zeta(s, 192)
-            assert direct <= val <= direct + tail
-
-    def test_monotone_in_s(self):
-        assert prime_zeta(2, 128) > prime_zeta(3, 128) > prime_zeta(4, 128)
-
-    def test_dominated_term_bound_at_20(self):
-        with mp.workprec(160):
-            v = prime_zeta(20, 128)
-            lead = mpf(2) ** -20 + mpf(3) ** -20
-            assert abs(v - lead) < 2 * mpf(5) ** -20
-
-    def test_domain_error_below_three_halves(self):
-        with pytest.raises(DomainError):
-            prime_zeta(1.4, 128)
-        with pytest.raises(DomainError):
-            prime_zeta(1, 128)
-
-    def test_precision_consistency(self):
-        with mp.workprec(300):
-            lo = prime_zeta(2, 128)
-            hi = prime_zeta(2, 192)
-            assert abs(lo - hi) < mpf(2) ** -(128 - 4)
-
-    def test_non_integer_argument(self):
-        # s = 3/2 is the domain edge; the value is finite and positive
-        v = prime_zeta(1.5, 96)
-        assert 0.84 < float(v) < 0.85

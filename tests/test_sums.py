@@ -16,7 +16,6 @@ from mertens_sums.primes import sieve
 from mertens_sums.sums import (
     FAST_MAX_X,
     KeySpace,
-    prime_recip_table,
     sk_direct,
     sk_fast,
     sk_levels,
@@ -582,7 +581,10 @@ def primes_1e7():
 
 
 class TestLevelOne:
-    """The Lucy tables against a test-local floor-sum reference at every key."""
+    """The Lucy tables against a test-local floor-sum reference at every key.
+
+    The last three checks read level 1 as the DP pass yields it.
+    """
 
     # both sides of: the first Euler-Maclaurin key (x // 2 > 2^12); the switch
     # max(sqrt_x (F+32)/32, 2^12) leaving 2^12 at 1024, 192 and 64 bits (sqrt_x = 120, 497,
@@ -635,6 +637,38 @@ class TestLevelOne:
         with pytest.raises(ParameterError):
             sk_fast(3, x, sieve(3161))
 
+    @staticmethod
+    def _table(x, primes, precision=192):
+        """Level 1 of the DP pass over KeySpace(x), as {key: mpf at ``precision`` bits}."""
+        ks = KeySpace.build(x)
+        frac_bits = sums.fixed_point_params(precision)
+        values, _, _ = next(sums._levels(ks, primes.primes, frac_bits, 1))
+        return {key: sums._fixed_to_mpf(val, frac_bits, precision)
+                for key, val in zip(ks.keys.tolist(), values)}
+
+    def test_keys_of_ten(self, primes_1e4):
+        table = self._table(10, primes_1e4)
+        expected = {
+            1: Fraction(0),
+            2: Fraction(1, 2),
+            3: Fraction(5, 6),
+            5: Fraction(31, 30),
+            10: Fraction(247, 210),
+        }
+        assert set(table) == set(expected)
+        with mp.workprec(300):
+            for key, frac in expected.items():
+                want = mpf(frac.numerator) / frac.denominator
+                assert abs(table[key] - want) < mpf(2) ** -180
+
+    def test_nondecreasing(self, primes_1e4):
+        table = self._table(997, primes_1e4)
+        vals = [table[k] for k in sorted(table)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_entry_at_one_is_zero(self, primes_1e4):
+        assert self._table(7, primes_1e4)[1] == 0
+
 
 class TestOracleEquivalence:
     def test_small_grid(self, primes_1e4):
@@ -667,33 +701,6 @@ class TestPublishedCounts:
         s1, s2 = sk_levels(2, x, sieve(math.isqrt(x)), precision=64)
         assert s1.terms == self.PI[n]
         assert s2.terms == 2 * self.SEMIPRIMES[n] - self.PI_SQRT[n]
-
-
-class TestPrimeRecipTable:
-    def test_keys_of_ten(self, primes_1e4):
-        ks = KeySpace.build(10)
-        table = prime_recip_table(ks, primes_1e4)
-        expected = {
-            1: Fraction(0),
-            2: Fraction(1, 2),
-            3: Fraction(5, 6),
-            5: Fraction(31, 30),
-            10: Fraction(247, 210),
-        }
-        assert set(table) == set(expected)
-        with mp.workprec(300):
-            for key, frac in expected.items():
-                want = mpf(frac.numerator) / frac.denominator
-                assert abs(table[key] - want) < mpf(2) ** -180
-
-    def test_nondecreasing(self, primes_1e4):
-        ks = KeySpace.build(997)
-        table = prime_recip_table(ks, primes_1e4)
-        vals = [table[k] for k in sorted(table)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_entry_at_one_is_zero(self, primes_1e4):
-        assert prime_recip_table(KeySpace.build(7), primes_1e4)[1] == 0
 
 
 class TestEngineInternals:

@@ -3,7 +3,9 @@
 A module-level function, class or UPPER_CASE constant, or a non-dunder
 method of a module-level class, defined in ``src/mertens_sums`` must be
 referenced outside its own definition by some file in ``src/``,
-``tests/``, ``demos/`` or ``perfbench/``.  A reference is a loaded name or
+``demos/`` or ``perfbench/``.  References from ``tests/`` do not count, so
+a name that only tests read fails too; a re-export in ``__init__`` is a
+reference, so the public API passes.  A reference is a loaded name or
 attribute, an imported name, or a dotted identifier in a string (the
 benchmark tracer names its targets that way).  A method is reached only
 through an attribute, so a bare name does not reference it.  An attribute
@@ -21,7 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mertens_sums"
-SCANNED = ("src", "tests", "demos", "perfbench")
+SCANNED = ("src", "demos", "perfbench")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
