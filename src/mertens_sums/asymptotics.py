@@ -59,11 +59,16 @@ class Polynomial:
         return acc
 
 
-def _check_k(k: int, bundle: ConstantsBundle) -> None:
+def _check_degree(k: int) -> None:
+    """1 <= k <= MAX_DEGREE: the checks on k that need no bundle."""
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
     if k > MAX_DEGREE:
         raise CapacityError(f"k={k} exceeds the supported degree cap {MAX_DEGREE}")
+
+
+def _check_k(k: int, bundle: ConstantsBundle) -> None:
+    _check_degree(k)
     if k > bundle.m_max:
         raise CapacityError(
             f"k={k} exceeds the bundle's derivative range m_max={bundle.m_max}"

@@ -27,7 +27,7 @@ from .asymptotics import (
     im_closed_form,
     lambda_coeffs,
 )
-from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, check_digits, to_decimal
+from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, check_digits, check_precision, to_decimal
 from .constants import ConstantsBundle
 from .errors import MertensError
 from .hankel import hankel_power_quad, im_quad, power_law_closed_form
@@ -41,7 +41,7 @@ from .harness import (
     verify_grid,
 )
 from .primes import sieve
-from .sums import DIRECT_MAX_X, sk_direct, sk_fast
+from .sums import sk_fast
 
 
 def _common_flags(sp: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -144,11 +144,7 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    if args.method == "direct":  # the oracle reads primes up to x, the engine up to isqrt(x)
-        limit = min(max(args.x, 0), DIRECT_MAX_X)
-        res = sk_direct(args.k, args.x, sieve(limit), precision=args.prec)
-    else:
-        res = sk_fast(args.k, args.x, sieve(math.isqrt(max(args.x, 0))), precision=args.prec)
+    res = sk_fast(args.k, args.x, sieve(math.isqrt(max(args.x, 0))), precision=args.prec)
     payload = {
         "k": res.k,
         "x": res.x,
@@ -215,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--x", type=int, required=True)
-    sp.add_argument("--method", choices=("direct", "fast"), default="fast")
     sp.set_defaults(func=_cmd_sum)
 
     sp = sub.add_parser("verify", help="sweep a grid and report normalized remainders")
@@ -236,6 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --version
         return int(exc.code or 0)
     try:
+        check_precision(args.prec)
         check_digits(args.digits)
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise MertensArgumentError(f"--out directory does not exist: {args.out}")

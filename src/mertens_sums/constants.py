@@ -10,6 +10,9 @@ computed as gamma - g(1) from the series value g(1) = sum_p { log(1/(1-1/p))
 
     1/Gamma(1+z) = exp( gamma z + sum_{j>=2} (-1)^(j+1) zeta(j) z^j / j ).
 
+Only these derivatives at 1 are computed here; 1/Gamma at other points (the
+closed form of the Hankel power identity) is mpmath's ``rgamma``.
+
 zeta(k) is a direct sum plus an Euler-Maclaurin tail (:func:`_zeta_fixed`),
 summed in exact integer fixed point: each term is one floor, and the ledger
 stays under 2^-(precision+24) (1 + 2^-6).
@@ -173,34 +176,16 @@ def mertens_c1(precision: int = DEFAULT_PRECISION):
 # Derivatives of the reciprocal gamma function at 1.
 
 MAX_DERIV_ORDER = 64
-RECIP_GAMMA_MAX_ABS_Z = 4  # |z| envelope of recip_gamma, the one the Hankel checks test
-
-
-def _recip_gamma_taylor(order: int, precision: int) -> list:
-    """e_0..e_order, the Taylor coefficients a_m / m! of 1/Gamma(1+z) at 0.
-
-    Exponentiates L(z) = gamma z + sum_{j>=2} (-1)^(j+1) zeta(j) z^j / j by
-    e_0 = 1, e_n = (1/n) sum_{1<=j<=n} j l_j e_{n-j}.  Order m involves only
-    l_1..l_m, so the only error is rounding at the working precision.
-    """
-    with working_precision(precision, guard=GUARD_BITS + 16):
-        ell = [mpf(0)] * (order + 1)
-        if order >= 1:
-            ell[1] = euler_gamma(precision)
-        for j in range(2, order + 1):
-            zj = zeta_int(j, precision)
-            ell[j] = zj / j if j % 2 == 1 else -zj / j
-        e = [mpf(1)] + [mpf(0)] * order
-        for n in range(1, order + 1):
-            acc = mpf(0)
-            for j in range(1, n + 1):
-                acc += j * ell[j] * e[n - j]
-            e[n] = acc / n
-        return e
 
 
 def recip_gamma_derivs(m_max: int, precision: int = DEFAULT_PRECISION):
-    """a_m = (1/Gamma)^(m)(1) for m = 0..m_max, from :func:`_recip_gamma_taylor`."""
+    """a_m = (1/Gamma)^(m)(1) for m = 0..m_max, as m! e_m.
+
+    e_m, the Taylor coefficients of 1/Gamma(1+z) at 0, exponentiate
+    L(z) = gamma z + sum_{j>=2} (-1)^(j+1) zeta(j) z^j / j by e_0 = 1,
+    e_n = (1/n) sum_{1<=j<=n} j l_j e_{n-j}.  Order m involves only
+    l_1..l_m, so the only error is rounding at the working precision.
+    """
     if not isinstance(m_max, int) or m_max < 0:
         raise DomainError(f"m_max must be a nonnegative integer, got {m_max!r}")
     if m_max > MAX_DERIV_ORDER:
@@ -208,50 +193,20 @@ def recip_gamma_derivs(m_max: int, precision: int = DEFAULT_PRECISION):
             f"m_max={m_max} exceeds the supported derivative order {MAX_DERIV_ORDER}"
         )
     check_precision(precision, MAX_CONSTANT_PRECISION)
-    e = _recip_gamma_taylor(m_max, precision)
     with working_precision(precision, guard=GUARD_BITS + 16):
+        ell = [mpf(0)] * (m_max + 1)
+        if m_max >= 1:
+            ell[1] = euler_gamma(precision)
+        for j in range(2, m_max + 1):
+            zj = zeta_int(j, precision)
+            ell[j] = zj / j if j % 2 == 1 else -zj / j
+        e = [mpf(1)] + [mpf(0)] * m_max
+        for n in range(1, m_max + 1):
+            acc = mpf(0)
+            for j in range(1, n + 1):
+                acc += j * ell[j] * e[n - j]
+            e[n] = acc / n
         return [+(em * math.factorial(m)) for m, em in enumerate(e)]
-
-
-def _recip_gamma_order(bits: int) -> int:
-    """An order past which the series of 1/Gamma(1+w), |w| <= 1/2, is below 2^-bits.
-
-    By Cauchy on |w| = 16, |a_m / m!| <= M 16^-m, and past order N the tail
-    is below M 32^-(N+1) 32/31.  The Weierstrass product bounds log M by
-    16 gamma + sum_n g(16/n) (0.5773 > gamma), g(u) = max_{|v|=u} log|(1+v) e^-v|:
-    u^2/2 for u <= 2, log(u-1) + u above; past n = 1024 the sum adds < 1/4.
-    """
-    log_m = 0.5773 * 16 + 1 / 4 + sum(
-        math.log(16 / n - 1) + 16 / n if n < 8 else 128 / n**2 for n in range(1, 1024))
-    return math.ceil((bits + log_m / math.log(2) + 1) / 5)
-
-
-def recip_gamma(z, precision: int = DEFAULT_PRECISION):
-    """1/Gamma(1+z) for real |z| <= RECIP_GAMMA_MAX_ABS_Z, to 2^-precision relative.
-
-    z = w + k, k the nearest integer: the Taylor series of 1/Gamma(1+w),
-    cut where :func:`_recip_gamma_order` puts the tail below 2^-(precision+8)
-    (no term exceeds one, so nothing cancels), then divided by
-    (w+1)...(w+k) for k > 0 or multiplied by w (w-1) ... (w+k+1) for k < 0.
-    """
-    check_precision(precision, MAX_CONSTANT_PRECISION)
-    with working_precision(precision):
-        z = mpf(z)
-        if not abs(z) <= RECIP_GAMMA_MAX_ABS_Z:
-            raise DomainError(
-                "series evaluation of 1/Gamma(1+z) supports "
-                f"|z| <= {RECIP_GAMMA_MAX_ABS_Z}, got {z}"
-            )
-        k = int(mp.nint(z))
-        w = z - k
-        taylor = _recip_gamma_taylor(_recip_gamma_order(precision + 8), precision)
-        total = mp.polyval(taylor[::-1], w)
-        for j in range(1, k + 1):
-            total /= w + j
-        for j in range(0, -k):
-            total *= w - j
-    with working_precision(precision):
-        return +total
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ double precision:
     (1/2 pi i) int x^s s^(-1-z) ds           = (log x)^z / Gamma(z+1)
     (1/2 pi i) int (log(1/s))^m x^s ds / s   = I_m(x)
 
-with I_m given in closed form by :func:`.asymptotics.im_closed_form`.
+with I_m given in closed form by :func:`.asymptotics.im_closed_form` and
+1/Gamma(z+1) by mpmath's ``rgamma``, for |z| <= MAX_ABS_Z.
 ``log(1/s)`` is the principal branch, -(log|s| + i arg s) with arg in
 (-pi, pi); the contour stays off the cut because its rays sit at a
 positive imaginary offset.
@@ -25,11 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from mpmath import mp, mpf
 
-from .constants import RECIP_GAMMA_MAX_ABS_Z, recip_gamma
+from .bigreal import DEFAULT_PRECISION, working_precision
 from .errors import ConvergenceError, DomainError, ParameterError
 
 DEFAULT_TARGET = 1e-8
+MAX_ABS_Z = 4  # the |z| envelope the power identity is tested on
 MAX_IM_ORDER = 6
 _MAX_REFINEMENTS = 7
 
@@ -187,12 +190,12 @@ def hankel_power_quad(
     contour: HankelContour | None = None,
 ) -> QuadResult:
     """(1/2 pi i) int x^s s^(-1-z) ds over the loop; equals
-    (log x)^z / Gamma(z+1), for |z| within the closed form's 1/Gamma series envelope."""
+    (log x)^z / Gamma(z+1), for |z| <= MAX_ABS_Z."""
     if not 1 < x < math.inf:
         raise DomainError(f"x must be finite and exceed 1, got {x!r}")
     z = float(z)
-    if not abs(z) <= RECIP_GAMMA_MAX_ABS_Z:  # also rejects nan
-        raise DomainError(f"|z| <= {RECIP_GAMMA_MAX_ABS_Z} is the tested envelope, got {z}")
+    if not abs(z) <= MAX_ABS_Z:  # also rejects nan
+        raise DomainError(f"|z| <= {MAX_ABS_Z} is the tested envelope, got {z}")
     contour = _checked_contour(x, contour, z)
 
     def integrand(s):
@@ -225,9 +228,9 @@ def im_quad(
 def power_law_closed_form(z: float, x: float) -> float:
     """(log x)^z / Gamma(z+1), the closed-form side of the power identity.
 
-    1/Gamma comes from the in-package Taylor series rather than a library
-    gamma, so quadrature and closed form share no code path.
+    1/Gamma is mpmath's ``rgamma``; the quadrature side uses only numpy.
     """
     if not 1 < x < math.inf:
         raise DomainError(f"x must be finite and exceed 1, got {x!r}")
-    return float(math.log(x) ** z * float(recip_gamma(z)))
+    with working_precision(DEFAULT_PRECISION):
+        return math.log(x) ** z * float(mp.rgamma(1 + mpf(z)))

@@ -29,7 +29,7 @@ from mpmath import mp, mpf
 
 from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, to_decimal, working_precision
 from .constants import ConstantsBundle
-from .asymptotics import MAX_DEGREE, evaluate_main_term
+from .asymptotics import MAX_DEGREE, _check_degree, evaluate_main_term
 from .errors import CapacityError, DomainError
 from .primes import sieve
 from .sums import FAST_MAX_X, MertensSumResult, sk_levels
@@ -116,10 +116,7 @@ def check_ks(ks: int | Sequence[int]) -> list[int]:
     if not ks:
         raise DomainError("verify_grid needs at least one k")
     for k in ks:
-        if not isinstance(k, int) or k < 1:
-            raise DomainError(f"k must be an integer >= 1, got {k!r}")
-        if k > MAX_DEGREE:
-            raise CapacityError(f"k={k} exceeds the supported degree cap {MAX_DEGREE}")
+        _check_degree(k)
     return ks
 
 
@@ -128,24 +125,22 @@ def verify_grid(
     grid: GridSpec,
     precision: int = DEFAULT_PRECISION,
     digits: int = DEFAULT_DIGITS,
-    bundle: ConstantsBundle | None = None,
 ) -> list[VerificationRow]:
     """One row per grid point for each k in ``ks`` (a k or a sequence of ks).
 
     Each x is evaluated once, by one :func:`sk_levels` pass up to the
     largest k over the primes up to isqrt(``grid.stop``).  Rows come out
     k-major in the order of ``ks``, repeats included: the same list as
-    concatenating one single-k call per entry.  Each k (:func:`check_ks`)
-    and the grid's top against ``FAST_MAX_X`` are checked before any work;
-    every other failure (precision, digits, the bundle's range) raises
-    before the first row exists.
+    concatenating one single-k call per entry.  The constants bundle is
+    built at ``precision``.  Each k (:func:`check_ks`) and the grid's top
+    against ``FAST_MAX_X`` are checked before any work; every other failure
+    (precision, digits) raises before the first row exists.
     """
     ks = check_ks(ks)
     if grid.stop > FAST_MAX_X:
         raise CapacityError(f"grid stop {grid.stop} exceeds the configured maximum {FAST_MAX_X}")
     primes = sieve(math.isqrt(grid.stop))
-    if bundle is None:
-        bundle = ConstantsBundle.build(precision, m_max=MAX_DEGREE)
+    bundle = ConstantsBundle.build(precision, m_max=MAX_DEGREE)
     by_k: dict[int, list[VerificationRow]] = {k: [] for k in ks}
     for x in grid.values():
         levels = sk_levels(max(ks), x, primes, precision=precision)

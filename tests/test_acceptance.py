@@ -185,11 +185,11 @@ class TestAcceptance:
             f"(worst {float(worst):.1e})",
         )
 
-    def test_criterion_6_remainder_bound_at_desk_scale(self, bundle192):
+    def test_criterion_6_remainder_bound_at_desk_scale(self):
         grid = GridSpec()  # 25 geometric points in [1e3, 1e8]
         max_ratios = {}
         rows_by_k = {}
-        all_rows = verify_grid((1, 2, 3, 4), grid, bundle=bundle192)
+        all_rows = verify_grid((1, 2, 3, 4), grid)
         for k in (1, 2, 3, 4):
             rows = [r for r in all_rows if r.k == k]
             rows_by_k[k] = rows
@@ -239,12 +239,12 @@ class TestAcceptance:
             f"in {sieve_elapsed:.1f}s",
         )
 
-    def test_criterion_8_determinism_and_formats(self, bundle192):
+    def test_criterion_8_determinism_and_formats(self):
         grid = GridSpec(start=1000, stop=10**6, points=6)
         rows1, rows2 = [], []
         for k in (1, 2):
-            rows1.extend(verify_grid(k, grid, bundle=bundle192))
-            rows2.extend(verify_grid(k, grid, bundle=bundle192))
+            rows1.extend(verify_grid(k, grid))
+            rows2.extend(verify_grid(k, grid))
         csv1, csv2 = emit_report(rows1, "csv"), emit_report(rows2, "csv")
         json1, json2 = emit_report(rows1, "json"), emit_report(rows2, "json")
         assert csv1 == csv2 and json1 == json2, "repeated runs are not byte-identical"

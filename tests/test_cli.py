@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mertens_sums import cli, harness, primes, sums
+from mertens_sums import cli, hankel, harness, primes, sums
 from mertens_sums.cli import main
 from mertens_sums.primes import sieve
 
@@ -112,6 +112,22 @@ class TestHankelCommand:
         assert code == 2
         assert out == "" and err == "mertens: error: argument --z: not allowed with argument --m\n"
 
+    def test_z_beyond_envelope_before_any_quadrature(self, capsys, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature started before the |z| check")
+
+        monkeypatch.setattr(hankel, "_refine", no_quadrature)
+        code, out, err = run(capsys, "hankel", "--z", "4.5", "--x", "100")
+        assert (code, out) == (2, "")
+        assert err == "mertens: error: |z| <= 4 is the tested envelope, got 4.5\n"
+
+    @pytest.mark.parametrize("prec,expected", [("5", 2), ("100000", 4)])
+    def test_prec_checked_where_the_mode_ignores_it(self, capsys, prec, expected):
+        # --z needs no multiprecision constants, yet --prec is validated for every command
+        code, out, err = run(capsys, "hankel", "--z", "0.5", "--x", "100", "--prec", prec)
+        assert (code, out) == (expected, "")
+        assert err.startswith("mertens: error: precision ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ("--z", "nan", "--x", "1000"),
         ("--z", "inf", "--x", "1000"),
@@ -137,40 +153,21 @@ class TestSumCommand:
         assert payload["terms"] == 587
         assert payload["value"].startswith("3.6348692940")
 
-    def test_direct_method(self, capsys):
-        code, out, _ = run(capsys, "sum", "--k", "1", "--x", "10", "--method", "direct",
-                           "--digits", "12")
-        assert code == 0
-        assert "1.17619047619" in out
-
-    def test_direct_above_oracle_scale_sieves_nothing_large(self, capsys, monkeypatch):
-        # x above the oracle's scale is refused without sieving up to x
-        def small_sieve(limit):
-            assert limit <= 10**5, f"sieved to {limit}"
-            return sieve(limit)
-
-        monkeypatch.setattr(cli, "sieve", small_sieve)
-        code, out, err = run(capsys, "sum", "--k", "2", "--x", "1000000000", "--method", "direct")
-        assert code == 4
-        assert out == ""
-        assert "oracle scale" in err and len(err.splitlines()) == 1
-
     def test_exit_code_capacity(self, capsys):
         code, _, err = run(capsys, "sum", "--k", "2", "--x", "10**15")
         assert code == 2  # argparse rejects the literal -> invalid arguments
-        code, _, err = run(capsys, "sum", "--k", "2", "--x", "200000", "--method", "direct")
+        code, out, err = run(capsys, "sum", "--k", "2", "--x", "20000000000")
         assert code == 4
-        assert "oracle scale" in err
+        assert out == "" and len(err.splitlines()) == 1
 
     def test_exit_code_domain(self, capsys):
         code, _, err = run(capsys, "sum", "--k", "0", "--x", "100")
         assert code == 2
 
     @pytest.mark.parametrize("x", ["-5", "0"])
-    def test_x_below_one_same_message_for_both_methods(self, capsys, x):
-        for method in ("fast", "direct"):
-            code, out, err = run(capsys, "sum", "--k", "2", "--x", x, "--method", method)
-            assert (code, out, err) == (2, "", f"mertens: error: x must be >= 1, got {x}\n")
+    def test_x_below_one_exits_2(self, capsys, x):
+        code, out, err = run(capsys, "sum", "--k", "2", "--x", x)
+        assert (code, out, err) == (2, "", f"mertens: error: x must be >= 1, got {x}\n")
 
     def test_golden_json(self, capsys):
         # pinned output of the fixed-point engine; any change to its bits shows here
@@ -244,7 +241,7 @@ class TestVerifyCommand:
                        "maximum 10000000000\n")
 
     def test_sieves_only_to_isqrt(self, capsys, monkeypatch):
-        # the engine reads primes up to isqrt(x); only the direct oracle needs them up to x
+        # the engine reads primes up to isqrt(x), never up to x
         limits = []
 
         def recording_sieve(limit):
@@ -257,8 +254,7 @@ class TestVerifyCommand:
         assert run(capsys, "sum", "--k", "2", "--x", "1000000")[0] == 0
         assert run(capsys, "verify", "--k", "1", "--start", "1000", "--stop", "250000",
                    "--points", "2")[0] == 0
-        assert run(capsys, "sum", "--k", "2", "--x", "1000", "--method", "direct")[0] == 0
-        assert limits == [1000, 500, 1000]
+        assert limits == [1000, 500]
 
 class TestArgumentHandling:
     def test_unknown_command_exits_2(self, capsys):
@@ -293,9 +289,11 @@ class TestArgumentHandling:
         ("sum", "--k", "2", "--x", "100", "--sieve-limit", "100"),
         ("verify", "--k", "1", "--stop", "5000", "--sieve-limit", "1000"),
         ("constants", "--c1-method", "direct"),
+        ("sum", "--k", "2", "--x", "1000", "--method", "direct"),
     ])
     def test_removed_options_exit_2(self, capsys, argv):
-        # csv is a verify report format only; --sieve-limit and --c1-method are gone
+        # csv is a verify report format only; --sieve-limit, --c1-method and
+        # sum's --method are gone
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("mertens: error: ") and len(err.splitlines()) == 1
@@ -323,8 +321,7 @@ EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1" + "0" * 30, "")
 COMMON_FLAGS = {"--prec": ("64", "192"), "--digits": ("1", "20"),
                 "--format": ("text", "csv", "json")}
 SUBCOMMAND_FLAGS = {  # small valid values keep each example well under a second
-    "sum": {"--k": ("1", "2", "4"), "--x": ("1", "2", "10", "1000"),
-            "--method": ("direct", "fast")},
+    "sum": {"--k": ("1", "2", "4"), "--x": ("1", "2", "10", "1000")},
     "verify": {"--k": ("1", "3"), "--start": ("3", "100"), "--stop": ("20", "2000"),
                "--points": ("2", "5")},
     "poly": {"--k": ("1", "4"), "--symbolic": None},

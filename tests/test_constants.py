@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from mpmath import mp, mpf
 
@@ -9,7 +8,6 @@ from conftest import assert_close_digits, prime_log_series
 from mertens_sums import constants as cn
 from mertens_sums.bigreal import (
     DEFAULT_PRECISION,
-    MIN_PRECISION,
     check_precision,
     working_precision,
 )
@@ -300,24 +298,3 @@ class TestBundle:
         with mp.workprec(bundle192.precision + 32):  # construction precision
             assert bundle192.h0 == bundle192.c1 - bundle192.gamma
         assert set(range(2, 11)).issubset(bundle192.zeta.keys())
-
-    def test_recip_gamma_series_evaluation(self):
-        with mp.workprec(160):
-            # 1/Gamma(2) = 1 and 1/Gamma(3) = 1/2
-            assert abs(cn.recip_gamma(1, 128) - 1) < mpf(10) ** -30
-            assert abs(cn.recip_gamma(2, 128) - mpf(1) / 2) < mpf(10) ** -30
-        with pytest.raises(DomainError):
-            cn.recip_gamma(5.0, 128)
-
-    @pytest.mark.parametrize("precision", [53, 64, 96, 192, 1024])
-    @pytest.mark.parametrize("z", [-3.5, -2, 0.5, 3, 4])
-    def test_recip_gamma_against_mpmath(self, z, precision):
-        if precision < MIN_PRECISION:
-            with pytest.raises(DomainError):
-                cn.recip_gamma(z, precision)
-            return
-        value = cn.recip_gamma(z, precision)
-        with mp.workprec(precision + 200):
-            exact = mpmath.rgamma(1 + mpf(z))
-            tolerance = mpf(2) ** -precision * max(1, abs(exact))
-            assert abs(value - exact) <= tolerance, (z, precision)

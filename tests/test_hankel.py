@@ -32,8 +32,8 @@ class TestPowerIdentity:
         assert abs(hk.hankel_power_quad(1.0, math.e).value - 1.0) < 1e-8
 
     def test_half_integer_closed_forms_are_independent(self):
-        # the closed-form helper (reciprocal-gamma series) must agree with
-        # the explicit half-integer formulas
+        # the closed-form helper (mpmath's rgamma) must agree with the
+        # explicit half-integer formulas
         for z in (0.5, 2.5):
             series = hk.power_law_closed_form(z, 100.0)
             explicit = math.log(100.0) ** z / gamma_half_integer(int(2 * z) + 2)
@@ -49,7 +49,7 @@ class TestPowerIdentity:
             hk.hankel_power_quad(0.5, 1.0)
         with pytest.raises(DomainError):
             hk.hankel_power_quad(9.0, 10.0)
-        # beyond the closed form's 1/Gamma series envelope: rejected before any quadrature
+        # beyond MAX_ABS_Z, the tested envelope: rejected before any quadrature
         with pytest.raises(DomainError):
             hk.hankel_power_quad(4.5, 100.0)
 

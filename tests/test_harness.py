@@ -6,6 +6,8 @@ import jsonschema
 import pytest
 from mpmath import mp, mpf
 
+from mertens_sums.asymptotics import MAX_DEGREE, evaluate_main_term
+from mertens_sums.constants import ConstantsBundle
 from mertens_sums.errors import CapacityError, DomainError
 from mertens_sums.harness import (
     MAX_GRID_POINTS,
@@ -19,11 +21,11 @@ from mertens_sums.harness import (
 
 
 @pytest.fixture(scope="module")
-def small_rows(bundle192):
+def small_rows():
     grid = GridSpec(start=1000, stop=10**6, points=4)
     rows = []
     for k in (1, 2):
-        rows.extend(verify_grid(k, grid, bundle=bundle192))
+        rows.extend(verify_grid(k, grid))
     return rows
 
 
@@ -58,11 +60,11 @@ class TestVerifyGrid:
             oracle = math.fsum(1.0 / p for p in primes_1e6.primes[:upto].tolist())
             assert abs(float(mpf(row.s_value)) - oracle) < 1e-12
 
-    def test_zero_sum_region(self, bundle192):
+    def test_zero_sum_region(self):
         # every grid point below 2^k has S_k = 0; main term and ratio are
         # still produced normally
         grid = GridSpec(start=3, stop=7, points=3)
-        rows = verify_grid(3, grid, bundle=bundle192)
+        rows = verify_grid(3, grid)
         assert rows  # grid is nonempty even in the degenerate corner
         for r in rows:
             assert r.x < 2**3
@@ -91,23 +93,32 @@ class TestVerifyGrid:
             for r in (r for r in small_rows if r.k == 1):
                 assert abs(mpf(r.ratio) - mpf(r.abs_err) * mp.log(r.x)) < mpf(10) ** -18
 
-    def test_determinism(self, bundle192):
+    def test_determinism(self):
         grid = GridSpec(start=1000, stop=100_000, points=3)
-        a = verify_grid(2, grid, bundle=bundle192)
-        b = verify_grid(2, grid, bundle=bundle192)
+        a = verify_grid(2, grid)
+        b = verify_grid(2, grid)
         assert a == b
 
-    def test_multi_k_equals_per_k_calls(self, bundle192):
+    def test_multi_k_equals_per_k_calls(self):
         grid = GridSpec(start=1000, stop=100_000, points=3)
         per_k = [row for k in (4, 1, 1)
-                 for row in verify_grid(k, grid, bundle=bundle192)]
-        assert verify_grid([4, 1, 1], grid, bundle=bundle192) == per_k
+                 for row in verify_grid(k, grid)]
+        assert verify_grid([4, 1, 1], grid) == per_k
 
-    def test_k_validation(self, bundle192):
+    def test_main_term_at_the_requested_precision(self):
+        # the constants follow ``precision``: at 320 bits P_k holds all 80 printed digits
+        grid = GridSpec(start=1000, stop=10**5, points=3)
+        reference = ConstantsBundle.build(640, m_max=MAX_DEGREE)
+        with mp.workprec(700):
+            for r in verify_grid(2, grid, precision=320, digits=80):
+                exact = evaluate_main_term(2, r.x, reference)
+                assert abs(mpf(r.main_term) - exact) < mpf(10) ** -78 * abs(exact), r.x
+
+    def test_k_validation(self):
         grid = GridSpec(start=1000, stop=10_000, points=2)
         for ks in ([], [1, 0], 0):
             with pytest.raises(DomainError):
-                verify_grid(ks, grid, bundle=bundle192)
+                verify_grid(ks, grid)
 
 
 class TestReports:
