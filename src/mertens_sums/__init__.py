@@ -9,11 +9,9 @@ Hankel-contour checks of the identities behind them.
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    CoefficientTable,
     Polynomial,
     evaluate_main_term,
     im_closed_form,
-    lambda_coeffs,
     pk_polynomial,
 )
 from .bigreal import DEFAULT_PRECISION, to_decimal
@@ -53,7 +51,6 @@ from .sums import (
 
 __all__ = [
     "CapacityError",
-    "CoefficientTable",
     "ConstantsBundle",
     "ConvergenceError",
     "DEFAULT_PRECISION",
@@ -76,7 +73,6 @@ __all__ = [
     "hankel_power_quad",
     "im_closed_form",
     "im_quad",
-    "lambda_coeffs",
     "mertens_c1",
     "mobius",
     "parse_report",

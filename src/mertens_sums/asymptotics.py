@@ -12,7 +12,7 @@ and a_m = (1/Gamma)^(m)(1).  The same polynomial also arises as
     P_k(X) = sum_{0<=m<=k} C(k,m) a_m (X + h0)^(k-m),
 
 and both assembly paths are exposed so their agreement can be checked.
-The one-variable integrals feeding the coefficients,
+The one-variable integrals feeding the coefficients, the second form at h0 = 0,
 
     I_m(x) = sum_{0<=j<=m} C(m,j) (loglog x)^j a_{m-j},
 
@@ -31,18 +31,6 @@ from .constants import ConstantsBundle
 from .errors import CapacityError, DomainError
 
 MAX_DEGREE = 12
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """lambda_{0,k} .. lambda_{k,k} for one k."""
-
-    k: int
-    lam: tuple
-
-    def __post_init__(self):
-        if len(self.lam) != self.k + 1:
-            raise DomainError("coefficient table must have length k+1")
 
 
 @dataclass(frozen=True)
@@ -76,55 +64,53 @@ def _check_k(k: int, bundle: ConstantsBundle) -> None:
 
 
 def multinomial(k: int, m: int, j: int) -> int:
-    """(k; m, j, k-m-j) = k!/(m! j! (k-m-j)!) in exact integer arithmetic."""
+    """(k; m, j, k-m-j) = k!/(m! j! (k-m-j)!) for m, j >= 0 and m + j <= k, exactly."""
     r = k - m - j
-    if min(m, j, r) < 0:
-        return 0
     return math.factorial(k) // (math.factorial(m) * math.factorial(j) * math.factorial(r))
 
 
-def lambda_coeffs(k: int, bundle: ConstantsBundle) -> CoefficientTable:
-    """The coefficients lambda_{j,k} of the main-term polynomial."""
+def _powers(base, n: int) -> list:
+    """[1, base, ..., base^n] at the ambient precision."""
+    out = [mpf(1)]
+    for _ in range(n):
+        out.append(out[-1] * base)
+    return out
+
+
+def _binomial_expansion(k: int, a, shift) -> tuple:
+    """Degree-order coefficients of sum_{0<=m<=k} C(k,m) a_m (X + shift)^(k-m)."""
+    coeffs = [mpf(0)] * (k + 1)
+    spow = _powers(shift, k)
+    for m in range(k + 1):
+        d = k - m
+        cm = math.comb(k, m)
+        for j in range(d + 1):  # (X + shift)^d = sum_j C(d,j) shift^(d-j) X^j
+            coeffs[j] += cm * a[m] * math.comb(d, j) * spow[d - j]
+    return tuple(+c for c in coeffs)
+
+
+def pk_polynomial(k: int, bundle: ConstantsBundle, path: str = "lambda") -> Polynomial:
+    """P_k as a polynomial, assembled along either route.
+
+    ``lambda`` sums the coefficients lambda_{j,k} directly; ``binomial``
+    expands sum_m C(k,m) a_m (X + h0)^(k-m), the pre-rearrangement form.
+    The two must agree to working precision.
+    """
     _check_k(k, bundle)
+    if path not in ("lambda", "binomial"):
+        raise DomainError(f"unknown path {path!r}; expected 'lambda' or 'binomial'")
     a = bundle.recip_gamma_derivs
     with working_precision(bundle.precision):
-        h0pow = [mpf(1)]
-        for _ in range(k):
-            h0pow.append(h0pow[-1] * bundle.h0)
+        if path == "binomial":
+            return Polynomial(coeffs=_binomial_expansion(k, a, bundle.h0))
+        h0pow = _powers(bundle.h0, k)
         lam = []
         for j in range(k + 1):
             acc = mpf(0)
             for m in range(k - j + 1):
                 acc += multinomial(k, m, j) * h0pow[k - m - j] * a[m]
             lam.append(+acc)
-    return CoefficientTable(k=k, lam=tuple(lam))
-
-
-def pk_polynomial(k: int, bundle: ConstantsBundle, path: str = "lambda") -> Polynomial:
-    """P_k as a polynomial, assembled along either route.
-
-    ``lambda`` reads the coefficient formula directly; ``binomial`` expands
-    sum_m C(k,m) a_m (X + h0)^(k-m), the pre-rearrangement form.  The two
-    must agree to working precision.
-    """
-    _check_k(k, bundle)
-    if path == "lambda":
-        return Polynomial(coeffs=lambda_coeffs(k, bundle).lam)
-    if path != "binomial":
-        raise DomainError(f"unknown path {path!r}; expected 'lambda' or 'binomial'")
-    a = bundle.recip_gamma_derivs
-    with working_precision(bundle.precision):
-        coeffs = [mpf(0)] * (k + 1)
-        h0pow = [mpf(1)]
-        for _ in range(k):
-            h0pow.append(h0pow[-1] * bundle.h0)
-        for m in range(k + 1):
-            d = k - m
-            cm = math.comb(k, m)
-            for j in range(d + 1):  # (X + h0)^d = sum_j C(d,j) h0^(d-j) X^j
-                coeffs[j] += cm * a[m] * math.comb(d, j) * h0pow[d - j]
-        coeffs = tuple(+c for c in coeffs)
-    return Polynomial(coeffs=coeffs)
+    return Polynomial(coeffs=tuple(lam))
 
 
 def _loglog(x):
@@ -135,28 +121,21 @@ def _loglog(x):
 
 
 def im_closed_form(m: int, x, bundle: ConstantsBundle):
-    """I_m(x) = sum_{0<=j<=m} C(m,j) (loglog x)^j a_{m-j} for x >= 3."""
+    """I_m(x) = sum_j C(m,j) (loglog x)^j a_{m-j} for x >= 3: the binomial form at shift 0."""
     if not isinstance(m, int) or m < 0:
         raise DomainError(f"m must be an integer >= 0, got {m!r}")
     if m > bundle.m_max:
         raise CapacityError(f"m={m} exceeds the bundle's derivative range")
-    a = bundle.recip_gamma_derivs
     with working_precision(bundle.precision):
         ll = _loglog(x)
-        acc = mpf(0)
-        llpow = mpf(1)
-        for j in range(m + 1):
-            acc += math.comb(m, j) * llpow * a[m - j]
-            llpow *= ll
-        return +acc
+        return +Polynomial(coeffs=_binomial_expansion(m, bundle.recip_gamma_derivs, 0))(ll)
 
 
 def evaluate_main_term(k: int, x, bundle: ConstantsBundle):
     """P_k(loglog x) with Horner evaluation of the lambda-path polynomial."""
-    _check_k(k, bundle)
+    poly = pk_polynomial(k, bundle)
     with working_precision(bundle.precision):
-        ll = _loglog(x)
-        return +pk_polynomial(k, bundle, "lambda")(ll)
+        return +poly(_loglog(x))
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .asymptotics import (
     MAX_DEGREE,
     closed_form_coefficients,
     im_closed_form,
-    lambda_coeffs,
+    pk_polynomial,
 )
 from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, check_digits, check_precision, to_decimal
 from .constants import ConstantsBundle
@@ -41,7 +41,7 @@ from .harness import (
     verify_grid,
 )
 from .primes import sieve
-from .sums import sk_fast
+from .sums import FAST_MAX_X, sk_fast
 
 
 def _common_flags(sp: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -100,8 +100,8 @@ def _cmd_constants(args) -> int:
 def _cmd_poly(args) -> int:
     k = args.k
     bundle = ConstantsBundle.build(args.prec, m_max=MAX_DEGREE)
-    table = lambda_coeffs(k, bundle)
-    coefficients = {str(j): to_decimal(c, args.digits) for j, c in enumerate(table.lam)}
+    poly = pk_polynomial(k, bundle)
+    coefficients = {str(j): to_decimal(c, args.digits) for j, c in enumerate(poly.coeffs)}
     lines = [f"P_{k}(X) coefficients (degree: value)"]
     lines += [f"  X^{j}: {c}" for j, c in coefficients.items()]
     payload = {"k": k, "coefficients": coefficients}
@@ -111,7 +111,7 @@ def _cmd_poly(args) -> int:
             closed = closed_form_coefficients(k, bundle)
             payload["closed_form"] = CLOSED_FORM_STRINGS[k]
             payload["deltas"] = {str(j): to_decimal(abs(a - b), 3)
-                                 for j, (a, b) in enumerate(zip(table.lam, closed))}
+                                 for j, (a, b) in enumerate(zip(poly.coeffs, closed))}
             lines.append(CLOSED_FORM_STRINGS[k])
             lines += [f"  X^{j} delta vs closed form: {d}" for j, d in payload["deltas"].items()]
         else:
@@ -144,7 +144,8 @@ def _cmd_hankel(args) -> int:
 
 
 def _cmd_sum(args) -> int:
-    res = sk_fast(args.k, args.x, sieve(math.isqrt(max(args.x, 0))), precision=args.prec)
+    primes = sieve(math.isqrt(min(max(args.x, 0), FAST_MAX_X)))  # the engine refuses larger x
+    res = sk_fast(args.k, args.x, primes, precision=args.prec)
     payload = {
         "k": res.k,
         "x": res.x,

@@ -117,7 +117,7 @@ def _zeta_fixed(s: int, precision: int):
         total += term
         if abs(term) < eps:
             with working_precision(precision):
-                return mp.ldexp(total, -bits)
+                return +mp.ldexp(total, -bits)
         rising *= (s + 2 * i - 1) * (s + 2 * i)
         npow *= n_direct * n_direct
         fact *= (2 * i + 1) * (2 * i + 2)

@@ -17,8 +17,9 @@ for every argument >= 1 (the empty product), which makes the recursion
 close; S_k depends on x only through floor(x), so arguments are integers.
 
 The engine's level tables, one entry per key, hold S_j as integers
-scaled by 2^frac_bits.  Level 1 is max(T - e, 0) for a key-space sieve
-table T within e of S_1 at every key, and pi is exact (:func:`_level_one`).
+scaled by 2^frac_bits.  Level 1 is the prefix maximum of max(T - e, 0), for
+a key-space sieve table T within e of S_1 at every key, so within 2e below
+the nondecreasing S_1; pi is exact (:func:`_level_one`).
 Level j is evaluated at key v with r = isqrt(v) split in two (the
 hyperbola method, Tenenbaum, Introduction to Analytic and Probabilistic
 Number Theory, I.3):
@@ -32,9 +33,10 @@ Number Theory, I.3):
   at v // y and at r for y = ymax + 1, sum_y P(y) (A(y) - A(y + 1)) =
   sum_y A(y) (P(y) - P(y - 1)) - P(ymax) A(ymax + 1).  The A(y) - A(y + 1)
   are differences of level 1 + e, a table within e of S_1, so by Abel
-  summation the sum is off by at most e (TV + S_{j-1}(ymax)), TV the
-  total variation of level j-1 up to ymax; that is subtracted before the
-  shift.
+  summation the sum is off by at most e (TV + P(ymax)), TV the total
+  variation of P up to ymax.  At keys up to sqrt(x) every level is
+  nondecreasing (level 1 a prefix maximum, levels j >= 2 running sums,
+  below), so TV = P(ymax): 2e P(ymax) is subtracted before the shift.
 
 Every argument above is a key, so no level needs one division per
 (key, prime) pair.  A key y needs no recursion, though: S_j(y) sums
@@ -69,7 +71,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, count, islice, repeat
-from operator import floordiv, mul, sub
+from operator import floordiv, mul
 
 import numpy as np
 from mpmath import mp, mpf
@@ -301,7 +303,7 @@ def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[
     """One grouped-quotient level (see module docstring) at the table positions given.
 
     The grouped part is summed by parts: one product per step of ``prev`` up to ymax.
-    ``abel[ymax]`` is e (TV + prev) at key ymax, at scale 2^(2 frac_bits).
+    ``abel[ymax]`` is 2e prev(ymax), at scale 2^(2 frac_bits).
     Returns full-length (values, counts) lists whose other entries are 0.
     """
     indices = keyspace.indices
@@ -402,7 +404,7 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
     level1, pi, e = _level_one(keyspace, small_primes, frac_bits)
-    level1, ledger = [max(v - e, 0) for v in level1], 2 * e
+    level1, ledger = list(accumulate((max(v - e, 0) for v in level1), max)), 2 * e
     yield level1, pi, ledger
     if k == 1:
         return
@@ -418,9 +420,7 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
             positions = (nk - np.flatnonzero(omega[1 : top + 1] <= k - j) - 1).tolist()
         else:
             positions = [nk - 1]
-        small = vals[:s]  # Abel bounds, nondecreasing in ymax
-        tv = accumulate(map(abs, map(sub, small, [0, *small])))
-        abel = [0, *(e * (t + v) for t, v in zip(tv, small))]
+        abel = [0, *(2 * e * v for v in vals[:s])]  # Abel bounds, nondecreasing in ymax
         vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi,
                                 vals, counts, abel, frac_bits)
         if j < k:
@@ -443,10 +443,8 @@ def truncation_error_ledger(ledger: int, s1_upper: int, pi_sqrt: int, abel_max: 
 
 
 def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):
-    with mp.workprec(max(frac_bits + 32, precision + 32)):
-        v = mpf(value_int) / mpf(2) ** frac_bits
     with working_precision(precision):
-        return +v
+        return +mp.ldexp(value_int, -frac_bits)
 
 
 def _fixed_value_bound(value_int: int, ledger: int, frac_bits: int, precision: int):

@@ -95,7 +95,7 @@ class TestAcceptance:
             tol25 = mpf(10) ** -25
             worst_gold = mpf(0)
             for k in (1, 2, 3, 4):
-                lam = asy.lambda_coeffs(k, bundle224).lam
+                lam = asy.pk_polynomial(k, bundle224).coeffs
                 golden = asy.closed_form_coefficients(k, bundle224)
                 for j, (have, want) in enumerate(zip(lam, golden)):
                     delta = abs(have - want)

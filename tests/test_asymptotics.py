@@ -52,37 +52,37 @@ def expand_golden(k, bundle):
 
 class TestLambdaCoefficients:
     def test_k1(self, bundle224):
-        table = asy.lambda_coeffs(1, bundle224)
-        assert table.lam[1] == 1
-        assert_close_digits(table.lam[0], bundle224.c1, 30, "lambda_{0,1}")
+        table = asy.pk_polynomial(1, bundle224)
+        assert table.coeffs[1] == 1
+        assert_close_digits(table.coeffs[0], bundle224.c1, 30, "lambda_{0,1}")
 
     def test_k2_values(self, bundle224):
-        table = asy.lambda_coeffs(2, bundle224)
-        assert_close_digits(table.lam[1], LAMBDA_1_2, 38)
-        assert_close_digits(table.lam[0], LAMBDA_0_2, 38)
+        table = asy.pk_polynomial(2, bundle224)
+        assert_close_digits(table.coeffs[1], LAMBDA_1_2, 38)
+        assert_close_digits(table.coeffs[0], LAMBDA_0_2, 38)
         with mp.workprec(256):
-            assert_close_digits(table.lam[1], 2 * bundle224.c1, 30, "lambda_{1,2}=2c1")
+            assert_close_digits(table.coeffs[1], 2 * bundle224.c1, 30, "lambda_{1,2}=2c1")
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_leading_coefficient_and_degree(self, k, bundle192):
-        table = asy.lambda_coeffs(k, bundle192)
-        assert len(table.lam) == k + 1
-        assert table.lam[k] == 1
+        table = asy.pk_polynomial(k, bundle192)
+        assert len(table.coeffs) == k + 1
+        assert table.coeffs[k] == 1
 
     def test_capacity_errors(self, bundle224):
         with pytest.raises(DomainError):
-            asy.lambda_coeffs(0, bundle224)
+            asy.pk_polynomial(0, bundle224)
         small = ConstantsBundle.build(128, m_max=3)
         with pytest.raises(CapacityError):
-            asy.lambda_coeffs(5, small)  # beyond the bundle's derivative range
+            asy.pk_polynomial(5, small)  # beyond the bundle's derivative range
         with pytest.raises(CapacityError):
-            asy.lambda_coeffs(13, bundle224)  # beyond the degree cap
+            asy.pk_polynomial(13, bundle224)  # beyond the degree cap
 
 
 class TestGoldenPolynomials:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_lambda_path_matches_expanded_closed_forms(self, k, bundle224):
-        lam = asy.lambda_coeffs(k, bundle224).lam
+        lam = asy.pk_polynomial(k, bundle224).coeffs
         golden = expand_golden(k, bundle224)
         for j, (a, b) in enumerate(zip(lam, golden)):
             assert_close_digits(a, b, 25, f"k={k} coefficient of X^{j}")

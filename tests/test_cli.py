@@ -184,6 +184,20 @@ class TestSumCommand:
             "x": 1000000,
         }
 
+    @pytest.mark.parametrize("x", [10**18, 10**20])
+    def test_huge_x_is_refused_before_a_large_sieve(self, x, capsys, monkeypatch):
+        limits = []
+
+        def recording_sieve(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(cli, "sieve", recording_sieve)
+        code, out, err = run(capsys, "sum", "--k", "1", "--x", str(x))
+        assert (code, out) == (4, "")
+        assert err == f"mertens: error: x={x} exceeds the configured maximum 10000000000\n"
+        assert max(limits) <= 100_000
+
 
 def forbid_work(monkeypatch):
     """Make every sieve, DP pass and constants build fail the test."""

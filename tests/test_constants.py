@@ -8,6 +8,7 @@ from conftest import assert_close_digits, prime_log_series
 from mertens_sums import constants as cn
 from mertens_sums.bigreal import (
     DEFAULT_PRECISION,
+    GUARD_BITS,
     check_precision,
     working_precision,
 )
@@ -120,6 +121,11 @@ class TestZeta:
                 got = cn.zeta_int(s, precision)
                 ref = mp.zeta(s)
                 assert abs(got - ref) <= mpf(2) ** -(precision + 24) * ref, s
+
+    @pytest.mark.parametrize("precision", [64, 192, 1024])
+    def test_rounded_to_working_precision(self, precision):
+        for s in range(2, 41):
+            assert cn.zeta_int(s, precision).man.bit_length() <= precision + GUARD_BITS, s
 
     def test_huge_integer(self):
         # zeta(s) - 1 < 2^(1-s) is far below the budget: no power of s is built

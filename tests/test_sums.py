@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mertens_sums import sums
-from mertens_sums.bigreal import MAX_PRECISION
+from mertens_sums.bigreal import GUARD_BITS, MAX_PRECISION
 from mertens_sums.errors import CapacityError, DomainError, ParameterError
 from mertens_sums.primes import sieve
 from mertens_sums.sums import (
@@ -300,6 +300,21 @@ class TestLevels:
     def test_domain(self, primes_1e4):
         with pytest.raises(DomainError):
             sk_levels(0, 100, primes_1e4)
+
+    @pytest.mark.parametrize("x", [997, 65_537, 10**6])
+    def test_tables_nondecreasing_where_the_grouped_step_reads(self, x, primes_1e6):
+        # the Abel bound 2e P(ymax) needs every table read at keys <= sqrt(x) to
+        # be nondecreasing there; level 1 is read at every key
+        ks = KeySpace.build(x)
+        levels = sums._levels(ks, primes_1e6.primes, sums.fixed_point_params(192), 4)
+        for j, (vals, _, _) in enumerate(levels, start=1):
+            upto = len(ks) if j == 1 else ks.sqrt_x
+            assert all(a <= b for a, b in zip(vals[:upto], vals[1:upto])), (j, x)
+
+    @pytest.mark.parametrize("precision", [64, 192, 1024])
+    def test_values_rounded_to_working_precision(self, precision, primes_1e4):
+        for res in sk_levels(6, 10**6, primes_1e4, precision):
+            assert res.value.man.bit_length() <= precision + GUARD_BITS, res.k
 
 
 def _abel_bounds(prev: list[int], e: int, sqrt_x: int) -> list[int]:
