@@ -19,7 +19,10 @@ close; S_k depends on x only through floor(x), so arguments are integers.
 The engine's level tables, one entry per key, hold S_j as integers
 scaled by 2^frac_bits.  Level 1 is the prefix maximum of max(T - e, 0), for
 a key-space sieve table T within e of S_1 at every key, so within 2e below
-the nondecreasing S_1; pi is exact (:func:`_level_one`).
+the nondecreasing S_1; pi is exact (:func:`_level_one`).  For k = 1 only
+x is read, so a demand pass first marks the sieve stages each key needs
+for T(x), and the sieve skips the rest; the prefix maximum at x is then
+max(T(x) - e, 0) itself, by Bertrand's postulate (:func:`_levels`).
 Level j is evaluated at key v with r = isqrt(v) split in two (the
 hyperbola method, Tenenbaum, Introduction to Analytic and Probabilistic
 Number Theory, I.3):
@@ -48,8 +51,9 @@ O(y0 loglog x) operations; Omega and c_j come from the primes up to
 sqrt(y0) = x^(1/3), divided out of a cofactor array.  Only the top keys
 x // n > y0, n <= x^(1/3), take the step above (Deleglise-Rivat, Math.
 Comp. 65, 1996, split the keys at x^(2/3) the same way).  Level k is
-evaluated only at x, and level j < k only where level j + 1 reads it: at
-every key up to y0 and at the top keys x // n with Omega(n) <= k - j.
+evaluated only at x (for k = 1 too, by the demand pass above), and level
+j < k only where level j + 1 reads it: at every key up to y0 and at the
+top keys x // n with Omega(n) <= k - j.
 That closes, because the per-prime part at a top key x // n reads
 x // (n p), either a key up to y0 or a top key with Omega(n p) <=
 k - j + 1, and the grouped part reads only keys up to sqrt(x) and the full
@@ -241,14 +245,24 @@ def _atanh(num: int, den: int, bits: int) -> int:
     return _series(coeffs, u * u >> bits, bits) * u >> bits
 
 
-def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int):
+def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
+               only_x: bool = False):
     """(T, pi, e) at every key, |T - 2^F S_1| <= e, F = frac_bits, pi exact.
+
+    With ``only_x`` this holds at x alone, and the other entries are partly
+    sieved.
 
     The key-space sieve of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985)
     and Deleglise-Rivat (Math. Comp. 65, 1996), "Lucy_Hedgehog's method":
     from T(v) = 2^F (H_v - 1) and pi(v) = v - 1, each prime p <= sqrt_x,
     smallest first, takes f(p) (T(v // p) - T(p - 1)) from every key
     v >= p^2 (f(p) = 1/p for T, 1 for pi; one index array serves both).
+    Each stage is one numpy object-array update, whose right-hand side
+    reads only the previous stage's values.  With ``only_x`` a demand pass,
+    from the last stage down, first counts the stages each key needs: x
+    needs all of them, and a key updated at stage i makes its source v // p,
+    and the key p - 1 that stage i also reads, need the i stages before it.
+    The sieve then updates at stage i only the keys that need it.
     Each update floors once, so e -> e + ceil(2e/p) + 1.  H_v is built 32
     guard bits lower from H_a - H_b for consecutive keys b < a: the sum of
     floor(2^(F+32)/n) over b < n <= a up to max(sqrt_x (F+32)/32, 2^12)
@@ -286,15 +300,23 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int):
             h, em_b = h + 2 * _atanh(a - b, a + b, bits) + em_a - em_b, em_a
         t.append(h >> INIT_GUARD_BITS)
         b = a
-    pi, e = keys - 1, 2
-    for p in small_primes:
-        lo = int(np.searchsorted(keys, p * p))
-        src = keyspace.indices(keys[lo:], p)
-        pi[lo:] -= pi[src] - pi[p - 2]
-        tp = t[p - 2]
-        t[lo:] = [v - (t[i] - tp) // p for v, i in zip(t[lo:], src.tolist())]
+    los = np.searchsorted(keys, np.array(small_primes, dtype=np.int64) ** 2).tolist()
+    if only_x:  # the stages each key needs, from the last stage down
+        need = np.zeros(nk, dtype=np.int64)
+        need[-1] = len(small_primes)
+        for i in range(len(small_primes) - 1, 0, -1):
+            p, lo = small_primes[i], los[i]
+            src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > i)], p)
+            need[src] = np.maximum(need[src], i)
+            need[p - 2] = max(need[p - 2], i)
+    t, pi, e = np.array(t, dtype=object), keys - 1, 2
+    for i, (p, lo) in enumerate(zip(small_primes, los)):
+        live = lo + np.flatnonzero(need[lo:] > i) if only_x else slice(lo, None)
+        src = keyspace.indices(keys[live], p)
+        t[live] -= (t[src] - t[p - 2]) // p
+        pi[live] -= pi[src] - pi[p - 2]
         e += -(-2 * e // p) + 1
-    return t, pi.tolist(), e
+    return t.tolist(), pi.tolist(), e
 
 
 def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[int],
@@ -392,22 +414,28 @@ def _running_sums(omega, tuples, low: np.ndarray, j: int, frac_bits: int):
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     """Yield (values, counts, ledger) for levels 1..k, each computed once.
 
-    ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  Level 1
-    fills every key and level k only x.  Level j < k fills the keys level
-    j + 1 reads (see the module docstring): every key up to y0 = max(x^(2/3),
-    sqrt_x) by one running sum (:func:`_running_sums`), and by a grouped-
-    quotient step the top keys x // n > y0 with Omega(n) <= k - j.  Other
-    entries are 0.  Running-sum entries are within 2 units, and every ledger
-    is at least pi(sqrt_x) + 1 >= 2 for x >= 4; below 4 the only key up to y0
-    is 1, where every level is exactly 0.
+    ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  Level k
+    fills only x; at k = 1 that is max(T(x) - e, 0) from the demand-pruned
+    sieve, which equals the prefix maximum at x: every other key v is at
+    most x // 2, Bertrand's postulate puts a prime in (x/2, x], so
+    T(x) - T(v) >= 2^F / x - 2e > 0 (e < 2^15 and F >= 104 up to
+    FAST_MAX_X).  For k >= 2 level 1 fills every key.  Level 1 < j < k fills
+    the keys level j + 1 reads (see the module docstring): every key up to
+    y0 = max(x^(2/3), sqrt_x) by one running sum (:func:`_running_sums`), and
+    by a grouped-quotient step the top keys x // n > y0 with
+    Omega(n) <= k - j.  Other entries are 0.  Running-sum entries are within
+    2 units, and every ledger is at least pi(sqrt_x) + 1 >= 2 for x >= 4;
+    below 4 the only key up to y0 is 1, where every level is exactly 0.
     """
     s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
-    level1, pi, e = _level_one(keyspace, small_primes, frac_bits)
-    level1, ledger = list(accumulate((max(v - e, 0) for v in level1), max)), 2 * e
-    yield level1, pi, ledger
-    if k == 1:
+    level1, pi, e = _level_one(keyspace, small_primes, frac_bits, only_x=k == 1)
+    ledger = 2 * e
+    if k == 1:  # the prefix maximum at x, by Bertrand's postulate
+        yield [0] * (nk - 1) + [max(level1[-1] - e, 0)], [0] * (nk - 1) + [pi[-1]], ledger
         return
+    level1 = list(accumulate((max(v - e, 0) for v in level1), max))
+    yield level1, pi, ledger
     keys = keyspace.keys.tolist()
     y0 = _cutoff(keyspace)
     top = x // (y0 + 1)  # the keys above y0 are x // n for n <= top, at nk - n

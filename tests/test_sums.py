@@ -369,7 +369,7 @@ def _dense_levels(k: int, x: int, primes, frac_bits: int):
     keys, s = ks.keys.tolist(), ks.sqrt_x
     low = ks.keys[ks.keys <= _cutoff(x)]
     plist = primes.primes[: primes.count_upto(x)]
-    level1, pi, ledger = next(sums._levels(ks, plist, frac_bits, 1))
+    level1, pi, ledger = next(sums._levels(ks, plist, frac_bits, 2))  # k = 1 fills only x
     e = ledger // 2  # level 1's ledger is twice its two-sided error
     small_primes = plist[: pi[s - 1]].tolist()
     omega, tuples = _shape_arrays(_cutoff(x))
@@ -507,7 +507,7 @@ class TestLedgerAtEveryKey:
         keys, nk, s = ks.keys.tolist(), len(ks), ks.sqrt_x
         exact = _exact_levels(1, x, primes_1e6)[0]
         floor_table = [exact[v].numerator * 2**frac_bits // exact[v].denominator for v in keys]
-        level1, pi, _ = next(sums._levels(ks, primes_1e6.primes, frac_bits, 1))
+        level1, pi, _ = next(sums._levels(ks, primes_1e6.primes, frac_bits, 2))
         e = 2 ** (frac_bits - 8)  # far above every floor the level drops
         r = math.isqrt(x)
         ymax = x // (r + 1)
@@ -598,7 +598,7 @@ def primes_1e7():
 class TestLevelOne:
     """The Lucy tables against a test-local floor-sum reference at every key.
 
-    The last three checks read level 1 as the DP pass yields it.
+    The last three checks read level 1 as a k = 2 DP pass yields it.
     """
 
     # both sides of: the first Euler-Maclaurin key (x // 2 > 2^12); the switch
@@ -653,13 +653,19 @@ class TestLevelOne:
             sk_fast(3, x, sieve(3161))
 
     @staticmethod
-    def _table(x, primes, precision=192):
-        """Level 1 of the DP pass over KeySpace(x), as {key: mpf at ``precision`` bits}."""
-        ks = KeySpace.build(x)
+    def _ints(x, primes, frac_bits):
+        """Level 1 of a k = 2 DP pass over KeySpace(x) at every key, as integers.
+
+        A k = 1 pass fills level 1 only at x.
+        """
+        return next(sums._levels(KeySpace.build(x), primes.primes, frac_bits, 2))[0]
+
+    def _table(self, x, primes, precision=192):
+        """Level 1 at every key of KeySpace(x), as {key: mpf at ``precision`` bits}."""
         frac_bits = sums.fixed_point_params(precision)
-        values, _, _ = next(sums._levels(ks, primes.primes, frac_bits, 1))
         return {key: sums._fixed_to_mpf(val, frac_bits, precision)
-                for key, val in zip(ks.keys.tolist(), values)}
+                for key, val in zip(KeySpace.build(x).keys.tolist(),
+                                    self._ints(x, primes, frac_bits))}
 
     def test_keys_of_ten(self, primes_1e4):
         table = self._table(10, primes_1e4)
@@ -677,12 +683,44 @@ class TestLevelOne:
                 assert abs(table[key] - want) < mpf(2) ** -180
 
     def test_nondecreasing(self, primes_1e4):
-        table = self._table(997, primes_1e4)
-        vals = [table[k] for k in sorted(table)]
+        # the integer table: rounding to mpf would hide descents of a unit or two
+        vals = self._ints(997, primes_1e4, sums.fixed_point_params(192))
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_entry_at_one_is_zero(self, primes_1e4):
         assert self._table(7, primes_1e4)[1] == 0
+
+
+class TestDemandPrunedLevelOne:
+    """At k = 1 the sieve runs only the stages T(x) needs; x must not notice.
+
+    The k = 2 pass runs every stage at every key.  Which stages run depends on
+    the keys alone, so the dense grid is checked at 64 bits and a sparser one
+    at 192.
+    """
+
+    SQUARES = [p * p + d for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                                   59, 61, 67, 71, 73, 79, 83, 89, 97) for d in (-1, 0, 1)]
+    LARGE = [65_537, 10**6, 10**7 + 3]
+
+    @pytest.mark.parametrize("precision, upto", [(64, 3000), (192, 400)])
+    def test_sk_levels_match_full_pass(self, precision, upto, primes_1e7):
+        for x in sorted({*range(1, upto + 1), *self.SQUARES, *self.LARGE}):
+            pruned, full = (sk_levels(k, x, primes_1e7, precision)[0] for k in (1, 2))
+            assert (pruned.value, pruned.error_bound, pruned.terms) == (
+                full.value, full.error_bound, full.terms), (precision, x)
+
+    @pytest.mark.parametrize("precision", [64, 192])
+    def test_sieve_exact_at_x_and_table_zero_elsewhere(self, precision, primes_1e7):
+        frac_bits = sums.fixed_point_params(precision)
+        for x in sorted({*range(1, 201), *self.SQUARES, *self.LARGE}):
+            ks = KeySpace.build(x)
+            small = primes_1e7.primes[: primes_1e7.count_upto(ks.sqrt_x)].tolist()
+            t, pi, e = sums._level_one(ks, small, frac_bits, only_x=True)
+            want_t, want_pi, want_e = sums._level_one(ks, small, frac_bits)
+            assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), (precision, x)
+            (vals, counts, _), = sums._levels(ks, primes_1e7.primes, frac_bits, 1)
+            assert vals[:-1] == counts[:-1] == [0] * (len(ks) - 1), (precision, x)
 
 
 class TestOracleEquivalence:
@@ -713,8 +751,10 @@ class TestPublishedCounts:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_terms(self, n):
         x = 10**n
-        s1, s2 = sk_levels(2, x, sieve(math.isqrt(x)), precision=64)
+        primes = sieve(math.isqrt(x))
+        s1, s2 = sk_levels(2, x, primes, precision=64)
         assert s1.terms == self.PI[n]
+        assert sk_levels(1, x, primes, precision=64)[0].terms == self.PI[n]  # demand-pruned
         assert s2.terms == 2 * self.SEMIPRIMES[n] - self.PI_SQRT[n]
 
 
