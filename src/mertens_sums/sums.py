@@ -19,10 +19,16 @@ close; S_k depends on x only through floor(x), so arguments are integers.
 The engine's level tables, one entry per key, hold S_j as integers
 scaled by 2^frac_bits.  Level 1 is the prefix maximum of max(T - e, 0), for
 a key-space sieve table T within e of S_1 at every key, so within 2e below
-the nondecreasing S_1; pi is exact (:func:`_level_one`).  For k = 1 only
-x is read, so a demand pass first marks the sieve stages each key needs
-for T(x), and the sieve skips the rest; the prefix maximum at x is then
-max(T(x) - e, 0) itself, by Bertrand's postulate (:func:`_levels`).
+the nondecreasing S_1; pi is exact (:func:`_level_one`).  The sieve's
+stages, one per prime p <= sqrt(x), split at x^(1/3) as the levels below
+do.  A stage with p^3 > x writes keys v >= p^2 and reads v // p < x / p
+and p - 1, all below q^2 for q the smallest such prime, so these stages
+commute: each top key x // n >= q^2 takes them all at once from the
+values the stages p^3 <= x leave, the same integers as one by one.  For
+k = 1 only x is read, so a demand pass first marks the stages p^3 <= x
+each key needs for T(x), and the sieve skips the rest; the prefix maximum
+at x is then max(T(x) - e, 0) itself, by Bertrand's postulate
+(:func:`_levels`).
 Level j is evaluated at key v with r = isqrt(v) split in two (the
 hyperbola method, Tenenbaum, Introduction to Analytic and Probabilistic
 Number Theory, I.3):
@@ -75,7 +81,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, compress, count, islice, repeat
-from operator import floordiv, mul
+from operator import floordiv, mul, sub
 
 import numpy as np
 from mpmath import mp, mpf
@@ -235,14 +241,22 @@ def _series(coeffs: list[int], z: int, bits: int) -> int:
     return reduce(lambda acc, c: c + (acc * z >> bits), reversed(coeffs), 0)
 
 
-def _atanh(num: int, den: int, bits: int) -> int:
+def _atanh(num: int, den: int, bits: int, coeffs: list[int]) -> int:
     """2^bits atanh(num/den) for 0 < num/den = 2^-b <= 1/2, within 5 units.
 
     m terms leave a tail under 2^-b(2m+1) 4/3, below one unit here.
+    ``coeffs`` holds floor(2^bits/(2i+1)) for i < ceil((bits+2)/2), the m of b = 1.
     """
     b, u = math.log2(den / num), (num << bits) // den
-    coeffs = [(1 << bits) // (2 * i + 1) for i in range(math.ceil((bits + 2) / (2 * b)))]
-    return _series(coeffs, u * u >> bits, bits) * u >> bits
+    return _series(coeffs[: math.ceil((bits + 2) / (2 * b))], u * u >> bits, bits) * u >> bits
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // 3)
+    while (t := (2 * r + n // (r * r)) // 3) < r:
+        r = t
+    return r
 
 
 def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
@@ -257,22 +271,30 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
     from T(v) = 2^F (H_v - 1) and pi(v) = v - 1, each prime p <= sqrt_x,
     smallest first, takes f(p) (T(v // p) - T(p - 1)) from every key
     v >= p^2 (f(p) = 1/p for T, 1 for pi; one index array serves both).
-    Each stage is one numpy object-array update, whose right-hand side
-    reads only the previous stage's values.  With ``only_x`` a demand pass,
-    from the last stage down, first counts the stages each key needs: x
-    needs all of them, and a key updated at stage i makes its source v // p,
-    and the key p - 1 that stage i also reads, need the i stages before it.
-    The sieve then updates at stage i only the keys that need it.
-    Each update floors once, so e -> e + ceil(2e/p) + 1.  H_v is built 32
-    guard bits lower from H_a - H_b for consecutive keys b < a: the sum of
-    floor(2^(F+32)/n) over b < n <= a up to max(sqrt_x (F+32)/32, 2^12)
-    (above it a step costs like (F+32)^2), then 2 atanh((a-b)/(a+b)) +
-    em(a) - em(b), em(v) = 1/(2v) - sum_i B_2i/(2i) v^-2i (Euler-Maclaurin)
-    cut at its first term under a guard unit at b0, the last key before,
-    which bounds the tail.  The sums lose under 2^25 guard units and each
-    of the < 2^15 steps under 2^12, so T starts within e = 2.
+    The stages split at the cube root of x.  A head stage, p^3 <= x, is one
+    numpy object-array update, whose right-hand side reads only the previous
+    stage's values.  The tail stages, p^3 > x, commute: with q the smallest,
+    a tail stage writes keys v >= p^2 >= q^2 and reads v // p <= x / p < q^2
+    and p - 1 < q^2, so every value a tail stage reads is final after the
+    head.  Each top key v = x // n >= q^2 (n <= x // q^2) therefore takes
+    its tail stages at once, summing one floor per tail prime p <= sqrt(v)
+    over the head's values: the same integers as stage by stage.  With
+    ``only_x`` a demand pass, from the last head stage down, first counts
+    the head stages each key needs: x, x // p and p - 1 for tail p need all
+    of them, and a key updated at stage i makes its source v // p, and the
+    key p - 1 that stage i also reads, need the i stages before it.  The
+    head then updates at stage i only the keys that need it, and the tail
+    only x.  Each update floors once, so e -> e + ceil(2e/p) + 1 per prime.
+    H_v is built 32 guard bits lower from H_a - H_b for consecutive keys
+    b < a: the sum of floor(2^(F+32)/n) over b < n <= a up to
+    max(sqrt_x (F+32)/32, 2^12) (above it a step costs like (F+32)^2), then
+    2 atanh((a-b)/(a+b)) + em(a) - em(b), em(v) = 1/(2v) - sum_i B_2i/(2i)
+    v^-2i (Euler-Maclaurin) cut at its first term under a guard unit at b0,
+    the last key before, which bounds the tail.  The sums lose under 2^25
+    guard units and each of the < 2^15 steps under 2^12, so T starts within
+    e = 2.
     """
-    s, keys = keyspace.sqrt_x, keyspace.keys
+    x, s, keys = keyspace.x, keyspace.sqrt_x, keyspace.keys
     nk, bits = len(keys), frac_bits + INIT_GUARD_BITS
     one = 1 << bits
     switch = max(s * bits // 32, 1 << 12)
@@ -284,6 +306,7 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
         if abs(c.numerator) << bits < c.denominator:
             break
         coeffs.append((c.numerator << bits) // c.denominator)
+    atanh_coeffs = [one // (2 * i + 1) for i in range(-(-(bits + 2) // 2))]
 
     def em(v):
         w = (b0 * b0 << bits) // (v * v)
@@ -297,26 +320,44 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
             h = next(islice(harmonic, a - b - 1, None))
         else:
             em_a = em(a)
-            h, em_b = h + 2 * _atanh(a - b, a + b, bits) + em_a - em_b, em_a
+            h, em_b = h + 2 * _atanh(a - b, a + b, bits, atanh_coeffs) + em_a - em_b, em_a
         t.append(h >> INIT_GUARD_BITS)
         b = a
-    los = np.searchsorted(keys, np.array(small_primes, dtype=np.int64) ** 2).tolist()
-    if only_x:  # the stages each key needs, from the last stage down
+    nhead = bisect_right(small_primes, _icbrt(x))
+    head, tail = small_primes[:nhead], small_primes[nhead:]
+    los = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 2).tolist()
+    if only_x:  # the head stages each key needs, from the last one down
         need = np.zeros(nk, dtype=np.int64)
-        need[-1] = len(small_primes)
-        for i in range(len(small_primes) - 1, 0, -1):
-            p, lo = small_primes[i], los[i]
+        need[-1] = nhead
+        need[keyspace.indices(x, tail)] = nhead
+        need[[p - 2 for p in tail]] = nhead
+        for i in range(nhead - 1, 0, -1):
+            p, lo = head[i], los[i]
             src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > i)], p)
             need[src] = np.maximum(need[src], i)
             need[p - 2] = max(need[p - 2], i)
-    t, pi, e = np.array(t, dtype=object), keys - 1, 2
-    for i, (p, lo) in enumerate(zip(small_primes, los)):
+    t, pi = np.array(t, dtype=object), keys - 1
+    for i, (p, lo) in enumerate(zip(head, los)):
         live = lo + np.flatnonzero(need[lo:] > i) if only_x else slice(lo, None)
         src = keyspace.indices(keys[live], p)
         t[live] -= (t[src] - t[p - 2]) // p
         pi[live] -= pi[src] - pi[p - 2]
+    t, pi = t.tolist(), pi.tolist()
+    if tail:  # every top key at once, from the head's values (see above)
+        t_at, pi_at = t.__getitem__, pi.__getitem__
+        t_low = [t[p - 2] for p in tail]
+        pi_low = list(accumulate((pi[p - 2] for p in tail), initial=0))
+        for n in range(1, (1 if only_x else x // (tail[0] * tail[0])) + 1):
+            v = x // n
+            m = bisect_right(tail, math.isqrt(v))
+            ps = tail[:m]
+            idx = keyspace.indices(v, ps)
+            t[nk - n] -= sum(map(floordiv, map(sub, map(t_at, idx), t_low), ps))
+            pi[nk - n] -= sum(map(pi_at, idx)) - pi_low[m]
+    e = 2
+    for p in small_primes:
         e += -(-2 * e // p) + 1
-    return t.tolist(), pi.tolist(), e
+    return t, pi, e
 
 
 def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[int],
@@ -359,12 +400,8 @@ def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[
 
 
 def _cutoff(keyspace: KeySpace) -> int:
-    """y0 = max(floor(x^(2/3)), sqrt_x): the cube root of x^2 by Newton's method from above."""
-    n = keyspace.x * keyspace.x
-    r = 1 << -(-n.bit_length() // 3)
-    while (t := (2 * r + n // (r * r)) // 3) < r:
-        r = t
-    return max(r, keyspace.sqrt_x)
+    """y0 = max(floor(x^(2/3)), sqrt_x)."""
+    return max(_icbrt(keyspace.x * keyspace.x), keyspace.sqrt_x)
 
 
 def _tuple_counts(limit: int, small_primes: list[int]):

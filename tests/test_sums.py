@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress
 
@@ -595,10 +596,36 @@ def primes_1e7():
     return sieve(10**7 + 10**4)
 
 
-class TestLevelOne:
-    """The Lucy tables against a test-local floor-sum reference at every key.
+def _lucy_stages(ks: KeySpace, small_primes: list[int], frac_bits: int, harmonic: list[int]):
+    """(T, pi, e) of the Lucy sieve one stage at a time over plain lists, no batching.
 
-    The last three checks read level 1 as a k = 2 DP pass yields it.
+    For x < 2^12 the start values are floor sums: ``harmonic[v]`` is the sum
+    of floor(2^(F+32)/n) over 2 <= n <= v.  Above it they are _level_one's
+    with no stage run.  Each stage walks the keys v >= p^2 from the top down, so
+    v // p and p - 1 still hold the previous stage's values when read.
+    """
+    keys = ks.keys.tolist()
+    if ks.x < len(harmonic):
+        t, pi, e = [harmonic[v] >> 32 for v in keys], [v - 1 for v in keys], 2
+    else:
+        t, pi, e = sums._level_one(ks, [], frac_bits)
+    pos = {v: i for i, v in enumerate(keys)}
+    for p in small_primes:
+        low = pos[p - 1]
+        for i in range(len(keys) - 1, -1, -1):
+            if keys[i] < p * p:
+                break
+            src = pos[keys[i] // p]
+            t[i] -= (t[src] - t[low]) // p
+            pi[i] -= pi[src] - pi[low]
+        e += math.ceil(Fraction(2 * e, p)) + 1
+    return t, pi, e
+
+
+class TestLevelOne:
+    """The Lucy tables against test-local floor-sum and stage-by-stage references.
+
+    The last two checks read level 1 as a k = 2 DP pass yields it.
     """
 
     # both sides of: the first Euler-Maclaurin key (x // 2 > 2^12); the switch
@@ -631,6 +658,25 @@ class TestLevelOne:
             for v, tv, count in zip(ks.keys.tolist(), t, pi):
                 lo = floors[count]  # 2^(F+32) S_1(v) lies in [lo, lo + pi(v))
                 assert (tv - e) << guard <= lo and lo + count <= (tv + e) << guard, (x, v)
+
+    # both sides of q^3 for every q <= 47: the head/tail split moves there
+    SPLIT = [q**3 + d for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+             for d in (-1, 0, 1)]
+
+    @pytest.mark.parametrize("precision", [64, 192])
+    def test_matches_stage_by_stage_sieve(self, precision, primes_1e4):
+        # the tail stages p^3 > x, taken together per top key, give the sequential integers
+        frac_bits = sums.fixed_point_params(precision)
+        one = 1 << (frac_bits + 32)
+        harmonic = [0, *accumulate((one // n for n in range(2, 1 << 12)), initial=0)]
+        plist = primes_1e4.primes.tolist()
+        for x in sorted({*range(1, 2001), *self.SPLIT, 10**6 + 3}):
+            ks = KeySpace.build(x)
+            small = plist[: bisect_right(plist, ks.sqrt_x)]
+            want_t, want_pi, want_e = _lucy_stages(ks, small, frac_bits, harmonic)
+            assert sums._level_one(ks, small, frac_bits) == (want_t, want_pi, want_e), x
+            t, pi, e = sums._level_one(ks, small, frac_bits, only_x=True)
+            assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), x
 
     @pytest.mark.parametrize("x", [2, 50, 8194, 10**7])
     def test_error_bound_recurrence(self, x, primes_1e7):
@@ -681,11 +727,6 @@ class TestLevelOne:
             for key, frac in expected.items():
                 want = mpf(frac.numerator) / frac.denominator
                 assert abs(table[key] - want) < mpf(2) ** -180
-
-    def test_nondecreasing(self, primes_1e4):
-        # the integer table: rounding to mpf would hide descents of a unit or two
-        vals = self._ints(997, primes_1e4, sums.fixed_point_params(192))
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_entry_at_one_is_zero(self, primes_1e4):
         assert self._table(7, primes_1e4)[1] == 0
