@@ -17,35 +17,29 @@ for every argument >= 1 (the empty product), which makes the recursion
 close; S_k depends on x only through floor(x), so arguments are integers.
 
 The engine's level tables, one entry per key, hold S_j as integers
-scaled by 2^frac_bits.  Level 1 is the prefix maximum of max(T - e, 0), for
-a key-space sieve table T within e of S_1 at every key, so within 2e below
-the nondecreasing S_1; pi is exact (:func:`_level_one`).  The sieve's
-stages, one per prime p <= sqrt(x), split at x^(1/3) as the levels below
-do.  A stage with p^3 > x writes keys v >= p^2 and reads v // p < x / p
-and p - 1, all below q^2 for q the smallest such prime, so these stages
-commute: each top key x // n >= q^2 takes them all at once from the
-values the stages p^3 <= x leave, the same integers as one by one.  For
-k = 1 only x is read, so a demand pass first marks the stages p^3 <= x
-each key needs for T(x), and the sieve skips the rest; the prefix maximum
-at x is then max(T(x) - e, 0) itself, by Bertrand's postulate
-(:func:`_levels`).
+scaled by 2^frac_bits.  Level 1 is max(T - e, 0), for a key-space sieve
+table T within e of S_1 at every key, so at most S_1 and within 2e below
+it; pi is exact (:func:`_level_one`).  The sieve's stages, one per prime
+p <= sqrt(x), split at x^(1/3) as the levels below do.  A stage with
+p^3 > x writes keys v >= p^2 and reads v // p < x / p and p - 1, all below
+q^2 for q the smallest such prime, so these stages commute: each top key
+x // n >= q^2 takes them all at once from the values the stages p^3 <= x
+leave, the same integers as one by one.  For k = 1 only x is read, so a
+demand pass first marks the stages p^3 <= x each key needs for T(x), and
+the sieve skips the rest (:func:`_levels`).
 Level j is evaluated at key v with r = isqrt(v) split in two (the
 hyperbola method, Tenenbaum, Introduction to Analytic and Probabilistic
 Number Theory, I.3):
 
 * primes p <= r contribute floor(S_{j-1}(v // p) / p) one at a time;
-* primes p > r are grouped by their quotient y = v // p, y = 1..v//(r+1).
-  All primes of a group share S_{j-1}(y), and their reciprocals sum to
-  S_1(v // y) - S_1(max(v // (y + 1), r)), a difference of level-1 entries.
-  The group products (scale 2^(2 frac_bits)) are summed exactly, by parts
-  (Tenenbaum I.0) over the y where P = S_{j-1} steps: with A(y) level 1
-  at v // y and at r for y = ymax + 1, sum_y P(y) (A(y) - A(y + 1)) =
-  sum_y A(y) (P(y) - P(y - 1)) - P(ymax) A(ymax + 1).  The A(y) - A(y + 1)
-  are differences of level 1 + e, a table within e of S_1, so by Abel
-  summation the sum is off by at most e (TV + P(ymax)), TV the total
-  variation of P up to ymax.  At keys up to sqrt(x) every level is
-  nondecreasing (level 1 a prefix maximum, levels j >= 2 running sums,
-  below), so TV = P(ymax): 2e P(ymax) is subtracted before the shift.
+* primes p > r through the other factor b of each tuple: S_{j-1}(y) sums
+  c_{j-1}(b)/b over b <= y with Omega(b) = j - 1 (below), and p > r
+  leaves b <= v // p <= ymax = v // (r + 1), so the part is the sum of
+  c_{j-1}(b)/b (S_1(v // b) - S_1(r)) over those b (for j = 2 the primes
+  up to ymax, of weight 1).  Each difference is read from level 1 as
+  L1(v // b) - (L1(r) + 2e): at most its true value and at most 4e below
+  it, whatever shape the table has.  Each term is floored INIT_GUARD_BITS
+  below a unit and the sum shifted once.
 
 Every argument above is a key, so no level needs one division per
 (key, prime) pair.  A key y needs no recursion, though: S_j(y) sums
@@ -62,11 +56,11 @@ j < k only where level j + 1 reads it: at every key up to y0 and at the
 top keys x // n with Omega(n) <= k - j.
 That closes, because the per-prime part at a top key x // n reads
 x // (n p), either a key up to y0 or a top key with Omega(n p) <=
-k - j + 1, and the grouped part reads only keys up to sqrt(x) and the full
-level-1 and pi tables.  A step costs pi(sqrt(v)) floors plus one product
-per step of level j-1 up to ymax (for j >= 3 at Omega(y) = j-1), not one
-per y.  Tuple counts follow the same split: pi in place of S_1 at the top
-keys, exact running sums of c_j(n) up to y0.  Every entry is at most the
+k - j + 1, and the grouped part reads only the full level-1 and pi
+tables.  A step costs pi(sqrt(v)) floors plus one term per b <= ymax with
+Omega(b) = j - 1, not one per y.  Tuple counts follow the same split: pi
+in place of S_1 at the top keys, exact running sums of c_j(n) up to y0,
+exact weights c_{j-1}(b) in the grouped part.  Every entry is at most the
 true value, and each level's ledger (:func:`truncation_error_ledger`)
 bounds the shortfall at every key it fills.  Summation order is fixed, so
 results are bit-reproducible.
@@ -361,22 +355,19 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
 
 
 def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[int],
-             level1: list[int], pi: list[int], prev: list[int], prev_counts: list[int],
-             abel: list[int], frac_bits: int):
-    """One grouped-quotient level (see module docstring) at the table positions given.
+             level1: list[int], pi: list[int], e: int, prev: list[int], prev_counts: list[int],
+             steps: list[int], weights: list[int]):
+    """One hyperbola step (see module docstring) at the table positions given.
 
-    The grouped part is summed by parts: one product per step of ``prev`` up to ymax.
-    ``abel[ymax]`` is 2e prev(ymax), at scale 2^(2 frac_bits).
-    Returns full-length (values, counts) lists whose other entries are 0.
+    ``steps`` are the b <= sqrt_x with Omega(b) = j - 1, ascending, and
+    ``weights`` their tuple counts c_{j-1}(b); ``level1`` is within 2e below
+    2^F S_1 and at most it.  Returns full-length (values, counts) lists of
+    level j, 0 away from ``positions``.
     """
     indices = keyspace.indices
     prev_at, counts_at = prev.__getitem__, prev_counts.__getitem__
     s1_at, pi_at = level1.__getitem__, pi.__getitem__
-    # the keys y <= sqrt_x where level j - 1 or its counts change, and by how much
-    pv, pc = [0, *prev[: keyspace.sqrt_x]], [0, *prev_counts[: keyspace.sqrt_x]]
-    steps = [y for y in range(1, len(pv)) if pv[y] != pv[y - 1] or pc[y] != pc[y - 1]]
-    dvals = [pv[y] - pv[y - 1] for y in steps]
-    dcounts = [pc[y] - pc[y - 1] for y in steps]
+    scaled = [c << INIT_GUARD_BITS for c in weights]
     out = [0] * len(keys)
     out_counts = [0] * len(keys)
     for pos in positions:
@@ -387,14 +378,14 @@ def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[
         idx = indices(v, ps)
         acc = sum(map(floordiv, map(prev_at, idx), ps))
         cnt = sum(map(counts_at, idx))
-        # primes p > r, grouped by y = v // p and summed by parts over steps y <= ymax
-        ymax = v // (r + 1)
-        m = bisect_right(steps, ymax)
-        idx = indices(v, steps[:m])
-        grouped = (sum(map(mul, dvals[:m], map(s1_at, idx))) - pv[ymax] * level1[r - 1]
-                   - abel[ymax])
-        cnt += sum(map(mul, dcounts[:m], map(pi_at, idx))) - pc[ymax] * pi[r - 1]
-        out[pos] = acc + (max(grouped, 0) >> frac_bits)
+        # primes p > r, through b = the other factors up to ymax
+        m = bisect_right(steps, v // (r + 1))
+        bs = steps[:m]
+        idx = indices(v, bs)
+        diffs = map(sub, map(s1_at, idx), repeat(level1[r - 1] + 2 * e))
+        grouped = sum(map(floordiv, map(mul, scaled[:m], diffs), bs))
+        cnt += sum(map(mul, weights[:m], map(pi_at, idx))) - pi[r - 1] * sum(weights[:m])
+        out[pos] = acc + (max(grouped, 0) >> INIT_GUARD_BITS)
         out_counts[pos] = cnt
     return out, out_counts
 
@@ -453,25 +444,22 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
 
     ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  Level k
     fills only x; at k = 1 that is max(T(x) - e, 0) from the demand-pruned
-    sieve, which equals the prefix maximum at x: every other key v is at
-    most x // 2, Bertrand's postulate puts a prime in (x/2, x], so
-    T(x) - T(v) >= 2^F / x - 2e > 0 (e < 2^15 and F >= 104 up to
-    FAST_MAX_X).  For k >= 2 level 1 fills every key.  Level 1 < j < k fills
+    sieve.  For k >= 2 level 1 fills every key.  Level 1 < j < k fills
     the keys level j + 1 reads (see the module docstring): every key up to
     y0 = max(x^(2/3), sqrt_x) by one running sum (:func:`_running_sums`), and
-    by a grouped-quotient step the top keys x // n > y0 with
-    Omega(n) <= k - j.  Other entries are 0.  Running-sum entries are within
-    2 units, and every ledger is at least pi(sqrt_x) + 1 >= 2 for x >= 4;
-    below 4 the only key up to y0 is 1, where every level is exactly 0.
+    by a hyperbola step the top keys x // n > y0 with Omega(n) <= k - j.
+    Other entries are 0.  Running-sum entries are within 2 units, and every
+    ledger is at least pi(sqrt_x) + 2 >= 3 for x >= 4; below 4 the only key
+    up to y0 is 1, where every level is exactly 0.
     """
     s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
     level1, pi, e = _level_one(keyspace, small_primes, frac_bits, only_x=k == 1)
     ledger = 2 * e
-    if k == 1:  # the prefix maximum at x, by Bertrand's postulate
+    if k == 1:
         yield [0] * (nk - 1) + [max(level1[-1] - e, 0)], [0] * (nk - 1) + [pi[-1]], ledger
         return
-    level1 = list(accumulate((max(v - e, 0) for v in level1), max))
+    level1 = [max(v - e, 0) for v in level1]
     yield level1, pi, ledger
     keys = keyspace.keys.tolist()
     y0 = _cutoff(keyspace)
@@ -479,32 +467,39 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     if k > 2:
         omega, tuples = _tuple_counts(y0, small_primes)
     s1_upper = level1[-1] + ledger
+    steps, weights = small_primes, [1] * len(small_primes)  # Omega(b) = 1 up to sqrt_x
     vals, counts = level1, pi
     for j in range(2, k + 1):
         if j < k:
             positions = (nk - np.flatnonzero(omega[1 : top + 1] <= k - j) - 1).tolist()
         else:
             positions = [nk - 1]
-        abel = [0, *(2 * e * v for v in vals[:s])]  # Abel bounds, nondecreasing in ymax
-        vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi,
-                                vals, counts, abel, frac_bits)
+        prev_upper = vals[s - 1] + ledger
+        vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi, e,
+                                vals, counts, steps, weights)
         if j < k:
             vals[: nk - top], counts[: nk - top] = _running_sums(
                 omega, tuples, keyspace.keys[: nk - top], j, frac_bits)
-        ledger = truncation_error_ledger(ledger, s1_upper, len(small_primes), abel[-1], frac_bits)
+            steps = np.flatnonzero(omega[: s + 1] == j)
+            steps, weights = steps.tolist(), tuples[steps].tolist()
+        ledger = truncation_error_ledger(ledger, s1_upper, len(small_primes), e, prev_upper,
+                                         frac_bits)
         yield vals, counts, ledger
 
 
-def truncation_error_ledger(ledger: int, s1_upper: int, pi_sqrt: int, abel_max: int,
+def truncation_error_ledger(ledger: int, s1_upper: int, pi_sqrt: int, e: int, prev_upper: int,
                             frac_bits: int) -> int:
     """The next level's bound, in units of 2^-frac_bits, on true - computed at any key.
 
     ``ledger`` bounds the level read (level 1's is 2e), whose errors arrive
     weighted by 1/p: ledger * s1_upper.  Each prime p <= isqrt(v) floors
-    once (pi_sqrt), the grouped part loses at most twice its Abel bound
-    (abel_max, scale 2^(2 frac_bits)) and the shift one unit.
+    once (pi_sqrt).  In the grouped part each level-1 difference is at most
+    4e low, weighted by c(b)/b over b <= sqrt_x, which sums to at most
+    S_{j-1}(sqrt_x) <= prev_upper (scale 2^frac_bits); its fewer than 2^32
+    guard floors and the final shift lose under one unit each.
     """
-    return -(-ledger * s1_upper >> frac_bits) + pi_sqrt - (-2 * abel_max >> frac_bits) + 1
+    return (-(-ledger * s1_upper >> frac_bits) + pi_sqrt
+            - (-4 * e * prev_upper >> frac_bits) + 2)
 
 
 def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):

@@ -302,29 +302,21 @@ class TestLevels:
         with pytest.raises(DomainError):
             sk_levels(0, 100, primes_1e4)
 
-    @pytest.mark.parametrize("x", [997, 65_537, 10**6])
-    def test_tables_nondecreasing_where_the_grouped_step_reads(self, x, primes_1e6):
-        # the Abel bound 2e P(ymax) needs every table read at keys <= sqrt(x) to
-        # be nondecreasing there; level 1 is read at every key
-        ks = KeySpace.build(x)
-        levels = sums._levels(ks, primes_1e6.primes, sums.fixed_point_params(192), 4)
-        for j, (vals, _, _) in enumerate(levels, start=1):
-            upto = len(ks) if j == 1 else ks.sqrt_x
-            assert all(a <= b for a, b in zip(vals[:upto], vals[1:upto])), (j, x)
-
     @pytest.mark.parametrize("precision", [64, 192, 1024])
     def test_values_rounded_to_working_precision(self, precision, primes_1e4):
         for res in sk_levels(6, 10**6, primes_1e4, precision):
             assert res.value.man.bit_length() <= precision + GUARD_BITS, res.k
 
-
-def _abel_bounds(prev: list[int], e: int, sqrt_x: int) -> list[int]:
-    """e (TV[y-1] + prev[y-1]) for y = 0..sqrt_x, TV the prefix total variation of prev."""
-    bounds, tv, last = [0], 0, 0
-    for value in prev[:sqrt_x]:
-        tv, last = tv + abs(value - last), value
-        bounds.append(e * (tv + value))
-    return bounds
+    def test_precisions_agree_within_ledgers(self, primes_1e4):
+        # both values sit at most their error_bound below S_j(x), so each lies within
+        # the other's bound, up to its own rounding to the working precision
+        x = 10**7 + 19
+        low, high = (sk_levels(6, x, primes_1e4, precision) for precision in (64, 1024))
+        for a, b in zip(low, high):
+            va, vb = _to_fraction(a.value), _to_fraction(b.value)
+            assert vb - va <= _to_fraction(a.error_bound) + vb / 2 ** (1024 + 16), a.k
+            assert va - vb <= _to_fraction(b.error_bound) + va / 2 ** (64 + 16), a.k
+            assert a.terms == b.terms, a.k
 
 
 def _shape_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +356,7 @@ def _dense_levels(k: int, x: int, primes, frac_bits: int):
     """Levels 1..k of the DP with every level filled at every key.
 
     Keys up to y0 are running sums of tuple counts, as in _levels; every key
-    above y0 takes a grouped-quotient step.
+    above y0 takes a hyperbola step.
     """
     ks = KeySpace.build(x)
     keys, s = ks.keys.tolist(), ks.sqrt_x
@@ -376,9 +368,9 @@ def _dense_levels(k: int, x: int, primes, frac_bits: int):
     omega, tuples = _shape_arrays(_cutoff(x))
     levels = [(level1, pi)]
     for j in range(2, k + 1):
-        abel = _abel_bounds(levels[-1][0], e, s)
+        steps = np.flatnonzero(omega[: s + 1] == j - 1)  # the b of the grouped part
         vals, counts = sums._advance(ks, keys, range(low.size, len(keys)), small_primes, level1,
-                                     pi, *levels[-1], abel, frac_bits)
+                                     pi, e, *levels[-1], steps.tolist(), tuples[steps].tolist())
         vals[: low.size], counts[: low.size] = sums._running_sums(omega, tuples, low, j,
                                                                   frac_bits)
         levels.append((vals, counts))
@@ -501,94 +493,49 @@ class TestLedgerAtEveryKey:
                         assert hi[i] < (vals[i] + 2) << BOUND_GUARD, (precision, j, x, keys[i])
 
     @pytest.mark.parametrize("x", [999, 65_537])
-    def test_abel_correction_covers_worst_case_level1(self, x, primes_1e6):
-        # a level-1 table off by up to e in the worst direction for the grouped part at x
+    def test_worst_case_level1_within_ledger(self, x, primes_1e6):
+        # level-1 tables at either end of what the grouped part may be given: 2e
+        # below the exact floor at every v // b and exact at r, where each
+        # difference is 4e low; and exact at every v // b and 2e below the
+        # ceiling at r, where only the + 2e keeps each difference from its true value
         frac_bits = sums.fixed_point_params(64)
         ks = KeySpace.build(x)
-        keys, nk, s = ks.keys.tolist(), len(ks), ks.sqrt_x
+        nk, s, r = len(ks), ks.sqrt_x, math.isqrt(x)
         exact = _exact_levels(1, x, primes_1e6)[0]
-        floor_table = [exact[v].numerator * 2**frac_bits // exact[v].denominator for v in keys]
-        level1, pi, _ = next(sums._levels(ks, primes_1e6.primes, frac_bits, 2))
+        scaled = [exact[v] * 2**frac_bits for v in ks.keys.tolist()]
+        level1, pi, ledger = next(sums._levels(ks, primes_1e6.primes, frac_bits, 2))
         e = 2 ** (frac_bits - 8)  # far above every floor the level drops
-        r = math.isqrt(x)
-        ymax = x // (r + 1)
-        worst = floor_table[:]
-        for y in range(1, ymax + 1):  # +e where Abel summation weighs prev upward
-            rising = level1[y - 1] >= (level1[y - 2] if y > 1 else 0)
-            worst[ks.indices(x, [y])[0]] += e if rising else -e
-        worst[r - 1] -= e
+        low = [math.floor(t) - 2 * e for t in scaled]
+        low[r - 1] += 2 * e
+        high = [math.floor(t) for t in scaled]
+        high[r - 1] = math.ceil(scaled[r - 1]) - 2 * e
         small_primes = primes_1e6.primes[: pi[s - 1]].tolist()
-        abel = _abel_bounds(level1, e + 1, s)  # worst is within e + 1 of 2^F S_1
-        out, _ = sums._advance(ks, keys, [nk - 1], small_primes, worst, pi, level1, pi,
-                               abel, frac_bits)
         s2 = sum(Fraction(exact[x // p], p) for p in primes_1e6.primes.tolist() if p <= x)
-        assert 0 <= s2 * 2**frac_bits - out[-1]
+        # the step's own ledger with e, and level 1's true error in the per-prime part
+        bound = sums.truncation_error_ledger(2 * e, level1[-1] + ledger, len(small_primes), e,
+                                             level1[s - 1] + ledger, frac_bits)
+        for table in (low, high):
+            out, _ = sums._advance(ks, ks.keys.tolist(), [nk - 1], small_primes, table, pi, e,
+                                   level1, pi, small_primes, [1] * len(small_primes))
+            assert 0 <= s2 * 2**frac_bits - out[-1] <= bound, x
 
     @pytest.mark.parametrize("x", [999, 10**6])
     def test_ledger_formula(self, x, primes_1e6):
-        # level 1: 2e; each next level: ledger * S_1 upper + pi(sqrt x) + twice the Abel bound + 1
+        # level 1: 2e; each next level: ledger * S_1 upper + pi(sqrt x)
+        # + 4e * S_{j-1}(sqrt x) upper + 2
         frac_bits = sums.fixed_point_params(80)
+        unit = Fraction(1, 2**frac_bits)
         ks = KeySpace.build(x)
-        small = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
+        s = ks.sqrt_x
+        small = primes_1e6.primes[: primes_1e6.count_upto(s)].tolist()
         _, _, e = sums._level_one(ks, small, frac_bits)
-        levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 3))
+        levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 4))
         assert levels[0][2] == 2 * e
         s1_upper = levels[0][0][-1] + 2 * e
         for (prev, _, ledger), (_, _, nxt) in zip(levels, levels[1:]):
-            abel = _abel_bounds(prev, e, ks.sqrt_x)[-1]
-            want = (math.ceil(Fraction(ledger * s1_upper, 2**frac_bits)) + len(small)
-                    + math.ceil(Fraction(2 * abel, 2**frac_bits)) + 1)
+            want = (math.ceil(ledger * s1_upper * unit) + len(small)
+                    + math.ceil(4 * e * (prev[s - 1] + ledger) * unit) + 2)
             assert nxt == want
-
-
-def _advance_per_y(keys, positions, small_primes, level1, pi, prev, prev_counts, abel,
-                   frac_bits):
-    """The grouped-quotient step with one product per y <= ymax, no summation by parts."""
-    position = {v: i for i, v in enumerate(keys)}  # independent of KeySpace.indices
-    out, out_counts = [0] * len(keys), [0] * len(keys)
-    for pos in positions:
-        v = keys[pos]
-        r = math.isqrt(v)
-        ps = small_primes[: pi[r - 1]]
-        acc = sum(prev[position[v // p]] // p for p in ps)
-        cnt = sum(prev_counts[position[v // p]] for p in ps)
-        ymax = v // (r + 1)
-        idx = [position[v // y] for y in range(1, ymax + 1)] + [r - 1]
-        grouped = sum(prev[y - 1] * (level1[idx[y - 1]] - level1[idx[y]])
-                      for y in range(1, ymax + 1)) - abel[ymax]
-        cnt += sum(prev_counts[y - 1] * (pi[idx[y - 1]] - pi[idx[y]])
-                   for y in range(1, ymax + 1))
-        out[pos] = acc + (max(grouped, 0) >> frac_bits)
-        out_counts[pos] = cnt
-    return out, out_counts
-
-
-class TestGroupedByParts:
-    """_advance sums the grouped part over the steps of the level it reads, bit for bit."""
-
-    @pytest.mark.parametrize("x", [1, 2, 3, 4, 48, 49, 50, 999, 65_537, 10**6])
-    @pytest.mark.parametrize("precision", [64, 192])
-    def test_matches_per_y_sum(self, x, precision, primes_1e6):
-        frac_bits = sums.fixed_point_params(precision)
-        ks = KeySpace.build(x)
-        keys, nk, s = ks.keys.tolist(), len(ks), ks.sqrt_x
-        small_primes = primes_1e6.primes[: primes_1e6.count_upto(s)].tolist()
-        # level 1 (a step at nearly every y), levels 2 and 3 (steps only where
-        # Omega(y) = j at the small keys), and a random nondecreasing table
-        # whose values and counts step at different y
-        tables = _dense_levels(3, x, primes_1e6, frac_bits)
-        level1, pi = tables[0]
-        rng = random.Random(x + precision)
-        jumps = [(rng.choice([0, rng.getrandbits(frac_bits + 2)]), rng.choice([0, 0, 1, 7]))
-                 for _ in keys]
-        tables.append(tuple(list(accumulate(col)) for col in zip(*jumps)))
-        e = 2 ** (frac_bits - 8)
-        for prev, prev_counts in tables:
-            args = (small_primes, level1, pi, prev, prev_counts, _abel_bounds(prev, e, s),
-                    frac_bits)
-            # every key: x = 1 has no large key, and ymax = 0 only at key 1
-            want = _advance_per_y(keys, range(nk), *args)
-            assert sums._advance(ks, keys, range(nk), *args) == want, x
 
 
 @pytest.fixture(scope="module")
@@ -735,18 +682,20 @@ class TestLevelOne:
 class TestDemandPrunedLevelOne:
     """At k = 1 the sieve runs only the stages T(x) needs; x must not notice.
 
-    The k = 2 pass runs every stage at every key.  Which stages run depends on
-    the keys alone, so the dense grid is checked at 64 bits and a sparser one
-    at 192.
+    The k = 2 pass runs every stage at every key.  Both passes set level 1 at
+    x to max(T(x) - e, 0), so sk_levels adds only the ledger and the count to
+    the sieve's T(x), pi(x) and e, which the next test and
+    TestLevelOne::test_matches_stage_by_stage_sieve (x <= 2000) compare
+    directly.
     """
 
     SQUARES = [p * p + d for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                                    59, 61, 67, 71, 73, 79, 83, 89, 97) for d in (-1, 0, 1)]
     LARGE = [65_537, 10**6, 10**7 + 3]
 
-    @pytest.mark.parametrize("precision, upto", [(64, 3000), (192, 400)])
-    def test_sk_levels_match_full_pass(self, precision, upto, primes_1e7):
-        for x in sorted({*range(1, upto + 1), *self.SQUARES, *self.LARGE}):
+    @pytest.mark.parametrize("precision", [64, 192])
+    def test_sk_levels_match_full_pass(self, precision, primes_1e7):
+        for x in sorted({*range(1, 401), *self.SQUARES, *self.LARGE}):
             pruned, full = (sk_levels(k, x, primes_1e7, precision)[0] for k in (1, 2))
             assert (pruned.value, pruned.error_bound, pruned.terms) == (
                 full.value, full.error_bound, full.terms), (precision, x)
