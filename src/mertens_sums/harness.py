@@ -29,7 +29,7 @@ from mpmath import mp, mpf
 
 from .bigreal import DEFAULT_DIGITS, DEFAULT_PRECISION, to_decimal, working_precision
 from .constants import ConstantsBundle
-from .asymptotics import MAX_DEGREE, _check_degree, evaluate_main_term
+from .asymptotics import MAX_DEGREE, Polynomial, _check_degree, pk_polynomial
 from .errors import CapacityError, DomainError
 from .primes import sieve
 from .sums import FAST_MAX_X, MertensSumResult, sk_levels
@@ -87,22 +87,20 @@ class VerificationRow:
     ratio: str
 
 
-def verify_row(
-    result: MertensSumResult,
-    bundle: ConstantsBundle,
-    precision: int = DEFAULT_PRECISION,
-    digits: int = DEFAULT_DIGITS,
-) -> VerificationRow:
-    """The report row comparing one S_k(x) evaluation with P_k(loglog x)."""
-    k, x = result.k, result.x
-    with working_precision(precision):
-        main = evaluate_main_term(k, x, bundle)
-        err = abs(result.value - main)
-        loglog = mp.log(mp.log(x))
-        ratio = err * mp.log(x) / loglog ** (k - 1)
+def verify_row(result: MertensSumResult, main_term: Polynomial, log_x, loglog_x,
+               digits: int = DEFAULT_DIGITS) -> VerificationRow:
+    """The report row comparing one S_k(x) evaluation with P_k(loglog x).
+
+    ``main_term`` is P_k, and ``log_x`` and ``loglog_x`` are log x and
+    loglog x at the working precision, which the caller sets.
+    """
+    k = result.k
+    main = +main_term(loglog_x)
+    err = abs(result.value - main)
+    ratio = err * log_x / loglog_x ** (k - 1)
     return VerificationRow(
         k=k,
-        x=int(x),
+        x=int(result.x),
         s_value=to_decimal(result.value, digits),
         main_term=to_decimal(main, digits),
         abs_err=to_decimal(err, digits),
@@ -132,7 +130,8 @@ def verify_grid(
     largest k over the primes up to isqrt(``grid.stop``).  Rows come out
     k-major in the order of ``ks``, repeats included: the same list as
     concatenating one single-k call per entry.  The constants bundle is
-    built at ``precision``.  Each k (:func:`check_ks`) and the grid's top
+    built at ``precision``, each P_k once per call, and log x and loglog x
+    once per x.  Each k (:func:`check_ks`) and the grid's top
     against ``FAST_MAX_X`` are checked before any work; every other failure
     (precision, digits) raises before the first row exists.
     """
@@ -142,10 +141,14 @@ def verify_grid(
     primes = sieve(math.isqrt(grid.stop))
     bundle = ConstantsBundle.build(precision, m_max=MAX_DEGREE)
     by_k: dict[int, list[VerificationRow]] = {k: [] for k in ks}
+    main_terms = {k: pk_polynomial(k, bundle) for k in by_k}
     for x in grid.values():
         levels = sk_levels(max(ks), x, primes, precision=precision)
-        for k, rows in by_k.items():
-            rows.append(verify_row(levels[k - 1], bundle, precision, digits))
+        with working_precision(precision):
+            log_x = mp.log(x)
+            loglog_x = mp.log(log_x)
+            for k, rows in by_k.items():
+                rows.append(verify_row(levels[k - 1], main_terms[k], log_x, loglog_x, digits))
     return [r for k in ks for r in by_k[k]]
 
 

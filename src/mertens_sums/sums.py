@@ -17,16 +17,17 @@ for every argument >= 1 (the empty product), which makes the recursion
 close; S_k depends on x only through floor(x), so arguments are integers.
 
 The engine's level tables, one entry per key, hold S_j as integers
-scaled by 2^frac_bits.  Level 1 is max(T - e, 0), for a key-space sieve
-table T within e of S_1 at every key, so at most S_1 and within 2e below
-it; pi is exact (:func:`_level_one`).  The sieve's stages, one per prime
-p <= sqrt(x), split at x^(1/3) as the levels below do.  A stage with
-p^3 > x writes keys v >= p^2 and reads v // p < x / p and p - 1, all below
-q^2 for q the smallest such prime, so these stages commute: each top key
-x // n >= q^2 takes them all at once from the values the stages p^3 <= x
-leave, the same integers as one by one.  For k = 1 only x is read, so a
-demand pass first marks the stages p^3 <= x each key needs for T(x), and
-the sieve skips the rest (:func:`_levels`).
+scaled by 2^frac_bits.  Level 1 is max(T - e, 0), for a table T within e
+of S_1 at every key, so at most S_1 and within 2e below it; pi is exact
+(:func:`_level_one`).  Every key up to y0 = max(x^(2/3), sqrt(x)) takes T
+and pi from one running sum over the primes up to y0, as the levels below
+do.  Only the top keys x // n > y0 take the key-space sieve, one stage per
+prime p <= sqrt(x).  A key below p^2 is final before stage p, so the stage
+reads it from the running sum, and a demand pass runs each stage p^3 <= x
+only at the keys >= p^2 that the top keys need (x alone for k = 1).  The
+stages p^3 > x read only keys up to y0, so they commute: each top key
+x // n >= q^2, q the smallest such prime, takes them all at once, the same
+integers as one by one.
 Level j is evaluated at key v with r = isqrt(v) split in two (the
 hyperbola method, Tenenbaum, Introduction to Analytic and Probabilistic
 Number Theory, I.3):
@@ -74,7 +75,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import floordiv, mul, sub
 
 import numpy as np
@@ -83,7 +84,7 @@ from mpmath import mp, mpf
 from .bigreal import DEFAULT_PRECISION, check_precision, working_precision
 from .constants import _bernoulli
 from .errors import CapacityError, DomainError, ParameterError
-from .primes import PrimeTable
+from .primes import PrimeTable, sieve
 
 DIRECT_MAX_X = 100_000
 FAST_MAX_X = 10_000_000_000
@@ -253,42 +254,19 @@ def _icbrt(n: int) -> int:
     return r
 
 
-def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
-               only_x: bool = False):
-    """(T, pi, e) at every key, |T - 2^F S_1| <= e, F = frac_bits, pi exact.
+def _start_values(keyspace: KeySpace, frac_bits: int) -> list[int]:
+    """2^F (H_v - 1) within 2 units at every key, F = frac_bits: the Lucy sieve's start.
 
-    With ``only_x`` this holds at x alone, and the other entries are partly
-    sieved.
-
-    The key-space sieve of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985)
-    and Deleglise-Rivat (Math. Comp. 65, 1996), "Lucy_Hedgehog's method":
-    from T(v) = 2^F (H_v - 1) and pi(v) = v - 1, each prime p <= sqrt_x,
-    smallest first, takes f(p) (T(v // p) - T(p - 1)) from every key
-    v >= p^2 (f(p) = 1/p for T, 1 for pi; one index array serves both).
-    The stages split at the cube root of x.  A head stage, p^3 <= x, is one
-    numpy object-array update, whose right-hand side reads only the previous
-    stage's values.  The tail stages, p^3 > x, commute: with q the smallest,
-    a tail stage writes keys v >= p^2 >= q^2 and reads v // p <= x / p < q^2
-    and p - 1 < q^2, so every value a tail stage reads is final after the
-    head.  Each top key v = x // n >= q^2 (n <= x // q^2) therefore takes
-    its tail stages at once, summing one floor per tail prime p <= sqrt(v)
-    over the head's values: the same integers as stage by stage.  With
-    ``only_x`` a demand pass, from the last head stage down, first counts
-    the head stages each key needs: x, x // p and p - 1 for tail p need all
-    of them, and a key updated at stage i makes its source v // p, and the
-    key p - 1 that stage i also reads, need the i stages before it.  The
-    head then updates at stage i only the keys that need it, and the tail
-    only x.  Each update floors once, so e -> e + ceil(2e/p) + 1 per prime.
     H_v is built 32 guard bits lower from H_a - H_b for consecutive keys
     b < a: the sum of floor(2^(F+32)/n) over b < n <= a up to
     max(sqrt_x (F+32)/32, 2^12) (above it a step costs like (F+32)^2), then
     2 atanh((a-b)/(a+b)) + em(a) - em(b), em(v) = 1/(2v) - sum_i B_2i/(2i)
     v^-2i (Euler-Maclaurin) cut at its first term under a guard unit at b0,
     the last key before, which bounds the tail.  The sums lose under 2^25
-    guard units and each of the < 2^15 steps under 2^12, so T starts within
-    e = 2.
+    guard units and each of the < 2^15 steps under 2^12, so the values start
+    within 2.
     """
-    x, s, keys = keyspace.x, keyspace.sqrt_x, keyspace.keys
+    s, keys = keyspace.sqrt_x, keyspace.keys
     nk, bits = len(keys), frac_bits + INIT_GUARD_BITS
     one = 1 << bits
     switch = max(s * bits // 32, 1 << 12)
@@ -317,26 +295,67 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
             h, em_b = h + 2 * _atanh(a - b, a + b, bits, atanh_coeffs) + em_a - em_b, em_a
         t.append(h >> INIT_GUARD_BITS)
         b = a
+    return t
+
+
+def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
+               only_x: bool = False):
+    """(T, pi, e) at every key, |T - 2^F S_1| <= e, F = frac_bits, pi exact.
+
+    ``small_primes`` are the primes up to sqrt_x.  With ``only_x`` this holds
+    at x and at every key up to y0, and the other entries are partly sieved.
+
+    Every key up to y0 = max(x^(2/3), sqrt_x) takes S_1 and pi from one
+    running sum over the primes up to y0, sieved here (:func:`_running_sums`,
+    within 2 units below).  The top keys x // n > y0 take the key-space
+    sieve of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and
+    Deleglise-Rivat (Math. Comp. 65, 1996), "Lucy_Hedgehog's method": from
+    T(v) = 2^F (H_v - 1) and pi(v) = v - 1 (:func:`_start_values`), each
+    prime p <= sqrt_x, smallest first, takes f(p) (T(v // p) - T(p - 1))
+    from every key v >= p^2 (f(p) = 1/p for T, 1 for pi; one index array
+    serves both).  After the stages p' < p every key below p^2 holds its
+    final value, so a stage reads a key w < p^2 from the running sum.
+
+    The stages split at the cube root of x.  A head stage, p^3 <= x, is one
+    numpy object-array update, whose right-hand side reads only the previous
+    stage's values.  A demand pass, from the last head stage down, first
+    counts the head stages each key needs: the top keys (x alone with
+    ``only_x``) need all of them, and a key updated at stage i makes its
+    source v // p need the i stages before it only if v // p >= p^2.  Before
+    stage i the running sum is copied into the keys in [p_{i-1}^2, p_i^2),
+    and after the head into every key up to y0.  The tail stages, p^3 > x,
+    commute: with q the smallest, a tail stage writes keys v >= p^2 >= q^2
+    > y0 and reads v // p <= x / p < x^(2/3) and p - 1, keys up to y0 whose
+    values are final.  Each top key v = x // n >= q^2 (n <= x // q^2)
+    therefore takes its tail stages at once, summing one floor per tail
+    prime p <= sqrt(v): the same integers as stage by stage.  Each update
+    floors once, so e -> e + ceil(2e/p) + 1 per prime, from e = 2.
+    """
+    x, keys, nk = keyspace.x, keyspace.keys, len(keyspace)
+    y0 = _cutoff(keyspace)
+    nlow = nk - x // (y0 + 1)  # the keys up to y0
+    primes = sieve(y0).primes
+    final_t, final_pi = _running_sums(primes, np.ones(primes.size, dtype=np.int64),
+                                      keys[:nlow], frac_bits)
     nhead = bisect_right(small_primes, _icbrt(x))
     head, tail = small_primes[:nhead], small_primes[nhead:]
     los = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 2).tolist()
-    if only_x:  # the head stages each key needs, from the last one down
-        need = np.zeros(nk, dtype=np.int64)
-        need[-1] = nhead
-        need[keyspace.indices(x, tail)] = nhead
-        need[[p - 2 for p in tail]] = nhead
-        for i in range(nhead - 1, 0, -1):
-            p, lo = head[i], los[i]
-            src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > i)], p)
-            need[src] = np.maximum(need[src], i)
-            need[p - 2] = max(need[p - 2], i)
-    t, pi = np.array(t, dtype=object), keys - 1
+    need = np.zeros(nk, dtype=np.int64)  # the head stages each key needs, from the last one down
+    need[nk - 1 if only_x else nlow :] = nhead
+    for i in range(nhead - 1, 0, -1):
+        lo = los[i]
+        src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > i)], head[i])
+        src = src[src >= lo]  # a read below p^2 is final
+        need[src] = np.maximum(need[src], i)
+    t, pi, done = np.array(_start_values(keyspace, frac_bits), dtype=object), keys - 1, 0
     for i, (p, lo) in enumerate(zip(head, los)):
-        live = lo + np.flatnonzero(need[lo:] > i) if only_x else slice(lo, None)
+        t[done:lo], pi[done:lo], done = final_t[done:lo], final_pi[done:lo], lo
+        live = lo + np.flatnonzero(need[lo:] > i)
         src = keyspace.indices(keys[live], p)
         t[live] -= (t[src] - t[p - 2]) // p
         pi[live] -= pi[src] - pi[p - 2]
     t, pi = t.tolist(), pi.tolist()
+    t[:nlow], pi[:nlow] = final_t, final_pi
     if tail:  # every top key at once, from the head's values (see above)
         t_at, pi_at = t.__getitem__, pi.__getitem__
         t_low = [t[p - 2] for p in tail]
@@ -419,22 +438,27 @@ def _tuple_counts(limit: int, small_primes: list[int]):
     return omega, tuples
 
 
-def _running_sums(omega, tuples, low: np.ndarray, j: int, frac_bits: int):
-    """(values, counts) of level j >= 2 at the ascending keys ``low`` <= omega.size - 1.
+def _stream(a: np.ndarray):
+    """The entries of ``a`` as Python scalars, listed 2^16 at a time."""
+    return chain.from_iterable(a[i : i + (1 << 16)].tolist() for i in range(0, a.size, 1 << 16))
 
-    S_j(y) sums c(n)/n over n <= y with Omega(n) = j (:func:`_tuple_counts`).
-    The terms are streamed in n order, floored INIT_GUARD_BITS below a unit,
-    and the running sum is read off at each key and shifted: every value is
-    low by less than 1 + N 2^-32 < 2 units, N < 2^32 terms.  Counts are exact.
+
+def _running_sums(n: np.ndarray, c: np.ndarray, low: np.ndarray, frac_bits: int):
+    """(values, counts) at the ascending keys ``low``: sums of c_i/n_i and of c_i over n_i <= key.
+
+    ``n`` ascends and ``c`` holds the weights: the primes with weight 1 for
+    level 1, and for level j >= 2 the n with Omega(n) = j with weight c(n)
+    (:func:`_tuple_counts`).  The terms are streamed in n order, floored
+    INIT_GUARD_BITS below a unit, and the running sum is read off at each
+    key and shifted: every value is low by less than 1 + N 2^-32 < 2 units,
+    N < 2^32 terms.  Counts are exact.
     """
     one = 1 << (frac_bits + INIT_GUARD_BITS)
-    n = np.flatnonzero(omega == j)
-    c = tuples[n]
     ends = np.searchsorted(n, low, side="right")  # the number of terms at or below each key
     marks = np.zeros(n.size + 1, dtype=bool)
     marks[ends] = True
-    terms = map(floordiv, map(one.__mul__, c.tolist()), n.tolist())
-    sums = [v >> INIT_GUARD_BITS for v in compress(accumulate(terms, initial=0), marks.tolist())]
+    terms = map(floordiv, map(one.__mul__, _stream(c)), _stream(n))
+    sums = [v >> INIT_GUARD_BITS for v in compress(accumulate(terms, initial=0), _stream(marks))]
     counts = np.concatenate(([0], np.cumsum(c)))[ends].tolist()
     return [sums[i] for i in (np.cumsum(marks)[ends] - 1).tolist()], counts
 
@@ -443,8 +467,9 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     """Yield (values, counts, ledger) for levels 1..k, each computed once.
 
     ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  Level k
-    fills only x; at k = 1 that is max(T(x) - e, 0) from the demand-pruned
-    sieve.  For k >= 2 level 1 fills every key.  Level 1 < j < k fills
+    fills only x; at k = 1 that is max(T(x) - e, 0), from a sieve whose
+    demand pass starts at x alone.  For k >= 2 level 1 fills every key: by
+    a running sum up to y0 and the sieve above it.  Level 1 < j < k fills
     the keys level j + 1 reads (see the module docstring): every key up to
     y0 = max(x^(2/3), sqrt_x) by one running sum (:func:`_running_sums`), and
     by a hyperbola step the top keys x // n > y0 with Omega(n) <= k - j.
@@ -478,8 +503,9 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
         vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi, e,
                                 vals, counts, steps, weights)
         if j < k:
+            n = np.flatnonzero(omega == j)
             vals[: nk - top], counts[: nk - top] = _running_sums(
-                omega, tuples, keyspace.keys[: nk - top], j, frac_bits)
+                n, tuples[n], keyspace.keys[: nk - top], frac_bits)
             steps = np.flatnonzero(omega[: s + 1] == j)
             steps, weights = steps.tolist(), tuples[steps].tolist()
         ledger = truncation_error_ledger(ledger, s1_upper, len(small_primes), e, prev_upper,

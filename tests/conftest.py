@@ -5,6 +5,24 @@ from mertens_sums.constants import ConstantsBundle
 from mertens_sums.primes import sieve
 
 
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true", default=False,
+                     help="also run the checks at x = 10^10 marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: a check at x = 10^10, run only with --runslow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="a check at x = 10^10: run with --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def primes_1e4():
     return sieve(10**4)

@@ -308,15 +308,50 @@ class TestLevels:
             assert res.value.man.bit_length() <= precision + GUARD_BITS, res.k
 
     def test_precisions_agree_within_ledgers(self, primes_1e4):
-        # both values sit at most their error_bound below S_j(x), so each lies within
-        # the other's bound, up to its own rounding to the working precision
-        x = 10**7 + 19
-        low, high = (sk_levels(6, x, primes_1e4, precision) for precision in (64, 1024))
-        for a, b in zip(low, high):
-            va, vb = _to_fraction(a.value), _to_fraction(b.value)
-            assert vb - va <= _to_fraction(a.error_bound) + vb / 2 ** (1024 + 16), a.k
-            assert va - vb <= _to_fraction(b.error_bound) + va / 2 ** (64 + 16), a.k
-            assert a.terms == b.terms, a.k
+        _assert_precisions_agree(10**7 + 19, primes_1e4)
+
+    @pytest.mark.slow
+    def test_precisions_agree_within_ledgers_at_1e10(self):
+        _assert_precisions_agree(10**10, sieve(10**5))
+
+
+def _assert_precisions_agree(x: int, primes):
+    """sk_levels(6, x) at 64 and 1024 bits: each value within the other's bound, equal terms.
+
+    Both values sit at most their error_bound below S_j(x), so each lies
+    within the other's bound, up to its own rounding to the working precision.
+    """
+    low, high = (sk_levels(6, x, primes, precision) for precision in (64, 1024))
+    for a, b in zip(low, high):
+        va, vb = _to_fraction(a.value), _to_fraction(b.value)
+        assert vb - va <= _to_fraction(a.error_bound) + vb / 2 ** (1024 + 16), a.k
+        assert va - vb <= _to_fraction(b.error_bound) + va / 2 ** (64 + 16), a.k
+        assert a.terms == b.terms, a.k
+
+
+class TestRosserSchoenfeld:
+    """Level 1 at every key against Rosser-Schoenfeld (Illinois J. Math. 6, 1962, Theorem 5).
+
+    loglog v + c1 - 1/(2 log^2 v) < S_1(v) for v > 1, and S_1(v) < loglog v
+    + c1 + 1/(2 log^2 v) for v >= 286.  Level 1 is at most S_1 and at least
+    S_1 less its ledger, so the lower bound is checked on the value and the
+    upper one on the value plus the ledger.  The bounds are loose, but they
+    need no sieve and no oracle: only c1 from the bundle.
+    """
+
+    @pytest.mark.parametrize("x", [10**8, pytest.param(10**10, marks=pytest.mark.slow)])
+    def test_bounds_at_every_key(self, x, bundle192):
+        frac_bits = sums.fixed_point_params(64)
+        ks = KeySpace.build(x)
+        level1, _, ledger = next(sums._levels(ks, sieve(ks.sqrt_x).primes, frac_bits, 2))
+        with mp.workprec(128):
+            c1 = +bundle192.c1
+            for v, value in zip(ks.keys[1:].tolist(), level1[1:]):
+                log_v = mp.log(v)
+                main, slack = mp.log(log_v) + c1, 1 / (2 * log_v**2)
+                assert main - slack < mp.ldexp(value, -frac_bits), v
+                if v >= 286:
+                    assert mp.ldexp(value + ledger, -frac_bits) < main + slack, v
 
 
 def _shape_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,8 +406,8 @@ def _dense_levels(k: int, x: int, primes, frac_bits: int):
         steps = np.flatnonzero(omega[: s + 1] == j - 1)  # the b of the grouped part
         vals, counts = sums._advance(ks, keys, range(low.size, len(keys)), small_primes, level1,
                                      pi, e, *levels[-1], steps.tolist(), tuples[steps].tolist())
-        vals[: low.size], counts[: low.size] = sums._running_sums(omega, tuples, low, j,
-                                                                  frac_bits)
+        n = np.flatnonzero(omega == j)
+        vals[: low.size], counts[: low.size] = sums._running_sums(n, tuples[n], low, frac_bits)
         levels.append((vals, counts))
     return levels
 
@@ -543,28 +578,27 @@ def primes_1e7():
     return sieve(10**7 + 10**4)
 
 
-def _lucy_stages(ks: KeySpace, small_primes: list[int], frac_bits: int, harmonic: list[int]):
+def _lucy_stages(ks: KeySpace, small_primes: list[int], start: list[int], final):
     """(T, pi, e) of the Lucy sieve one stage at a time over plain lists, no batching.
 
-    For x < 2^12 the start values are floor sums: ``harmonic[v]`` is the sum
-    of floor(2^(F+32)/n) over 2 <= n <= v.  Above it they are _level_one's
-    with no stage run.  Each stage walks the keys v >= p^2 from the top down, so
-    v // p and p - 1 still hold the previous stage's values when read.
+    ``start`` holds the start values.  A read of a key w < p^2 at stage p
+    takes ``final(w)``, the (T, pi) pair of a floor sum over the primes up
+    to w, in place of the table.  Each stage walks the keys v >= p^2 from
+    the top down, so v // p still holds the previous stage's values when
+    read.
     """
     keys = ks.keys.tolist()
-    if ks.x < len(harmonic):
-        t, pi, e = [harmonic[v] >> 32 for v in keys], [v - 1 for v in keys], 2
-    else:
-        t, pi, e = sums._level_one(ks, [], frac_bits)
+    t, pi, e = list(start), [v - 1 for v in keys], 2
     pos = {v: i for i, v in enumerate(keys)}
     for p in small_primes:
-        low = pos[p - 1]
+        low_t, low_pi = final(p - 1)
         for i in range(len(keys) - 1, -1, -1):
             if keys[i] < p * p:
                 break
-            src = pos[keys[i] // p]
-            t[i] -= (t[src] - t[low]) // p
-            pi[i] -= pi[src] - pi[low]
+            w = keys[i] // p
+            src_t, src_pi = final(w) if w < p * p else (t[pos[w]], pi[pos[w]])
+            t[i] -= (src_t - low_t) // p
+            pi[i] -= src_pi - low_pi
         e += math.ceil(Fraction(2 * e, p)) + 1
     return t, pi, e
 
@@ -609,19 +643,36 @@ class TestLevelOne:
     # both sides of q^3 for every q <= 47: the head/tail split moves there
     SPLIT = [q**3 + d for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
              for d in (-1, 0, 1)]
+    # both sides of m^3, where y0 = floor(x^(2/3)) is m^2
+    CUBES = [m**3 + d for m in range(2, 61) for d in (-1, 0, 1)]
 
     @pytest.mark.parametrize("precision", [64, 192])
     def test_matches_stage_by_stage_sieve(self, precision, primes_1e4):
-        # the tail stages p^3 > x, taken together per top key, give the sequential integers
+        # the demand-pruned head with final values below p^2, and the tail stages p^3 > x
+        # taken together per top key, give the sequential integers at every top key
         frac_bits = sums.fixed_point_params(precision)
         one = 1 << (frac_bits + 32)
         harmonic = [0, *accumulate((one // n for n in range(2, 1 << 12)), initial=0)]
         plist = primes_1e4.primes.tolist()
-        for x in sorted({*range(1, 2001), *self.SPLIT, 10**6 + 3}):
+        floors = list(accumulate((one // p for p in plist), initial=0))
+
+        def final(w):
+            count = bisect_right(plist, w)
+            return floors[count] >> 32, count
+
+        for x in sorted({*range(1, 2001), *self.SPLIT, *self.CUBES, 10**6 + 3}):
             ks = KeySpace.build(x)
+            assert _cutoff(x) <= primes_1e4.limit, x  # final() counts the primes up to y0
+            low = len(ks) - x // (_cutoff(x) + 1)  # the keys up to y0
             small = plist[: bisect_right(plist, ks.sqrt_x)]
-            want_t, want_pi, want_e = _lucy_stages(ks, small, frac_bits, harmonic)
-            assert sums._level_one(ks, small, frac_bits) == (want_t, want_pi, want_e), x
+            if x < len(harmonic):
+                start = [harmonic[v] >> 32 for v in ks.keys.tolist()]
+            else:
+                start = sums._start_values(ks, frac_bits)
+            want_t, want_pi, want_e = _lucy_stages(ks, small, start, final)
+            t, pi, e = sums._level_one(ks, small, frac_bits)
+            assert (t[low:], pi, e) == (want_t[low:], want_pi, want_e), x
+            assert t[:low] == [final(v)[0] for v in ks.keys[:low].tolist()], x
             t, pi, e = sums._level_one(ks, small, frac_bits, only_x=True)
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), x
 
@@ -682,7 +733,7 @@ class TestLevelOne:
 class TestDemandPrunedLevelOne:
     """At k = 1 the sieve runs only the stages T(x) needs; x must not notice.
 
-    The k = 2 pass runs every stage at every key.  Both passes set level 1 at
+    The k = 2 pass runs the stages every top key needs.  Both passes set level 1 at
     x to max(T(x) - e, 0), so sk_levels adds only the ledger and the count to
     the sieve's T(x), pi(x) and e, which the next test and
     TestLevelOne::test_matches_stage_by_stage_sieve (x <= 2000) compare
