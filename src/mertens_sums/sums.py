@@ -18,13 +18,13 @@ close; S_k depends on x only through floor(x), so arguments are integers.
 
 The engine's level tables, one entry per key, hold S_j as integers
 scaled by 2^frac_bits.  Level 1 is max(T - e, 0), for a table T within e
-of S_1 at every key, so at most S_1 and within 2e below it; pi is exact
-(:func:`_level_one`).  Every key up to y0 = max(x^(2/3), sqrt(x)) takes T
-and pi from one running sum over the primes up to y0, as the levels below
-do.  Only the top keys x // n > y0 take the key-space sieve, one stage per
-prime p <= sqrt(x).  A key below p^2 is final before stage p, so the stage
-reads it from the running sum, and a demand pass runs each stage p^3 <= x
-only at the keys >= p^2 that the top keys need (x alone for k = 1).  The
+of S_1 at every key it fills, so at most S_1 and within 2e below it; pi is
+exact (:func:`_level_one`).  Every key up to y0 = max(x^(2/3), sqrt(x))
+takes T and pi from one running sum over the primes up to y0, as the
+levels below do.  Only the top keys x // n > y0 take the key-space sieve,
+one stage per prime p <= sqrt(x).  A key below p^2 is final before stage
+p, so the stage reads it from the running sum, and a demand pass runs each
+stage p^3 <= x only at the keys >= p^2 that the filled top keys need.  The
 stages p^3 > x read only keys up to y0, so they commute: each top key
 x // n >= q^2, q the smallest such prime, takes them all at once, the same
 integers as one by one.
@@ -51,20 +51,20 @@ sqrt(x)) fills level j at every key up to y0 within 2 units, in
 O(y0 loglog x) operations; Omega and c_j come from the primes up to
 sqrt(y0) = x^(1/3), divided out of a cofactor array.  Only the top keys
 x // n > y0, n <= x^(1/3), take the step above (Deleglise-Rivat, Math.
-Comp. 65, 1996, split the keys at x^(2/3) the same way).  Level k is
-evaluated only at x (for k = 1 too, by the demand pass above), and level
-j < k only where level j + 1 reads it: at every key up to y0 and at the
-top keys x // n with Omega(n) <= k - j.
-That closes, because the per-prime part at a top key x // n reads
-x // (n p), either a key up to y0 or a top key with Omega(n p) <=
-k - j + 1, and the grouped part reads only the full level-1 and pi
-tables.  A step costs pi(sqrt(v)) floors plus one term per b <= ymax with
-Omega(b) = j - 1, not one per y.  Tuple counts follow the same split: pi
-in place of S_1 at the top keys, exact running sums of c_j(n) up to y0,
-exact weights c_{j-1}(b) in the grouped part.  Every entry is at most the
-true value, and each level's ledger (:func:`truncation_error_ledger`)
-bounds the shortfall at every key it fills.  Summation order is fixed, so
-results are bit-reproducible.
+Comp. 65, 1996, split the keys at x^(2/3) the same way).  One rule fills
+every level, level 1 too: level j fills the top keys x // n with
+Omega(n) <= k - j, so level k only x, and when j < k every key up to y0.
+That closes.  At a top key x // n of level j + 1, Omega(n) <= k - j - 1,
+the per-prime part reads level j at x // (n p), a key up to y0 or a top
+key with Omega(n p) <= k - j; the grouped part reads level 1 and pi at
+r <= y0 and at x // (n b), Omega(b) = j, so Omega(n b) <= k - 1.  A step
+costs pi(sqrt(v)) floors plus one term per b <= ymax with Omega(b) = j - 1,
+not one per y.  Tuple counts follow the same split: pi in place of S_1 at
+the top keys, exact running sums of c_j(n) up to y0, exact weights
+c_{j-1}(b) in the grouped part.  Every entry is at most the true value,
+and each level's ledger (:func:`truncation_error_ledger`) bounds the
+shortfall at every key it fills.  Summation order is fixed, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -298,12 +298,11 @@ def _start_values(keyspace: KeySpace, frac_bits: int) -> list[int]:
     return t
 
 
-def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
-               only_x: bool = False):
-    """(T, pi, e) at every key, |T - 2^F S_1| <= e, F = frac_bits, pi exact.
+def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, positions):
+    """(T, pi, e) with |T - 2^F S_1| <= e, F = frac_bits, and pi exact.
 
-    ``small_primes`` are the primes up to sqrt_x.  With ``only_x`` this holds
-    at x and at every key up to y0, and the other entries are partly sieved.
+    ``small_primes`` are the primes up to sqrt_x.  This holds at every key
+    up to y0 and at the top keys at ``positions``; the other entries are 0.
 
     Every key up to y0 = max(x^(2/3), sqrt_x) takes S_1 and pi from one
     running sum over the primes up to y0, sieved here (:func:`_running_sums`,
@@ -319,17 +318,17 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
     The stages split at the cube root of x.  A head stage, p^3 <= x, is one
     numpy object-array update, whose right-hand side reads only the previous
     stage's values.  A demand pass, from the last head stage down, first
-    counts the head stages each key needs: the top keys (x alone with
-    ``only_x``) need all of them, and a key updated at stage i makes its
-    source v // p need the i stages before it only if v // p >= p^2.  Before
-    stage i the running sum is copied into the keys in [p_{i-1}^2, p_i^2),
-    and after the head into every key up to y0.  The tail stages, p^3 > x,
-    commute: with q the smallest, a tail stage writes keys v >= p^2 >= q^2
-    > y0 and reads v // p <= x / p < x^(2/3) and p - 1, keys up to y0 whose
-    values are final.  Each top key v = x // n >= q^2 (n <= x // q^2)
+    counts the head stages each key needs: the top keys at ``positions``
+    need all of them, and a key updated at stage i makes its source v // p
+    need the i stages before it only if v // p >= p^2.  Before stage i the
+    running sum is copied into the keys in [p_{i-1}^2, p_i^2).  The tail
+    stages, p^3 > x, commute: with q the smallest, a tail stage writes keys
+    v >= p^2 >= q^2 > y0 and reads v // p <= x / p < x^(2/3) and p - 1,
+    keys up to y0 whose values are final.  Each top key at ``positions``
     therefore takes its tail stages at once, summing one floor per tail
-    prime p <= sqrt(v): the same integers as stage by stage.  Each update
-    floors once, so e -> e + ceil(2e/p) + 1 per prime, from e = 2.
+    prime p <= sqrt(v) (none when v < q^2): the same integers as stage by
+    stage.  Each update floors once, so e -> e + ceil(2e/p) + 1 per prime,
+    from e = 2.
     """
     x, keys, nk = keyspace.x, keyspace.keys, len(keyspace)
     y0 = _cutoff(keyspace)
@@ -341,7 +340,7 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
     head, tail = small_primes[:nhead], small_primes[nhead:]
     los = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 2).tolist()
     need = np.zeros(nk, dtype=np.int64)  # the head stages each key needs, from the last one down
-    need[nk - 1 if only_x else nlow :] = nhead
+    need[positions] = nhead
     for i in range(nhead - 1, 0, -1):
         lo = los[i]
         src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > i)], head[i])
@@ -354,19 +353,18 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int,
         src = keyspace.indices(keys[live], p)
         t[live] -= (t[src] - t[p - 2]) // p
         pi[live] -= pi[src] - pi[p - 2]
-    t, pi = t.tolist(), pi.tolist()
-    t[:nlow], pi[:nlow] = final_t, final_pi
-    if tail:  # every top key at once, from the head's values (see above)
-        t_at, pi_at = t.__getitem__, pi.__getitem__
-        t_low = [t[p - 2] for p in tail]
-        pi_low = list(accumulate((pi[p - 2] for p in tail), initial=0))
-        for n in range(1, (1 if only_x else x // (tail[0] * tail[0])) + 1):
-            v = x // n
-            m = bisect_right(tail, math.isqrt(v))
-            ps = tail[:m]
-            idx = keyspace.indices(v, ps)
-            t[nk - n] -= sum(map(floordiv, map(sub, map(t_at, idx), t_low), ps))
-            pi[nk - n] -= sum(map(pi_at, idx)) - pi_low[m]
+    heads = zip(positions, t[positions].tolist(), pi[positions].tolist())
+    t, pi = final_t + [0] * (nk - nlow), final_pi + [0] * (nk - nlow)
+    t_at, pi_at = t.__getitem__, pi.__getitem__
+    t_low = [t[p - 2] for p in tail]
+    pi_low = list(accumulate((pi[p - 2] for p in tail), initial=0))
+    for pos, t_head, pi_head in heads:  # each top key's tail stages at once (see above)
+        v = x // (nk - pos)
+        m = bisect_right(tail, math.isqrt(v))
+        ps = tail[:m]
+        idx = keyspace.indices(v, ps)
+        t[pos] = t_head - sum(map(floordiv, map(sub, map(t_at, idx), t_low), ps))
+        pi[pos] = pi_head - sum(map(pi_at, idx)) + pi_low[m]
     e = 2
     for p in small_primes:
         e += -(-2 * e // p) + 1
@@ -466,39 +464,35 @@ def _running_sums(n: np.ndarray, c: np.ndarray, low: np.ndarray, frac_bits: int)
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     """Yield (values, counts, ledger) for levels 1..k, each computed once.
 
-    ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  Level k
-    fills only x; at k = 1 that is max(T(x) - e, 0), from a sieve whose
-    demand pass starts at x alone.  For k >= 2 level 1 fills every key: by
-    a running sum up to y0 and the sieve above it.  Level 1 < j < k fills
-    the keys level j + 1 reads (see the module docstring): every key up to
-    y0 = max(x^(2/3), sqrt_x) by one running sum (:func:`_running_sums`), and
-    by a hyperbola step the top keys x // n > y0 with Omega(n) <= k - j.
-    Other entries are 0.  Running-sum entries are within 2 units, and every
-    ledger is at least pi(sqrt_x) + 2 >= 3 for x >= 4; below 4 the only key
-    up to y0 is 1, where every level is exactly 0.
+    ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  One
+    rule fills every level: level j fills the top keys x // n > y0 with
+    Omega(n) <= k - j, so level k fills x alone, and when j < k also every
+    key up to y0 = max(x^(2/3), sqrt_x).  That is all level j + 1 reads (see
+    the module docstring).  Level 1 is max(T - e, 0) from :func:`_level_one`;
+    level j >= 2 takes a hyperbola step at its top keys and one running sum
+    (:func:`_running_sums`) up to y0.  Other entries are 0.  Running-sum
+    entries are within 2 units, and every ledger is at least pi(sqrt_x) + 2
+    >= 3 for x >= 4; below 4 the only key up to y0 is 1, where every level
+    is exactly 0.
     """
     s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
-    level1, pi, e = _level_one(keyspace, small_primes, frac_bits, only_x=k == 1)
-    ledger = 2 * e
-    if k == 1:
-        yield [0] * (nk - 1) + [max(level1[-1] - e, 0)], [0] * (nk - 1) + [pi[-1]], ledger
-        return
-    level1 = [max(v - e, 0) for v in level1]
-    yield level1, pi, ledger
-    keys = keyspace.keys.tolist()
     y0 = _cutoff(keyspace)
     top = x // (y0 + 1)  # the keys above y0 are x // n for n <= top, at nk - n
-    if k > 2:
-        omega, tuples = _tuple_counts(y0, small_primes)
+    omega, tuples = _tuple_counts(y0 if k > 2 else top, small_primes)
+    tops = [(nk - np.flatnonzero(omega[1 : top + 1] <= k - j) - 1).tolist()
+            for j in range(1, k + 1)]
+    level1, pi, e = _level_one(keyspace, small_primes, frac_bits, tops[0])
+    ledger = 2 * e
+    unfilled = 0 if k > 1 else nk - top  # the keys up to y0, filled only below level k
+    level1 = [0] * unfilled + [max(v - e, 0) for v in level1[unfilled:]]
+    pi[:unfilled] = [0] * unfilled
+    yield level1, pi, ledger
+    keys = keyspace.keys.tolist()
     s1_upper = level1[-1] + ledger
     steps, weights = small_primes, [1] * len(small_primes)  # Omega(b) = 1 up to sqrt_x
     vals, counts = level1, pi
-    for j in range(2, k + 1):
-        if j < k:
-            positions = (nk - np.flatnonzero(omega[1 : top + 1] <= k - j) - 1).tolist()
-        else:
-            positions = [nk - 1]
+    for j, positions in enumerate(tops[1:], start=2):
         prev_upper = vals[s - 1] + ledger
         vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi, e,
                                 vals, counts, steps, weights)

@@ -312,7 +312,13 @@ class TestLevels:
 
     @pytest.mark.slow
     def test_precisions_agree_within_ledgers_at_1e10(self):
-        _assert_precisions_agree(10**10, sieve(10**5))
+        primes = sieve(10**5)
+        low = _assert_precisions_agree(10**10, primes)
+        # level j at x does not depend on k, and k = 2 and 3 fill the fewest level-1 keys
+        for k in (2, 3):
+            pruned = sk_levels(k, 10**10, primes, 64)
+            assert [(r.value, r.error_bound, r.terms) for r in pruned] == [
+                (r.value, r.error_bound, r.terms) for r in low[:k]], k
 
 
 def _assert_precisions_agree(x: int, primes):
@@ -320,6 +326,7 @@ def _assert_precisions_agree(x: int, primes):
 
     Both values sit at most their error_bound below S_j(x), so each lies
     within the other's bound, up to its own rounding to the working precision.
+    Returns the 64-bit levels.
     """
     low, high = (sk_levels(6, x, primes, precision) for precision in (64, 1024))
     for a, b in zip(low, high):
@@ -327,6 +334,7 @@ def _assert_precisions_agree(x: int, primes):
         assert vb - va <= _to_fraction(a.error_bound) + vb / 2 ** (1024 + 16), a.k
         assert va - vb <= _to_fraction(b.error_bound) + va / 2 ** (64 + 16), a.k
         assert a.terms == b.terms, a.k
+    return low
 
 
 class TestRosserSchoenfeld:
@@ -343,7 +351,8 @@ class TestRosserSchoenfeld:
     def test_bounds_at_every_key(self, x, bundle192):
         frac_bits = sums.fixed_point_params(64)
         ks = KeySpace.build(x)
-        level1, _, ledger = next(sums._levels(ks, sieve(ks.sqrt_x).primes, frac_bits, 2))
+        t, _, e = _level_one_at_every_key(ks, sieve(ks.sqrt_x).primes.tolist(), frac_bits)
+        level1, ledger = [max(v - e, 0) for v in t], 2 * e  # level 1 as _levels yields it
         with mp.workprec(128):
             c1 = +bundle192.c1
             for v, value in zip(ks.keys[1:].tolist(), level1[1:]):
@@ -387,6 +396,15 @@ def _cutoff(x: int) -> int:
     return max(y0, math.isqrt(x))
 
 
+def _level_one_at_every_key(ks: KeySpace, small_primes: list[int], frac_bits: int):
+    """(T, pi, e) of _level_one at every key of ks: every top key x // n > y0 is filled.
+
+    A DP pass fills level 1 only at the top keys x // n with Omega(n) <= k - 1.
+    """
+    top = ks.x // (_cutoff(ks.x) + 1)
+    return sums._level_one(ks, small_primes, frac_bits, list(range(len(ks) - top, len(ks))))
+
+
 def _dense_levels(k: int, x: int, primes, frac_bits: int):
     """Levels 1..k of the DP with every level filled at every key.
 
@@ -396,10 +414,9 @@ def _dense_levels(k: int, x: int, primes, frac_bits: int):
     ks = KeySpace.build(x)
     keys, s = ks.keys.tolist(), ks.sqrt_x
     low = ks.keys[ks.keys <= _cutoff(x)]
-    plist = primes.primes[: primes.count_upto(x)]
-    level1, pi, ledger = next(sums._levels(ks, plist, frac_bits, 2))  # k = 1 fills only x
-    e = ledger // 2  # level 1's ledger is twice its two-sided error
-    small_primes = plist[: pi[s - 1]].tolist()
+    small_primes = primes.primes[: primes.count_upto(s)].tolist()
+    t, pi, e = _level_one_at_every_key(ks, small_primes, frac_bits)
+    level1 = [max(v - e, 0) for v in t]  # level 1 as _levels yields it, with ledger 2e
     omega, tuples = _shape_arrays(_cutoff(x))
     levels = [(level1, pi)]
     for j in range(2, k + 1):
@@ -505,9 +522,9 @@ class TestLedgerAtEveryKey:
     @pytest.mark.parametrize("x", [2, 3, 4, 16, 48, 49, 50, 210, 361, 600, 999, 4096, 9999,
                                    65_537, 10**6])
     def test_filled_entries_against_exact(self, x, primes_1e6):
-        # at k = 5, _levels fills every key of level 1; at level 1 < j < 5 every key up
-        # to y0 by running sums and the top keys x // n > y0 with Omega(n) <= 5 - j; and
-        # x at level 5.  9999 has y0 = 464 and top keys for n <= 21.
+        # at k = 5, level j fills the top keys x // n > y0 with Omega(n) <= 5 - j, and at
+        # j < 5 every key up to y0 (by running sums for j > 1): x alone at level 5.  Every
+        # other value and count is 0.  9999 has y0 = 464 and top keys for n <= 21.
         ks = KeySpace.build(x)
         keys, nk = ks.keys.tolist(), len(ks)
         top = x // (_cutoff(x) + 1)
@@ -518,7 +535,9 @@ class TestLedgerAtEveryKey:
             levels = sums._levels(ks, primes_1e6.primes, frac_bits, 5)
             for j, ((vals, counts, ledger), (lo, hi, want)) in enumerate(zip(levels, exact), 1):
                 tops = [nk - n for n in range(1, top + 1) if omega[n] <= 5 - j]
-                filled = range(nk) if j == 1 else [nk - 1] if j == 5 else [*range(nk - top), *tops]
+                filled = [*range(nk - top), *tops] if j < 5 else tops
+                unfilled = sorted(set(range(nk)) - set(filled))
+                assert not any(vals[i] or counts[i] for i in unfilled), (precision, j, x)
                 for i in filled:
                     # computed <= 2^F S_j <= computed + ledger, and the exact tuple count
                     assert vals[i] << BOUND_GUARD <= lo[i], (precision, j, x, keys[i])
@@ -538,13 +557,14 @@ class TestLedgerAtEveryKey:
         nk, s, r = len(ks), ks.sqrt_x, math.isqrt(x)
         exact = _exact_levels(1, x, primes_1e6)[0]
         scaled = [exact[v] * 2**frac_bits for v in ks.keys.tolist()]
-        level1, pi, ledger = next(sums._levels(ks, primes_1e6.primes, frac_bits, 2))
+        small_primes = primes_1e6.primes[: primes_1e6.count_upto(s)].tolist()
+        sieved, pi, e1 = _level_one_at_every_key(ks, small_primes, frac_bits)
+        level1, ledger = [max(v - e1, 0) for v in sieved], 2 * e1  # as _levels yields it
         e = 2 ** (frac_bits - 8)  # far above every floor the level drops
         low = [math.floor(t) - 2 * e for t in scaled]
         low[r - 1] += 2 * e
         high = [math.floor(t) for t in scaled]
         high[r - 1] = math.ceil(scaled[r - 1]) - 2 * e
-        small_primes = primes_1e6.primes[: pi[s - 1]].tolist()
         s2 = sum(Fraction(exact[x // p], p) for p in primes_1e6.primes.tolist() if p <= x)
         # the step's own ledger with e, and level 1's true error in the per-prime part
         bound = sums.truncation_error_ledger(2 * e, level1[-1] + ledger, len(small_primes), e,
@@ -563,7 +583,7 @@ class TestLedgerAtEveryKey:
         ks = KeySpace.build(x)
         s = ks.sqrt_x
         small = primes_1e6.primes[: primes_1e6.count_upto(s)].tolist()
-        _, _, e = sums._level_one(ks, small, frac_bits)
+        _, _, e = _level_one_at_every_key(ks, small, frac_bits)
         levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 4))
         assert levels[0][2] == 2 * e
         s1_upper = levels[0][0][-1] + 2 * e
@@ -606,7 +626,7 @@ def _lucy_stages(ks: KeySpace, small_primes: list[int], start: list[int], final)
 class TestLevelOne:
     """The Lucy tables against test-local floor-sum and stage-by-stage references.
 
-    The last two checks read level 1 as a k = 2 DP pass yields it.
+    The last two checks read level 1 at every key as a DP pass yields it.
     """
 
     # both sides of: the first Euler-Maclaurin key (x // 2 > 2^12); the switch
@@ -625,7 +645,7 @@ class TestLevelOne:
         for x in (x for x in self.XS if precision <= 1024 or x <= 10**6):
             ks = KeySpace.build(x)
             small = plist[: primes_1e7.count_upto(ks.sqrt_x)]
-            cases.append((x, ks, *sums._level_one(ks, small, frac_bits)))
+            cases.append((x, ks, *_level_one_at_every_key(ks, small, frac_bits)))
         # sum of floor(2^(F+32) / p) over the first `count` primes, at every count needed
         wanted = sorted({count for *_, pi, _ in cases for count in pi})
         at = np.zeros(len(plist) + 1, dtype=bool)
@@ -670,10 +690,10 @@ class TestLevelOne:
             else:
                 start = sums._start_values(ks, frac_bits)
             want_t, want_pi, want_e = _lucy_stages(ks, small, start, final)
-            t, pi, e = sums._level_one(ks, small, frac_bits)
+            t, pi, e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[low:], pi, e) == (want_t[low:], want_pi, want_e), x
             assert t[:low] == [final(v)[0] for v in ks.keys[:low].tolist()], x
-            t, pi, e = sums._level_one(ks, small, frac_bits, only_x=True)
+            t, pi, e = sums._level_one(ks, small, frac_bits, [len(ks) - 1])
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), x
 
     @pytest.mark.parametrize("x", [2, 50, 8194, 10**7])
@@ -684,7 +704,7 @@ class TestLevelOne:
         want = 2
         for p in small:
             want += math.ceil(Fraction(2 * want, p)) + 1
-        assert sums._level_one(ks, small, sums.fixed_point_params(64))[2] == want
+        assert _level_one_at_every_key(ks, small, sums.fixed_point_params(64))[2] == want
 
     def test_primes_only_to_sqrt_x(self, primes_1e7):
         # a table to isqrt(x) gives the same bits as one to x; one prime short is refused
@@ -698,11 +718,11 @@ class TestLevelOne:
 
     @staticmethod
     def _ints(x, primes, frac_bits):
-        """Level 1 of a k = 2 DP pass over KeySpace(x) at every key, as integers.
-
-        A k = 1 pass fills level 1 only at x.
-        """
-        return next(sums._levels(KeySpace.build(x), primes.primes, frac_bits, 2))[0]
+        """Level 1 at every key of KeySpace(x) as a DP pass yields it, as integers."""
+        ks = KeySpace.build(x)
+        small = primes.primes[: primes.count_upto(ks.sqrt_x)].tolist()
+        t, _, e = _level_one_at_every_key(ks, small, frac_bits)
+        return [max(v - e, 0) for v in t]
 
     def _table(self, x, primes, precision=192):
         """Level 1 at every key of KeySpace(x), as {key: mpf at ``precision`` bits}."""
@@ -733,11 +753,11 @@ class TestLevelOne:
 class TestDemandPrunedLevelOne:
     """At k = 1 the sieve runs only the stages T(x) needs; x must not notice.
 
-    The k = 2 pass runs the stages every top key needs.  Both passes set level 1 at
-    x to max(T(x) - e, 0), so sk_levels adds only the ledger and the count to
-    the sieve's T(x), pi(x) and e, which the next test and
-    TestLevelOne::test_matches_stage_by_stage_sieve (x <= 2000) compare
-    directly.
+    The k = 2 pass runs the stages its top keys x and x // p need.  Both passes
+    set level 1 at x to max(T(x) - e, 0), so sk_levels adds only the ledger and
+    the count to the sieve's T(x), pi(x) and e, which the next test (against
+    every top key) and TestLevelOne::test_matches_stage_by_stage_sieve
+    (x <= 2000) compare directly.
     """
 
     SQUARES = [p * p + d for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
@@ -757,8 +777,8 @@ class TestDemandPrunedLevelOne:
         for x in sorted({*range(1, 201), *self.SQUARES, *self.LARGE}):
             ks = KeySpace.build(x)
             small = primes_1e7.primes[: primes_1e7.count_upto(ks.sqrt_x)].tolist()
-            t, pi, e = sums._level_one(ks, small, frac_bits, only_x=True)
-            want_t, want_pi, want_e = sums._level_one(ks, small, frac_bits)
+            t, pi, e = sums._level_one(ks, small, frac_bits, [len(ks) - 1])
+            want_t, want_pi, want_e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), (precision, x)
             (vals, counts, _), = sums._levels(ks, primes_1e7.primes, frac_bits, 1)
             assert vals[:-1] == counts[:-1] == [0] * (len(ks) - 1), (precision, x)
