@@ -25,9 +25,12 @@ levels below do.  Only the top keys x // n > y0 take the key-space sieve,
 one stage per prime p <= sqrt(x).  A key below p^2 is final before stage
 p, so the stage reads it from the running sum, and a demand pass runs each
 stage p^3 <= x only at the keys >= p^2 that the filled top keys need.  The
-stages p^3 > x read only keys up to y0, so they commute: each top key
-x // n >= q^2, q the smallest such prime, takes them all at once, the same
-integers as one by one.
+sieve starts from 2^F (H_v - 1) only at the keys those stages read: a
+running harmonic sum up to a switch near sqrt(x) (F + 32) / 64, and above
+it each key on its own from logarithms and Euler-Maclaurin
+(:func:`_start_values`).  The stages p^3 > x read only keys up to y0, so
+they commute: each top key x // n >= q^2, q the smallest such prime, takes
+them all at once, the same integers as one by one.
 Level j is evaluated at key v with r = isqrt(v) split in two (the
 hyperbola method, Tenenbaum, Introduction to Analytic and Probabilistic
 Number Theory, I.3):
@@ -74,8 +77,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import floordiv, mul, sub
 
 import numpy as np
@@ -231,19 +233,23 @@ def fixed_point_params(precision: int) -> int:
     return precision + LEDGER_MARGIN + HEADROOM_BITS
 
 
-def _series(coeffs: list[int], z: int, bits: int) -> int:
-    """sum_i coeffs[i] z^i by Horner's rule in fixed point (scale 2^bits)."""
-    return reduce(lambda acc, c: c + (acc * z >> bits), reversed(coeffs), 0)
+def _ln_ratio(a: int, b: int, bits: int, coeffs: list[int]) -> int:
+    """2^bits ln(a/b) = 2^bits 2 atanh((a-b)/(a+b)) for 1 <= b <= a <= 3b, 0 to 6 units low.
 
-
-def _atanh(num: int, den: int, bits: int, coeffs: list[int]) -> int:
-    """2^bits atanh(num/den) for 0 < num/den = 2^-b <= 1/2, within 5 units.
-
-    m terms leave a tail under 2^-b(2m+1) 4/3, below one unit here.
-    ``coeffs`` holds floor(2^bits/(2i+1)) for i < ceil((bits+2)/2), the m of b = 1.
+    ``coeffs`` holds floor(2^bits/(2i+1)) for i < ceil((bits+2)/2).  With
+    z = (a-b)/(a+b) <= 2^-c, m = ceil((bits+2)/(2c)) terms leave a tail
+    under one unit, summed by Horner's rule in z^2: each step multiplies by
+    (a-b)^2 and divides by (a+b)^2, small integers.  The floors lose under
+    8/3 units before the last one multiplies by z, so 2 atanh is low by
+    under 6.
     """
-    b, u = math.log2(den / num), (num << bits) // den
-    return _series(coeffs[: math.ceil((bits + 2) / (2 * b))], u * u >> bits, bits) * u >> bits
+    r, d = a - b, a + b
+    if r == 0:
+        return 0
+    acc, r2 = 0, r * r
+    for c in reversed(coeffs[: -(-(bits + 2) // (2 * (d // r).bit_length() - 2))]):
+        acc = c + acc * r2 // d // d  # = floor(acc r^2 / d^2); one-digit divisors are faster
+    return 2 * (acc * r // d)
 
 
 def _icbrt(n: int) -> int:
@@ -254,48 +260,86 @@ def _icbrt(n: int) -> int:
     return r
 
 
-def _start_values(keyspace: KeySpace, frac_bits: int) -> list[int]:
-    """2^F (H_v - 1) within 2 units at every key, F = frac_bits: the Lucy sieve's start.
+def _start_values(keyspace: KeySpace, frac_bits: int, want) -> list[int]:
+    """2^F (H_v - 1) within 2 units at the ascending key positions ``want``, 0 elsewhere.
 
-    H_v is built 32 guard bits lower from H_a - H_b for consecutive keys
-    b < a: the sum of floor(2^(F+32)/n) over b < n <= a up to
-    max(sqrt_x (F+32)/32, 2^12) (above it a step costs like (F+32)^2), then
-    2 atanh((a-b)/(a+b)) + em(a) - em(b), em(v) = 1/(2v) - sum_i B_2i/(2i)
-    v^-2i (Euler-Maclaurin) cut at its first term under a guard unit at b0,
-    the last key before, which bounds the tail.  The sums lose under 2^25
-    guard units and each of the < 2^15 steps under 2^12, so the values start
-    within 2.
+    F = frac_bits; these are the Lucy sieve's start values.  Each is built
+    32 guard bits lower, and a key's value does not depend on ``want``.
+    Keys up to the switch max(sqrt_x (F+32) // 64, 2^12) take the running
+    sum of floor(2^(F+32)/n), read off at the wanted keys and at b0, the
+    last key at or below the switch.  A wanted key v = x // n above it, with
+    r = x - n v, is evaluated on its own from v = (x - r)/n:
+
+        H_v = H_b0 + ln n_b - ln n + L(r) - L(r_b) + em(v) - em(b0),
+
+    where b0 = x // n_b with remainder r_b, L(r) = ln(1 - r/x) =
+    -2 atanh(r/(2x - r)), and em(v) = 1/(2v) - sum_i B_2i/(2i) v^-2i is the
+    Euler-Maclaurin correction H_v - ln v - gamma, cut at its first term
+    under a guard unit at b0 and summed by Horner's rule in 1/v^2.  ln n is
+    summed over the prime factors of n, with ln p = ln(p - 1) +
+    2 atanh(1/(2p - 1)) (:func:`_ln_ratio`), so every series term is one
+    multiply or divide by a small integer.  Error budget, in guard units:
+    the harmonic floors lose under b0 <= switch < 2^24 (sqrt_x <= 10^5,
+    F + 32 <= 8264); each 2 atanh is low by under 6, so by induction on p
+    (p - 1 has two or more prime factors for p >= 5) ln p is low by under
+    6 (2 log2 p - 1) and ln n by under 12 log2 n < 2^9; the two L terms
+    lose under 6 each, and each em under 4 (its floors under 3, its tail
+    under 1).  The total stays under 2^25, far below 2^32, so the shifted
+    values start within 2 units.
     """
-    s, keys = keyspace.sqrt_x, keyspace.keys
+    s, keys, x = keyspace.sqrt_x, keyspace.keys, keyspace.x
     nk, bits = len(keys), frac_bits + INIT_GUARD_BITS
     one = 1 << bits
-    switch = max(s * bits // 32, 1 << 12)
-    cut = int(np.searchsorted(keys, switch, side="right")) - 1
-    b0, coeffs = int(keys[cut]), []
-    while cut < nk - 1:  # B_2i / (2i b0^2i), scaled, while it reaches a unit
-        c = _bernoulli(2 * len(coeffs) + 2) / (2 * len(coeffs) + 2)
-        c /= b0 ** (2 * len(coeffs) + 2)
-        if abs(c.numerator) << bits < c.denominator:
+    cut = int(np.searchsorted(keys, max(s * bits // 64, 1 << 12), side="right")) - 1
+    want = np.asarray(want, dtype=np.int64)
+    split = int(np.searchsorted(want, cut, side="right"))
+    low, high = want[:split], want[split:].tolist()
+    out = [0] * nk
+    reads = keys[np.append(low, cut) if high else low]  # the running sum is read here, b0 last
+    marks = np.zeros(int(reads[-1]) if reads.size else 0, dtype=bool)
+    marks[reads - 1] = True
+    harmonic = accumulate(map(floordiv, repeat(one), count(2)), initial=0)  # 2^bits (H_n - 1)
+    running = list(compress(harmonic, _stream(marks)))
+    for pos, h in zip(low.tolist(), running):
+        out[pos] = h >> INIT_GUARD_BITS
+    if not high:
+        return out
+    h, b0 = running[-1], int(reads[-1])
+    n_b = x // b0
+    coeffs = []  # floor(2^bits B_i / i) while B_i / (i b0^i) reaches a guard unit, i even
+    for i in count(2, 2):
+        c = _bernoulli(i) / i
+        if abs(c.numerator) << bits < c.denominator * b0**i:
             break
         coeffs.append((c.numerator << bits) // c.denominator)
     atanh_coeffs = [one // (2 * i + 1) for i in range(-(-(bits + 2) // 2))]
+    smallest = np.arange(n_b + 1)  # smallest prime factor, for n_b >= every n above b0
+    for p in sieve(math.isqrt(n_b)).primes[::-1].tolist():
+        smallest[p * p :: p] = p
+    smallest, logs = smallest.tolist(), {1: 0}
+
+    def ln(m):  # 2^bits ln m
+        if m not in logs:
+            p = smallest[m]
+            if p == m:
+                logs[m] = ln(m - 1) + _ln_ratio(m, m - 1, bits, atanh_coeffs)
+            else:
+                logs[m] = ln(p) + ln(m // p)
+        return logs[m]
 
     def em(v):
-        w = (b0 * b0 << bits) // (v * v)
-        return one // (2 * v) - (_series(coeffs, w, bits) * w >> bits)
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc + c) // v // v  # = floor((acc + c) / v^2)
+        return one // (2 * v) - acc
 
-    harmonic = accumulate(map(floordiv, repeat(one), count(2)), initial=0)  # 2^bits (H_n - 1)
-    small = list(islice(harmonic, s))
-    h, b, em_b, t = small[-1], s, em(b0), [v >> INIT_GUARD_BITS for v in small]
-    for a in keys[s:].tolist():
-        if a <= switch:
-            h = next(islice(harmonic, a - b - 1, None))
-        else:
-            em_a = em(a)
-            h, em_b = h + 2 * _atanh(a - b, a + b, bits, atanh_coeffs) + em_a - em_b, em_a
-        t.append(h >> INIT_GUARD_BITS)
-        b = a
-    return t
+    anchor = h + ln(n_b) + _ln_ratio(x, b0 * n_b, bits, atanh_coeffs) - em(b0)
+    for pos in high:
+        n = nk - pos
+        v = x // n
+        out[pos] = (anchor - ln(n) - _ln_ratio(x, v * n, bits, atanh_coeffs)
+                    + em(v)) >> INIT_GUARD_BITS
+    return out
 
 
 def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, positions):
@@ -320,7 +364,10 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, posi
     stage's values.  A demand pass, from the last head stage down, first
     counts the head stages each key needs: the top keys at ``positions``
     need all of them, and a key updated at stage i makes its source v // p
-    need the i stages before it only if v // p >= p^2.  Before stage i the
+    need the i stages before it only if v // p >= p^2.  The head reads a
+    start value only at a key it updates, at a source v // 2 >= 4 of stage
+    p = 2, or at ``positions``, so only those keys get one; the others stay 0
+    (at k = 1, 9,457 of 19,968 keys at x = 9.97e7).  Before stage i the
     running sum is copied into the keys in [p_{i-1}^2, p_i^2).  The tail
     stages, p^3 > x, commute: with q the smallest, a tail stage writes keys
     v >= p^2 >= q^2 > y0 and reads v // p <= x / p < x^(2/3) and p - 1,
@@ -346,7 +393,14 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, posi
         src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > i)], head[i])
         src = src[src >= lo]  # a read below p^2 is final
         need[src] = np.maximum(need[src], i)
-    t, pi, done = np.array(_start_values(keyspace, frac_bits), dtype=object), keys - 1, 0
+    reads = need > 0  # the keys whose start values the head reads (see above)
+    reads[positions] = True
+    if nhead:
+        lo = los[0]
+        src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > 0)], 2)
+        reads[src[src >= lo]] = True
+    start = _start_values(keyspace, frac_bits, np.flatnonzero(reads))
+    t, pi, done = np.array(start, dtype=object), keys - 1, 0
     for i, (p, lo) in enumerate(zip(head, los)):
         t[done:lo], pi[done:lo], done = final_t[done:lo], final_pi[done:lo], lo
         live = lo + np.flatnonzero(need[lo:] > i)

@@ -310,6 +310,11 @@ class TestLevels:
     def test_precisions_agree_within_ledgers(self, primes_1e4):
         _assert_precisions_agree(10**7 + 19, primes_1e4)
 
+    @pytest.mark.parametrize("x", [10**7 + 19, 99_700_000])
+    def test_k1_precisions_agree_within_ledgers(self, x, primes_1e4):
+        # k = 1 reads start values at the fewest keys
+        _assert_precisions_agree(x, primes_1e4, k=1)
+
     @pytest.mark.slow
     def test_precisions_agree_within_ledgers_at_1e10(self):
         primes = sieve(10**5)
@@ -321,14 +326,14 @@ class TestLevels:
                 (r.value, r.error_bound, r.terms) for r in low[:k]], k
 
 
-def _assert_precisions_agree(x: int, primes):
-    """sk_levels(6, x) at 64 and 1024 bits: each value within the other's bound, equal terms.
+def _assert_precisions_agree(x: int, primes, k: int = 6):
+    """sk_levels(k, x) at 64 and 1024 bits: each value within the other's bound, equal terms.
 
     Both values sit at most their error_bound below S_j(x), so each lies
     within the other's bound, up to its own rounding to the working precision.
     Returns the 64-bit levels.
     """
-    low, high = (sk_levels(6, x, primes, precision) for precision in (64, 1024))
+    low, high = (sk_levels(k, x, primes, precision) for precision in (64, 1024))
     for a, b in zip(low, high):
         va, vb = _to_fraction(a.value), _to_fraction(b.value)
         assert vb - va <= _to_fraction(a.error_bound) + vb / 2 ** (1024 + 16), a.k
@@ -629,11 +634,12 @@ class TestLevelOne:
     The last two checks read level 1 at every key as a DP pass yields it.
     """
 
-    # both sides of: the first Euler-Maclaurin key (x // 2 > 2^12); the switch
-    # max(sqrt_x (F+32)/32, 2^12) leaving 2^12 at 1024, 192 and 64 bits (sqrt_x = 120, 497,
-    # 964); x // sqrt_x == sqrt_x (perfect squares and x = s (s + 1))
-    XS = [2, 3, 4, 48, 49, 50, 8193, 8194, 8195, 14399, 14400, 247008, 247009, 929295,
-          929296, 999999, 10**6, 1000001, 10**7, 3162 * 3163]
+    # both sides of: the first start value above the harmonic switch (x = 2^12 + 1, and
+    # x // 2 > 2^12); the switch max(sqrt_x (F+32) // 64, 2^12) leaving 2^12 at 1024, 192
+    # and 64 bits (sqrt_x = 240, 994, 1928); x // sqrt_x == sqrt_x (perfect squares and
+    # x = s (s + 1))
+    XS = [2, 3, 4, 48, 49, 50, 4096, 4097, 8193, 8194, 57599, 57600, 988035, 988036, 999999,
+          10**6, 1000001, 3717183, 3717184, 10**7, 3162 * 3163]
 
     @pytest.mark.parametrize("precision", [64, 192, 1024, 5000])
     def test_contains_floor_sum_interval(self, precision, primes_1e7):
@@ -672,7 +678,6 @@ class TestLevelOne:
         # taken together per top key, give the sequential integers at every top key
         frac_bits = sums.fixed_point_params(precision)
         one = 1 << (frac_bits + 32)
-        harmonic = [0, *accumulate((one // n for n in range(2, 1 << 12)), initial=0)]
         plist = primes_1e4.primes.tolist()
         floors = list(accumulate((one // p for p in plist), initial=0))
 
@@ -685,16 +690,38 @@ class TestLevelOne:
             assert _cutoff(x) <= primes_1e4.limit, x  # final() counts the primes up to y0
             low = len(ks) - x // (_cutoff(x) + 1)  # the keys up to y0
             small = plist[: bisect_right(plist, ks.sqrt_x)]
-            if x < len(harmonic):
-                start = [harmonic[v] >> 32 for v in ks.keys.tolist()]
-            else:
-                start = sums._start_values(ks, frac_bits)
+            start = sums._start_values(ks, frac_bits, range(len(ks)))
             want_t, want_pi, want_e = _lucy_stages(ks, small, start, final)
             t, pi, e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[low:], pi, e) == (want_t[low:], want_pi, want_e), x
             assert t[:low] == [final(v)[0] for v in ks.keys[:low].tolist()], x
             t, pi, e = sums._level_one(ks, small, frac_bits, [len(ks) - 1])
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), x
+
+    # both sides of the harmonic switch max(sqrt_x (F+32) // 64, 2^12) leaving 2^12 (XS)
+    @pytest.mark.parametrize("precision, x", [
+        *((64, x) for x in (4097, 1928**2 - 1, 1928**2)),
+        *((192, x) for x in (4097, 994**2 - 1, 994**2, 10**6 + 3, 9_970_000)),
+        *((1024, x) for x in (4097, 240**2 - 1, 240**2)),
+    ])
+    def test_start_values_against_harmonic(self, precision, x):
+        # within 2 units of floor(2^F (H_v - 1)) at every key, whichever keys are wanted
+        frac_bits = sums.fixed_point_params(precision)
+        ks = KeySpace.build(x)
+        keys = ks.keys.tolist()
+        start = sums._start_values(ks, frac_bits, range(len(ks)))
+        small = bisect_right(keys, 1 << 12)
+        harmonic = list(accumulate((Fraction(1, n) for n in range(2, keys[small - 1] + 1)),
+                                   initial=Fraction(0)))  # H_v - 1 exactly, v <= 2^12
+        want = [math.floor(harmonic[v - 1] * 2**frac_bits) for v in keys[:small]]
+        with mp.workprec(frac_bits + 64):
+            want += [int(mp.floor(mp.ldexp(mp.harmonic(v) - 1, frac_bits)))
+                     for v in keys[small:]]
+        assert all(abs(a - b) <= 2 for a, b in zip(start, want)), max(
+            (abs(a - b), v) for a, b, v in zip(start, want, keys))
+        chosen = sorted(random.Random(x).sample(range(len(ks)), len(ks) // 3))
+        some, chosen = sums._start_values(ks, frac_bits, chosen), set(chosen)
+        assert some == [start[i] if i in chosen else 0 for i in range(len(ks))]
 
     @pytest.mark.parametrize("x", [2, 50, 8194, 10**7])
     def test_error_bound_recurrence(self, x, primes_1e7):
