@@ -21,7 +21,7 @@ from mertens_sums import GridSpec, emit_report, verify_grid
 
 grid = GridSpec(start=10**3, stop=10**6, points=10)
 
-# one DP pass per x yields every k; rows come back k-major
+# one engine pass per x yields every k; rows come back k-major
 all_rows = verify_grid((1, 2, 3), grid)
 for k in (1, 2, 3):
     rows = [r for r in all_rows if r.k == k]

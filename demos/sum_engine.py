@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The two routes to S_k(x): brute-force enumeration vs the key-space DP.
+"""The two routes to S_k(x): brute-force enumeration vs the key-space engine.
 
 Shows exact rational values at toy sizes, oracle agreement at medium
 sizes, and the engine's scaling up to x = 10^7 with timings, term

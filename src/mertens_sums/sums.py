@@ -5,9 +5,10 @@ Two independent routes are provided:
 
 * :func:`sk_direct` - literal recursive enumeration of the defining sum,
   no memoization, in integer fixed point or exact rationals.  The oracle.
-* :func:`sk_levels` - bottom-up dynamic programming over the key space
-  {floor(x/n)} from the primes up to sqrt(x), for x up to 10^10; one
-  pass yields S_1(x), ..., S_k(x).  :func:`sk_fast` is its last level.
+* :func:`sk_levels` - level 1 by a sieve over the key space {floor(x/n)}
+  from the primes up to sqrt(x), and levels 2..k by a walk over sorted
+  prime prefixes that reads level 1 alone, for x up to 10^10; one pass
+  yields S_1(x), ..., S_k(x).  :func:`sk_fast` is its last level.
 
 Both count ordered tuples: (2,3) and (3,2) are distinct terms.  S_0 is 1
 for every argument >= 1 (the empty product), which makes the recursion
@@ -16,58 +17,56 @@ for every argument >= 1 (the empty product), which makes the recursion
 
 close; S_k depends on x only through floor(x), so arguments are integers.
 
-The engine's level tables, one entry per key, hold S_j as integers
-scaled by 2^frac_bits.  Level 1 is max(T - e, 0), for a table T within e
-of S_1 at every key it fills, so at most S_1 and within 2e below it; pi is
-exact (:func:`_level_one`).  Every key up to y0 = max(x^(2/3), sqrt(x))
-takes T and pi from one running sum over the primes up to y0, as the
-levels below do.  Only the top keys x // n > y0 take the key-space sieve,
-one stage per prime p <= sqrt(x).  A key below p^2 is final before stage
-p, so the stage reads it from the running sum, and a demand pass runs each
-stage p^3 <= x only at the keys >= p^2 that the filled top keys need.  The
-sieve starts from 2^F (H_v - 1) only at the keys those stages read: a
-running harmonic sum up to a switch near sqrt(x) (F + 32) / 64, and above
-it each key on its own from logarithms and Euler-Maclaurin
-(:func:`_start_values`).  The stages p^3 > x read only keys up to y0, so
-they commute: each top key x // n >= q^2, q the smallest such prime, takes
-them all at once, the same integers as one by one.
-Level j is evaluated at key v with r = isqrt(v) split in two (the
-hyperbola method, Tenenbaum, Introduction to Analytic and Probabilistic
-Number Theory, I.3):
+Level 1 is a table, one entry per key, of S_1 as integers scaled by
+2^frac_bits: max(T - e, 0), for a table T within e of S_1 at every key it
+fills, so at most S_1 and within 2e below it; pi is exact
+(:func:`_level_one`).  Every key up to y0 = max(x^(2/3), sqrt(x)) takes T
+and pi from one running sum over the primes up to y0.  Only the top keys
+x // n > y0 take the key-space sieve, one stage per prime p <= sqrt(x).  A
+key below p^2 is final before stage p, so the stage reads it from the
+running sum, and a demand pass runs each stage p^3 <= x only at the keys
+>= p^2 that the filled top keys need.  The sieve starts from 2^F (H_v - 1)
+only at the keys those stages read: a running harmonic sum up to a switch
+near sqrt(x) (F + 32) / 64, and above it each key on its own from
+logarithms and Euler-Maclaurin (:func:`_start_values`).  The stages
+p^3 > x read only keys up to y0, so they commute: each top key
+x // n >= q^2, q the smallest such prime, takes them all at once, the same
+integers as one by one.
 
-* primes p <= r contribute floor(S_{j-1}(v // p) / p) one at a time;
-* primes p > r through the other factor b of each tuple: S_{j-1}(y) sums
-  c_{j-1}(b)/b over b <= y with Omega(b) = j - 1 (below), and p > r
-  leaves b <= v // p <= ymax = v // (r + 1), so the part is the sum of
-  c_{j-1}(b)/b (S_1(v // b) - S_1(r)) over those b (for j = 2 the primes
-  up to ymax, of weight 1).  Each difference is read from level 1 as
-  L1(v // b) - (L1(r) + 2e): at most its true value and at most 4e below
-  it, whatever shape the table has.  Each term is floored INIT_GUARD_BITS
-  below a unit and the sum shifted once.
+Levels j >= 2 read level 1 alone, through the sorted form q_1 <= ... <= q_j
+of each ordered tuple: the recursion that counts k-almost-primes, whose
+j = 2 case is the semiprime count pi_2(x) = sum_{i <= pi(sqrt x)}
+(pi(x / p_i) - i + 1) (OEIS A066265).  Split off the last prime.  The
+prefix q_1..q_{j-1}, with product n, leaves q_j in [q_{j-1}, x / n], so
+only prefixes with n q_{j-1} <= x count, and their primes are at most
+sqrt(x).  Let c(m) = Omega(m)! / prod e_i! count the ordered tuples with
+product m = prod p_i^e_i.  A last prime above q_{j-1} gives c(n q_j) =
+j c(n), and a repeat gives c(n q_{j-1}), so
 
-Every argument above is a key, so no level needs one division per
-(key, prime) pair.  A key y needs no recursion, though: S_j(y) sums
-c_j(n)/n over n <= y with Omega(n) = j, where c_j(n) = j!/prod e_i!
-counts the ordered prime tuples with product n = prod p_i^e_i.  So one
-running sum of these multinomial weights over n <= y0 = max(x^(2/3),
-sqrt(x)) fills level j at every key up to y0 within 2 units, in
-O(y0 loglog x) operations; Omega and c_j come from the primes up to
-sqrt(y0) = x^(1/3), divided out of a cofactor array.  Only the top keys
-x // n > y0, n <= x^(1/3), take the step above (Deleglise-Rivat, Math.
-Comp. 65, 1996, split the keys at x^(2/3) the same way).  One rule fills
-every level, level 1 too: level j fills the top keys x // n with
-Omega(n) <= k - j, so level k only x, and when j < k every key up to y0.
-That closes.  At a top key x // n of level j + 1, Omega(n) <= k - j - 1,
-the per-prime part reads level j at x // (n p), a key up to y0 or a top
-key with Omega(n p) <= k - j; the grouped part reads level 1 and pi at
-r <= y0 and at x // (n b), Omega(b) = j, so Omega(n b) <= k - 1.  A step
-costs pi(sqrt(v)) floors plus one term per b <= ymax with Omega(b) = j - 1,
-not one per y.  Tuple counts follow the same split: pi in place of S_1 at
-the top keys, exact running sums of c_j(n) up to y0, exact weights
-c_{j-1}(b) in the grouped part.  Every entry is at most the true value,
-and each level's ledger (:func:`truncation_error_ledger`) bounds the
-shortfall at every key it fills.  Summation order is fixed, so results are
-bit-reproducible.
+    S_j(x) = sum over prefixes of [ c(n) j/n (S_1(x // n) - S_1(q_{j-1}))
+                                    + c(n q_{j-1}) / (n q_{j-1}) ],
+
+and the tuple count is the same sum with pi in place of S_1.  One
+depth-first walk over the prefixes, each before its extensions, yields
+every level 2..k (:func:`_walk`).  It carries c down: appending q multiplies it by
+Omega + 1, divided by the new multiplicity of q.  A prefix n' takes the
+terms of its children n' q, q >= its last prime and n' q^2 <= x, over
+that whole prime range at once, and it descends into a child only below
+level k and when n' q^3 <= x, so that the child has children of its own.
+
+The walk reads level 1 at x // n for prefix products n, Omega(n) <= k - 1,
+and at the primes up to sqrt(x).  A key x // n > y0 has n <= top =
+x // (y0 + 1) <= x^(1/3), so level 1 fills the top keys x // n with
+Omega(n) <= k - 1 (x alone at k = 1), and Omega comes from the primes up to
+top (Deleglise-Rivat, Math. Comp. 65, 1996, split the keys at x^(2/3) the
+same way).  Each difference is read as L1(x // n) - (L1(q_{j-1}) + 2e):
+at most its true value and at most 4e below it, whatever shape the table
+has.  Each term is floored INIT_GUARD_BITS below a unit and the sum
+shifted once, so level j is at most S_j and its ledger is
+ceil(4e W_j / 2^F) + 2, where W_j sums ceil(2^F c(n) j / n) over its
+prefixes: at most 2^F j S_{j-1}(x) plus one per prefix.
+Every level reads level 1 alone, so no ledger compounds.  Summation order
+is fixed, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -221,11 +220,16 @@ def sk_direct(
 
 
 # ----------------------------------------------------------------------
-# The engine: memoized dynamic programming over the key space.
+# The engine: level 1 over the key space, levels 2..k by a walk over prime prefixes.
 
 LEDGER_MARGIN = 16  # frac bits beyond the requested precision
-HEADROOM_BITS = 24  # more frac bits: the room the error ledgers grow into
-INIT_GUARD_BITS = 32  # level 1 and the small keys of later levels sum this many bits below units
+# More frac bits: the room the error ledgers grow into.  Level 1's ledger is
+# 2e and level j's 4e j S_{j-1}(x) + 2 at most, plus the rounding up of its
+# prefix weights (see _levels): ledgers do not compound.  At x <= 10^10 and
+# k <= 34 each is under 2^19 max(1, S_j(x)) units of 2^-F, so error_bound
+# stays under 2^-precision max(1, |S_j(x)|).
+HEADROOM_BITS = 24
+INIT_GUARD_BITS = 32  # level 1's running sums and the prefix walk sum this many bits below units
 
 
 def fixed_point_params(precision: int) -> int:
@@ -381,8 +385,7 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, posi
     y0 = _cutoff(keyspace)
     nlow = nk - x // (y0 + 1)  # the keys up to y0
     primes = sieve(y0).primes
-    final_t, final_pi = _running_sums(primes, np.ones(primes.size, dtype=np.int64),
-                                      keys[:nlow], frac_bits)
+    final_t, final_pi = _running_sums(primes, keys[:nlow], frac_bits)
     nhead = bisect_right(small_primes, _icbrt(x))
     head, tail = small_primes[:nhead], small_primes[nhead:]
     los = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 2).tolist()
@@ -425,69 +428,24 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, posi
     return t, pi, e
 
 
-def _advance(keyspace: KeySpace, keys: list[int], positions, small_primes: list[int],
-             level1: list[int], pi: list[int], e: int, prev: list[int], prev_counts: list[int],
-             steps: list[int], weights: list[int]):
-    """One hyperbola step (see module docstring) at the table positions given.
-
-    ``steps`` are the b <= sqrt_x with Omega(b) = j - 1, ascending, and
-    ``weights`` their tuple counts c_{j-1}(b); ``level1`` is within 2e below
-    2^F S_1 and at most it.  Returns full-length (values, counts) lists of
-    level j, 0 away from ``positions``.
-    """
-    indices = keyspace.indices
-    prev_at, counts_at = prev.__getitem__, prev_counts.__getitem__
-    s1_at, pi_at = level1.__getitem__, pi.__getitem__
-    scaled = [c << INIT_GUARD_BITS for c in weights]
-    out = [0] * len(keys)
-    out_counts = [0] * len(keys)
-    for pos in positions:
-        v = keys[pos]
-        r = math.isqrt(v)
-        # primes p <= r, one at a time
-        ps = small_primes[: pi[r - 1]]
-        idx = indices(v, ps)
-        acc = sum(map(floordiv, map(prev_at, idx), ps))
-        cnt = sum(map(counts_at, idx))
-        # primes p > r, through b = the other factors up to ymax
-        m = bisect_right(steps, v // (r + 1))
-        bs = steps[:m]
-        idx = indices(v, bs)
-        diffs = map(sub, map(s1_at, idx), repeat(level1[r - 1] + 2 * e))
-        grouped = sum(map(floordiv, map(mul, scaled[:m], diffs), bs))
-        cnt += sum(map(mul, weights[:m], map(pi_at, idx))) - pi[r - 1] * sum(weights[:m])
-        out[pos] = acc + (max(grouped, 0) >> INIT_GUARD_BITS)
-        out_counts[pos] = cnt
-    return out, out_counts
-
-
 def _cutoff(keyspace: KeySpace) -> int:
     """y0 = max(floor(x^(2/3)), sqrt_x)."""
     return max(_icbrt(keyspace.x * keyspace.x), keyspace.sqrt_x)
 
 
-def _tuple_counts(limit: int, small_primes: list[int]):
-    """(Omega(n), c(n)) for n = 0..limit, c(n) = Omega(n)!/prod e_i! for n = prod p_i^e_i.
+def _omega(limit: int, small_primes: list[int]) -> np.ndarray:
+    """Omega(n), the prime factors of n counted with multiplicity, for n = 0..limit.
 
-    c(n) counts the ordered prime tuples with product n.  The primes up to
-    isqrt(limit) are divided out of a cofactor array, and a cofactor left
-    above 1 is one more prime.  The a-th power of a prime after t other
-    factors multiplies c by (t + a)/a, exactly.  c stays under 10^6 up to
-    4.7e6, the largest limit, where prod e_i! passes 2^63 at n = 2^21.
+    ``small_primes`` must cover ``limit``; each prime power q <= limit adds
+    one to its multiples.
     """
-    omega, tuples = np.zeros(limit + 1, dtype=np.int8), np.ones(limit + 1, dtype=np.int64)
-    rem = np.arange(limit + 1, dtype=np.int32)  # limit < 2^31
-    for p in small_primes[: bisect_right(small_primes, math.isqrt(limit))]:
-        q, a = p, 1
+    omega = np.zeros(limit + 1, dtype=np.int64)
+    for p in small_primes[: bisect_right(small_primes, limit)]:
+        q = p
         while q <= limit:
             omega[q::q] += 1
-            tuples[q::q] = tuples[q::q] * omega[q::q] // a
-            rem[q::q] //= p
-            q, a = q * p, a + 1
-    left = rem > 1
-    omega[left] += 1
-    tuples[left] *= omega[left]
-    return omega, tuples
+            q *= p
+    return omega
 
 
 def _stream(a: np.ndarray):
@@ -495,85 +453,92 @@ def _stream(a: np.ndarray):
     return chain.from_iterable(a[i : i + (1 << 16)].tolist() for i in range(0, a.size, 1 << 16))
 
 
-def _running_sums(n: np.ndarray, c: np.ndarray, low: np.ndarray, frac_bits: int):
-    """(values, counts) at the ascending keys ``low``: sums of c_i/n_i and of c_i over n_i <= key.
+def _running_sums(primes: np.ndarray, low: np.ndarray, frac_bits: int):
+    """(values, pi) at the ascending keys ``low``: sums of 1/p and of 1 over the primes p <= key.
 
-    ``n`` ascends and ``c`` holds the weights: the primes with weight 1 for
-    level 1, and for level j >= 2 the n with Omega(n) = j with weight c(n)
-    (:func:`_tuple_counts`).  The terms are streamed in n order, floored
-    INIT_GUARD_BITS below a unit, and the running sum is read off at each
-    key and shifted: every value is low by less than 1 + N 2^-32 < 2 units,
-    N < 2^32 terms.  Counts are exact.
+    The terms 2^F / p are streamed in order, floored INIT_GUARD_BITS below a
+    unit, and the running sum is read off at each key and shifted: every
+    value is low by less than 1 + N 2^-32 < 2 units, N < 2^32 primes.  pi is
+    exact: the number of primes at or below each key.
     """
     one = 1 << (frac_bits + INIT_GUARD_BITS)
-    ends = np.searchsorted(n, low, side="right")  # the number of terms at or below each key
-    marks = np.zeros(n.size + 1, dtype=bool)
+    ends = np.searchsorted(primes, low, side="right")
+    marks = np.zeros(primes.size + 1, dtype=bool)
     marks[ends] = True
-    terms = map(floordiv, map(one.__mul__, _stream(c)), _stream(n))
+    terms = map(one.__floordiv__, _stream(primes))
     sums = [v >> INIT_GUARD_BITS for v in compress(accumulate(terms, initial=0), _stream(marks))]
-    counts = np.concatenate(([0], np.cumsum(c)))[ends].tolist()
-    return [sums[i] for i in (np.cumsum(marks)[ends] - 1).tolist()], counts
+    return [sums[i] for i in (np.cumsum(marks)[ends] - 1).tolist()], ends.tolist()
+
+
+def _walk(keyspace: KeySpace, small_primes: list[int], level1: list[int], pi: list[int], e: int,
+          frac_bits: int, k: int):
+    """Yield (value, count, ledger) at x of levels 2..k, by the prefix walk (see module docstring).
+
+    ``level1`` is at most 2^F S_1 and within 2e below it, and ``pi`` exact,
+    at every key the walk reads.  Each prefix's two terms are floored
+    INIT_GUARD_BITS below a unit.  A level has at most 1.2M prefixes for
+    x <= 10^10 (level 6 at 10^10), far under 2^31, so its floors lose under
+    one unit and the final shift under one more.
+    """
+    x, indices, bits = keyspace.x, keyspace.indices, frac_bits + INIT_GUARD_BITS
+    squares, cubes = [q * q for q in small_primes], [q**3 for q in small_primes]
+    lows = [level1[q - 1] + 2 * e for q in small_primes]  # L1(q) + 2e
+    s1_at, pi_at = level1.__getitem__, pi.__getitem__
+    sums, counts, weights = ([0] * (k + 1) for _ in range(3))
+
+    def leaves(j, n, v, lo, hi, weight, leaf):
+        # the prefixes n q of level j, q = small_primes[lo:hi]: weight = c(n q) j, leaf = c(n q^2)
+        ps = small_primes[lo:hi]
+        nps = [n * q for q in ps]
+        idx = indices(v, ps)
+        diffs = map(sub, map(s1_at, idx), lows[lo:hi])
+        sums[j] += (sum(map(floordiv, map((weight << INIT_GUARD_BITS).__mul__, diffs), nps))
+                    + sum(map(floordiv, repeat(leaf << bits), map(mul, nps, ps))))
+        # pi(q) = i + 1 for q = small_primes[i]
+        counts[j] += (weight * (sum(map(pi_at, idx)) - (hi - lo) * (lo + hi + 1) // 2)
+                      + leaf * (hi - lo))
+        weights[j] -= sum(map(floordiv, repeat(-weight << frac_bits), nps))
+
+    def visit(n, v, a, c, mult, d):
+        # prefix n of d primes, v = x // n, c = c(n), its last prime small_primes[a] of
+        # multiplicity mult (a = mult = 0 at the empty prefix): its children are level d + 2
+        j, m = d + 2, bisect_right(squares, v)
+        if m <= a:
+            return
+        rep, new = c * (d + 1) // (mult + 1), c * (d + 1)  # c(n q) for q repeated, q new
+        leaves(j, n, v, a, a + 1, rep * j, rep * j // (mult + 2))
+        leaves(j, n, v, a + 1, m, new * j, new * j // 2)
+        if j < k:
+            for i in range(a, bisect_right(cubes, v)):
+                q = small_primes[i]
+                visit(n * q, v // q, i, rep if i == a else new, mult + 1 if i == a else 1, d + 1)
+
+    visit(1, x, 0, 1, 0, 0)
+    for j in range(2, k + 1):
+        yield (max(sums[j], 0) >> INIT_GUARD_BITS, counts[j],
+               -(-4 * e * weights[j] >> frac_bits) + 2)
 
 
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
-    """Yield (values, counts, ledger) for levels 1..k, each computed once.
+    """Yield (value, count, ledger) at x for levels 1..k, each computed once.
 
-    ``primes`` covers ``keyspace.sqrt_x``; counts of level 1 are pi.  One
-    rule fills every level: level j fills the top keys x // n > y0 with
-    Omega(n) <= k - j, so level k fills x alone, and when j < k also every
-    key up to y0 = max(x^(2/3), sqrt_x).  That is all level j + 1 reads (see
-    the module docstring).  Level 1 is max(T - e, 0) from :func:`_level_one`;
-    level j >= 2 takes a hyperbola step at its top keys and one running sum
-    (:func:`_running_sums`) up to y0.  Other entries are 0.  Running-sum
-    entries are within 2 units, and every ledger is at least pi(sqrt_x) + 2
-    >= 3 for x >= 4; below 4 the only key up to y0 is 1, where every level
-    is exactly 0.
+    ``primes`` covers ``keyspace.sqrt_x``; the count of level 1 is pi.
+    Level 1 is max(T - e, 0) from :func:`_level_one`, filled at every key up
+    to y0 = max(x^(2/3), sqrt_x) and at the top keys x // n > y0 with
+    Omega(n) <= k - 1: all the walk of levels 2..k reads (:func:`_walk`).
+    Its ledger is 2e, and level j's is ceil(4e W_j / 2^F) + 2, with W_j the
+    scaled prefix weights of the module docstring: W_j <= 2^F j S_{j-1}(x)
+    + P_j, P_j the level's prefixes.
     """
     s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
-    y0 = _cutoff(keyspace)
-    top = x // (y0 + 1)  # the keys above y0 are x // n for n <= top, at nk - n
-    omega, tuples = _tuple_counts(y0 if k > 2 else top, small_primes)
-    tops = [(nk - np.flatnonzero(omega[1 : top + 1] <= k - j) - 1).tolist()
-            for j in range(1, k + 1)]
-    level1, pi, e = _level_one(keyspace, small_primes, frac_bits, tops[0])
-    ledger = 2 * e
-    unfilled = 0 if k > 1 else nk - top  # the keys up to y0, filled only below level k
-    level1 = [0] * unfilled + [max(v - e, 0) for v in level1[unfilled:]]
-    pi[:unfilled] = [0] * unfilled
-    yield level1, pi, ledger
-    keys = keyspace.keys.tolist()
-    s1_upper = level1[-1] + ledger
-    steps, weights = small_primes, [1] * len(small_primes)  # Omega(b) = 1 up to sqrt_x
-    vals, counts = level1, pi
-    for j, positions in enumerate(tops[1:], start=2):
-        prev_upper = vals[s - 1] + ledger
-        vals, counts = _advance(keyspace, keys, positions, small_primes, level1, pi, e,
-                                vals, counts, steps, weights)
-        if j < k:
-            n = np.flatnonzero(omega == j)
-            vals[: nk - top], counts[: nk - top] = _running_sums(
-                n, tuples[n], keyspace.keys[: nk - top], frac_bits)
-            steps = np.flatnonzero(omega[: s + 1] == j)
-            steps, weights = steps.tolist(), tuples[steps].tolist()
-        ledger = truncation_error_ledger(ledger, s1_upper, len(small_primes), e, prev_upper,
-                                         frac_bits)
-        yield vals, counts, ledger
-
-
-def truncation_error_ledger(ledger: int, s1_upper: int, pi_sqrt: int, e: int, prev_upper: int,
-                            frac_bits: int) -> int:
-    """The next level's bound, in units of 2^-frac_bits, on true - computed at any key.
-
-    ``ledger`` bounds the level read (level 1's is 2e), whose errors arrive
-    weighted by 1/p: ledger * s1_upper.  Each prime p <= isqrt(v) floors
-    once (pi_sqrt).  In the grouped part each level-1 difference is at most
-    4e low, weighted by c(b)/b over b <= sqrt_x, which sums to at most
-    S_{j-1}(sqrt_x) <= prev_upper (scale 2^frac_bits); its fewer than 2^32
-    guard floors and the final shift lose under one unit each.
-    """
-    return (-(-ledger * s1_upper >> frac_bits) + pi_sqrt
-            - (-4 * e * prev_upper >> frac_bits) + 2)
+    top = x // (_cutoff(keyspace) + 1)  # the keys above y0 are x // n for n <= top, at nk - n
+    omega = _omega(top, small_primes)
+    positions = (nk - np.flatnonzero(omega[1:] <= k - 1) - 1).tolist()
+    t, pi, e = _level_one(keyspace, small_primes, frac_bits, positions)
+    yield max(t[-1] - e, 0), pi[-1], 2 * e
+    if k > 1:
+        yield from _walk(keyspace, small_primes, [max(v - e, 0) for v in t], pi, e, frac_bits, k)
 
 
 def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):
@@ -598,21 +563,21 @@ def sk_levels(
     primes: PrimeTable,
     precision: int = DEFAULT_PRECISION,
 ) -> list[MertensSumResult]:
-    """S_1(x), ..., S_k(x) from one level-by-level DP pass over KeySpace(x).
+    """S_1(x), ..., S_k(x) from one pass: level 1 over KeySpace(x), then a prefix walk.
 
     ``primes`` must cover isqrt(x); larger tables give the same bits.
-    Level 1 is the prime-reciprocal prefix table; level j reads level j-1
-    through floor division, so the pass that yields S_k(x) computes every
-    lower level on the way, at x and at the keys the next level reads
-    (see :func:`_levels`), and each level's value at x is reported here.
+    Level 1 is the prime-reciprocal table over the key space, filled at the
+    keys the walk reads; one walk over sorted prime prefixes then yields
+    levels 2..k from level 1 alone (see :func:`_levels`), and each level's
+    value at x is reported here.
     All arithmetic is exact fixed-point integer work at precision + 40
     fractional bits (see the module docstring), summed in a fixed order, so
     results are deterministic to the bit and each level's error ledger is a
     one-sided truncation bound.  x is capped at ``FAST_MAX_X``, k at
     ``MAX_K`` and precision at ``bigreal.MAX_PRECISION``; those caps bound
     the working set.
-    Entry j-1 has ``k == j``; its ``elapsed`` runs from the call to the end
-    of level j.
+    Entry j-1 has ``k == j``; its ``elapsed`` runs from the call until
+    level j is known: level 1 first, then levels 2..k at the end of the walk.
     """
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be an integer >= 1, got {k!r}")
@@ -631,11 +596,11 @@ def sk_levels(
     frac_bits = fixed_point_params(precision)
     results = []
     levels = _levels(keyspace, primes.primes, frac_bits, k)
-    for j, (values, counts, ledger) in enumerate(levels, start=1):
-        value, bound = _fixed_value_bound(values[-1], ledger, frac_bits, precision)
+    for j, (value_int, count, ledger) in enumerate(levels, start=1):
+        value, bound = _fixed_value_bound(value_int, ledger, frac_bits, precision)
         results.append(MertensSumResult(
             k=j, x=x, value=value, error_bound=bound,
-            method="memoized", elapsed=time.perf_counter() - t0, terms=counts[-1],
+            method="memoized", elapsed=time.perf_counter() - t0, terms=count,
         ))
     return results
 
@@ -646,6 +611,6 @@ def sk_fast(
     primes: PrimeTable,
     precision: int = DEFAULT_PRECISION,
 ) -> MertensSumResult:
-    """S_k(x) by the level-by-level DP over KeySpace(x): the last of :func:`sk_levels`."""
+    """S_k(x) by the engine over KeySpace(x): the last of :func:`sk_levels`."""
     return sk_levels(k, x, primes, precision)[-1]
 

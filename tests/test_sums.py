@@ -240,8 +240,14 @@ class TestLedgerGuard:
 
     XS = sorted(set(random.Random(1910).sample(range(2, 1000), 56)) | {2, 16, 210, 999})
 
+    @pytest.fixture(scope="class")
+    def exact_values(self, primes_1e4):
+        """sk_direct(k, x, exact=True) for every x in XS and k <= 6, shared by the precisions."""
+        return {(k, x): sk_direct(k, x, primes_1e4, exact=True)
+                for x in self.XS for k in range(1, 7)}
+
     @pytest.mark.parametrize("precision", [64, 80, 192])
-    def test_one_sided_against_exact(self, precision, primes_1e4, monkeypatch):
+    def test_one_sided_against_exact(self, precision, primes_1e4, exact_values, monkeypatch):
         # record the oracle's fixed-point total and ledger before any mpf rounding
         fixed_value_bound, oracle_fixed = sums._fixed_value_bound, []
 
@@ -254,12 +260,12 @@ class TestLedgerGuard:
         for x in self.XS:
             ks = KeySpace.build(x)
             plist = primes_1e4.primes[: primes_1e4.count_upto(x)]
-            for k in (1, 2, 3, 4):
-                exact = sk_direct(k, x, primes_1e4, exact=True)
-                # the fixed-point table, in units of 2^-frac_bits, before any mpf rounding
+            for k in range(1, 7):  # up to prefixes of five primes: 2^6 <= 999
+                exact = exact_values[k, x]
+                # the fixed-point value, in units of 2^-frac_bits, before any mpf rounding
                 frac_bits = sums.fixed_point_params(precision)
-                *_, (vals, _, ledger) = sums._levels(ks, plist, frac_bits, k)
-                assert 0 <= exact.value * 2**frac_bits - vals[-1] <= ledger, (k, x)
+                *_, (value, _, ledger) = sums._levels(ks, plist, frac_bits, k)
+                assert 0 <= exact.value * 2**frac_bits - value <= ledger, (k, x)
 
                 direct = sk_direct(k, x, primes_1e4, precision=precision)
                 total, ledger = oracle_fixed[-1]
@@ -306,6 +312,15 @@ class TestLevels:
     def test_values_rounded_to_working_precision(self, precision, primes_1e4):
         for res in sk_levels(6, 10**6, primes_1e4, precision):
             assert res.value.man.bit_length() <= precision + GUARD_BITS, res.k
+
+    @pytest.mark.parametrize("x, precision", [
+        (10**8, 64), (10**8, 192), pytest.param(10**10, 64, marks=pytest.mark.slow)])
+    def test_error_bound_within_precision(self, x, precision):
+        # every level reads level 1 alone, so no ledger compounds: at k = MAX_K each level's
+        # bound stays under 2^-precision max(1, |S_j|)
+        for res in sk_levels(sums.MAX_K, x, sieve(math.isqrt(x)), precision):
+            value, bound = _to_fraction(res.value), _to_fraction(res.error_bound)
+            assert bound <= Fraction(1, 2**precision) * max(1, value), res.k
 
     def test_precisions_agree_within_ledgers(self, primes_1e4):
         _assert_precisions_agree(10**7 + 19, primes_1e4)
@@ -411,47 +426,35 @@ def _level_one_at_every_key(ks: KeySpace, small_primes: list[int], frac_bits: in
 
 
 def _dense_levels(k: int, x: int, primes, frac_bits: int):
-    """Levels 1..k of the DP with every level filled at every key.
+    """(value, count, ledger) at x of levels 1..k, from level 1 filled at every key.
 
-    Keys up to y0 are running sums of tuple counts, as in _levels; every key
-    above y0 takes a hyperbola step.
+    Level 1 is taken as _levels yields it, max(T - e, 0) with ledger 2e, and
+    levels 2..k from the prefix walk over it.
     """
     ks = KeySpace.build(x)
-    keys, s = ks.keys.tolist(), ks.sqrt_x
-    low = ks.keys[ks.keys <= _cutoff(x)]
-    small_primes = primes.primes[: primes.count_upto(s)].tolist()
+    small_primes = primes.primes[: primes.count_upto(ks.sqrt_x)].tolist()
     t, pi, e = _level_one_at_every_key(ks, small_primes, frac_bits)
-    level1 = [max(v - e, 0) for v in t]  # level 1 as _levels yields it, with ledger 2e
-    omega, tuples = _shape_arrays(_cutoff(x))
-    levels = [(level1, pi)]
-    for j in range(2, k + 1):
-        steps = np.flatnonzero(omega[: s + 1] == j - 1)  # the b of the grouped part
-        vals, counts = sums._advance(ks, keys, range(low.size, len(keys)), small_primes, level1,
-                                     pi, e, *levels[-1], steps.tolist(), tuples[steps].tolist())
-        n = np.flatnonzero(omega == j)
-        vals[: low.size], counts[: low.size] = sums._running_sums(n, tuples[n], low, frac_bits)
-        levels.append((vals, counts))
-    return levels
+    level1 = [max(v - e, 0) for v in t]
+    return [(level1[-1], pi[-1], 2 * e),
+            *sums._walk(ks, small_primes, level1, pi, e, frac_bits, k)]
 
 
 class TestDemandDrivenLevels:
-    """_levels fills only the keys the next level reads; the tops must not notice."""
+    """_levels fills level 1 only at the keys the walk reads; the levels must not notice."""
 
     # both sides of perfect squares and of the x // (sqrt_x + 1) switch
     @pytest.mark.parametrize("x", [2, 3, 4, 48, 49, 50, 1000, 65_537, 10**6])
     def test_tops_match_dense_pass(self, x, primes_1e6):
         frac_bits = sums.fixed_point_params(192)
         dense = _dense_levels(6, x, primes_1e6, frac_bits)
-        dense_tops = [(vals[-1], counts[-1]) for vals, counts in dense]
         ks = KeySpace.build(x)
         plist = primes_1e6.primes[: primes_1e6.count_upto(x)]
         for k in range(1, 7):
-            levels = sums._levels(ks, plist, frac_bits, k)
-            assert [(vals[-1], counts[-1]) for vals, counts, _ in levels] == dense_tops[:k], (k, x)
+            assert list(sums._levels(ks, plist, frac_bits, k)) == dense[:k], (k, x)
 
 
 class TestTupleCounts:
-    """Omega(n) and the ordered tuple counts up to y0, the running sums' input."""
+    """Omega(n) up to top = x // (y0 + 1), the input of level 1's fill rule, and the cutoff y0."""
 
     def test_reference_against_trial_division(self):
         omega, counts = _shape_arrays(3000)
@@ -466,15 +469,11 @@ class TestTupleCounts:
 
     @pytest.mark.parametrize("x", [2, 48, 1000, 9999, 65_537, 10**6, 2 * 10**7 + 3])
     def test_against_factorisation(self, x, primes_1e6):
-        y0 = _cutoff(x)
+        top = x // (_cutoff(x) + 1)
         small = primes_1e6.primes[: primes_1e6.count_upto(math.isqrt(x))].tolist()
-        omega, tuples = sums._tuple_counts(y0, small)
-        want_omega, want_tuples = _shape_arrays(y0)
+        omega = sums._omega(top, small)
+        want_omega, _ = _shape_arrays(top)
         assert omega[1:].tolist() == want_omega[1:].tolist(), x  # n = 0 is no product
-        assert tuples[1:].tolist() == want_tuples[1:].tolist(), x
-        # composites 2q with q a prime above isqrt(y0) = x^(1/3), left in the cofactor
-        cofactor = [q for q in range(math.isqrt(y0) + 1, y0 // 2 + 1) if want_omega[q] == 1]
-        assert bool(cofactor) == (x > 2), x
 
 
 def _exact_levels(k: int, x: int, primes) -> list[dict]:
@@ -510,92 +509,123 @@ def _exact_bounds(k: int, keys: list[int], omega, tuples, bits: int):
 
 
 class TestLedgerAtEveryKey:
-    """Each level's ledger bounds true - computed at every key, not only at x."""
+    """Level 1's ledger bounds true - computed at every key it fills; each level's at x."""
 
     @pytest.mark.parametrize("x", [2, 16, 48, 210, 361, 600, 999])
     @pytest.mark.parametrize("precision", [64, 192])
     def test_dense_levels_against_exact(self, x, precision, primes_1e4):
+        # level 1 at every key, as _levels yields it, against exact S_1
         frac_bits = sums.fixed_point_params(precision)
-        keys = KeySpace.build(x).keys.tolist()
-        ledgers = [ledger for *_, ledger in sums._levels(KeySpace.build(x), primes_1e4.primes,
-                                                         frac_bits, 4)]
-        dense = _dense_levels(4, x, primes_1e4, frac_bits)
-        for (vals, _), exact, ledger in zip(dense, _exact_levels(4, x, primes_1e4), ledgers):
-            for v, computed in zip(keys, vals):
-                assert 0 <= exact[v] * 2**frac_bits - computed <= ledger, (x, v)
+        ks = KeySpace.build(x)
+        (*_, ledger), = sums._levels(ks, primes_1e4.primes, frac_bits, 1)
+        small_primes = primes_1e4.primes[: primes_1e4.count_upto(ks.sqrt_x)].tolist()
+        t, _, e = _level_one_at_every_key(ks, small_primes, frac_bits)
+        exact = _exact_levels(1, x, primes_1e4)[0]
+        for v, computed in zip(ks.keys.tolist(), t):
+            assert 0 <= exact[v] * 2**frac_bits - max(computed - e, 0) <= ledger, (x, v)
 
     @pytest.mark.parametrize("x", [2, 3, 4, 16, 48, 49, 50, 210, 361, 600, 999, 4096, 9999,
                                    65_537, 10**6])
-    def test_filled_entries_against_exact(self, x, primes_1e6):
-        # at k = 5, level j fills the top keys x // n > y0 with Omega(n) <= 5 - j, and at
-        # j < 5 every key up to y0 (by running sums for j > 1): x alone at level 5.  Every
-        # other value and count is 0.  9999 has y0 = 464 and top keys for n <= 21.
+    def test_filled_entries_against_exact(self, x, primes_1e6, monkeypatch):
+        # at k = 5 level 1 fills every key up to y0 and the top keys x // n > y0 with
+        # Omega(n) <= 4, all the walk reads; every other value and count is 0.  Each level's
+        # value at x lies within its ledger of S_j(x).  9999 has y0 = 464 and top keys for
+        # n <= 21.
         ks = KeySpace.build(x)
         keys, nk = ks.keys.tolist(), len(ks)
         top = x // (_cutoff(x) + 1)
         omega, tuples = _shape_arrays(x)
+        filled = [*range(nk - top), *(nk - n for n in range(1, top + 1) if omega[n] <= 4)]
+        unfilled = sorted(set(range(nk)) - set(filled))
+        level_one, tables = sums._level_one, []
+
+        def record(*args):
+            tables.append(level_one(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(sums, "_level_one", record)
         for precision in (64, 192):
             frac_bits = sums.fixed_point_params(precision)
             exact = _exact_bounds(5, keys, omega, tuples, frac_bits + BOUND_GUARD)
-            levels = sums._levels(ks, primes_1e6.primes, frac_bits, 5)
-            for j, ((vals, counts, ledger), (lo, hi, want)) in enumerate(zip(levels, exact), 1):
-                tops = [nk - n for n in range(1, top + 1) if omega[n] <= 5 - j]
-                filled = [*range(nk - top), *tops] if j < 5 else tops
-                unfilled = sorted(set(range(nk)) - set(filled))
-                assert not any(vals[i] or counts[i] for i in unfilled), (precision, j, x)
-                for i in filled:
-                    # computed <= 2^F S_j <= computed + ledger, and the exact tuple count
-                    assert vals[i] << BOUND_GUARD <= lo[i], (precision, j, x, keys[i])
-                    assert hi[i] <= (vals[i] + ledger) << BOUND_GUARD, (precision, j, x, keys[i])
-                    assert counts[i] == want[i], (j, x, keys[i])
-                    if 1 < j < 5 and i < nk - top:  # running sums of tuple counts
-                        assert hi[i] < (vals[i] + 2) << BOUND_GUARD, (precision, j, x, keys[i])
+            levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 5))
+            t, pi, e = tables[-1]
+            assert not any(t[i] or pi[i] for i in unfilled), (precision, x)
+            (lo, hi, want), ledger = exact[0], levels[0][2]
+            for i in filled:
+                # level 1 as _levels yields it: computed <= 2^F S_1 <= computed + ledger
+                computed = max(t[i] - e, 0)
+                assert computed << BOUND_GUARD <= lo[i], (precision, x, keys[i])
+                assert hi[i] <= (computed + ledger) << BOUND_GUARD, (precision, x, keys[i])
+                assert pi[i] == want[i], (x, keys[i])
+            for j, ((value, count, ledger), (lo, hi, want)) in enumerate(zip(levels, exact), 1):
+                # computed <= 2^F S_j(x) <= computed + ledger, and the exact tuple count
+                assert value << BOUND_GUARD <= lo[-1], (precision, j, x)
+                assert hi[-1] <= (value + ledger) << BOUND_GUARD, (precision, j, x)
+                assert count == want[-1], (j, x)
 
     @pytest.mark.parametrize("x", [999, 65_537])
     def test_worst_case_level1_within_ledger(self, x, primes_1e6):
-        # level-1 tables at either end of what the grouped part may be given: 2e
-        # below the exact floor at every v // b and exact at r, where each
-        # difference is 4e low; and exact at every v // b and 2e below the
-        # ceiling at r, where only the + 2e keeps each difference from its true value
+        # level-1 tables at either end of what the walk may be given: 2e below the exact
+        # floor at every key and exact at the primes q <= sqrt(x), where each difference
+        # L1(x // n) - (L1(q) + 2e) is 4e low; and exact at every key and 2e below the
+        # ceiling at the primes q, where only the + 2e keeps each difference from its true
+        # value
         frac_bits = sums.fixed_point_params(64)
         ks = KeySpace.build(x)
-        nk, s, r = len(ks), ks.sqrt_x, math.isqrt(x)
         exact = _exact_levels(1, x, primes_1e6)[0]
         scaled = [exact[v] * 2**frac_bits for v in ks.keys.tolist()]
-        small_primes = primes_1e6.primes[: primes_1e6.count_upto(s)].tolist()
-        sieved, pi, e1 = _level_one_at_every_key(ks, small_primes, frac_bits)
-        level1, ledger = [max(v - e1, 0) for v in sieved], 2 * e1  # as _levels yields it
+        small_primes = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
+        _, pi, _ = _level_one_at_every_key(ks, small_primes, frac_bits)
         e = 2 ** (frac_bits - 8)  # far above every floor the level drops
         low = [math.floor(t) - 2 * e for t in scaled]
-        low[r - 1] += 2 * e
         high = [math.floor(t) for t in scaled]
-        high[r - 1] = math.ceil(scaled[r - 1]) - 2 * e
-        s2 = sum(Fraction(exact[x // p], p) for p in primes_1e6.primes.tolist() if p <= x)
-        # the step's own ledger with e, and level 1's true error in the per-prime part
-        bound = sums.truncation_error_ledger(2 * e, level1[-1] + ledger, len(small_primes), e,
-                                             level1[s - 1] + ledger, frac_bits)
+        for q in small_primes:
+            low[q - 1] += 2 * e
+            high[q - 1] = math.ceil(scaled[q - 1]) - 2 * e
+        omega, tuples = _shape_arrays(x)
+        exact_at_x = _exact_bounds(4, [x], omega, tuples, frac_bits + BOUND_GUARD)[1:]
         for table in (low, high):
-            out, _ = sums._advance(ks, ks.keys.tolist(), [nk - 1], small_primes, table, pi, e,
-                                   level1, pi, small_primes, [1] * len(small_primes))
-            assert 0 <= s2 * 2**frac_bits - out[-1] <= bound, x
+            # each level's own ledger with e
+            walk = sums._walk(ks, small_primes, table, pi, e, frac_bits, 4)
+            for j, ((value, count, bound), (lo, hi, want)) in enumerate(zip(walk, exact_at_x), 2):
+                assert value << BOUND_GUARD <= lo[0], (j, x)
+                assert hi[0] <= (value + bound) << BOUND_GUARD, (j, x)
+                assert count == want[0], (j, x)
 
     @pytest.mark.parametrize("x", [999, 10**6])
     def test_ledger_formula(self, x, primes_1e6):
-        # level 1: 2e; each next level: ledger * S_1 upper + pi(sqrt x)
-        # + 4e * S_{j-1}(sqrt x) upper + 2
+        # level 1: 2e; level j: ceil(4e W_j / 2^F) + 2, W_j the sum of ceil(2^F c(n) j / n)
+        # over the prefixes q_1 <= ... <= q_{j-1} of product n, n q_{j-1} <= x, c(n) the
+        # ordered tuples with product n; and the exact sum of c(n) j / n is at most
+        # j S_{j-1}(x)
         frac_bits = sums.fixed_point_params(80)
-        unit = Fraction(1, 2**frac_bits)
         ks = KeySpace.build(x)
-        s = ks.sqrt_x
-        small = primes_1e6.primes[: primes_1e6.count_upto(s)].tolist()
+        small = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
         _, _, e = _level_one_at_every_key(ks, small, frac_bits)
         levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 4))
         assert levels[0][2] == 2 * e
-        s1_upper = levels[0][0][-1] + 2 * e
-        for (prev, _, ledger), (_, _, nxt) in zip(levels, levels[1:]):
-            want = (math.ceil(ledger * s1_upper * unit) + len(small)
-                    + math.ceil(4 * e * (prev[s - 1] + ledger) * unit) + 2)
-            assert nxt == want
+        weights = {j: [] for j in (2, 3, 4)}  # c(n) j / n of each prefix of level j
+
+        def extend(n, prefix):
+            for q in small:
+                if q >= prefix[-1] and n * q * q <= x:
+                    tup = (*prefix[1:], q)
+                    c = math.factorial(len(tup)) // math.prod(
+                        math.factorial(tup.count(p)) for p in set(tup))
+                    weights[len(tup) + 1].append(Fraction(c * (len(tup) + 1), n * q))
+                    if len(tup) < 3:
+                        extend(n * q, (*prefix, q))
+
+        extend(1, (0,))
+        omega, tuples = _shape_arrays(x)
+        bits = frac_bits + BOUND_GUARD
+        exact = _exact_bounds(3, [x], omega, tuples, bits)
+        for j in (2, 3, 4):
+            w = sum(math.ceil(c * 2**frac_bits) for c in weights[j])
+            assert levels[j - 1][2] == math.ceil(Fraction(4 * e * w, 2**frac_bits)) + 2, (j, x)
+            # sum of c(n) j / n <= j S_{j-1}(x), through a lower bound of S_{j-1}(x)
+            lo = exact[j - 2][0][0]
+            assert sum(math.ceil(c * 2**bits) for c in weights[j]) <= j * lo, (j, x)
 
 
 @pytest.fixture(scope="module")
@@ -807,8 +837,8 @@ class TestDemandPrunedLevelOne:
             t, pi, e = sums._level_one(ks, small, frac_bits, [len(ks) - 1])
             want_t, want_pi, want_e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), (precision, x)
-            (vals, counts, _), = sums._levels(ks, primes_1e7.primes, frac_bits, 1)
-            assert vals[:-1] == counts[:-1] == [0] * (len(ks) - 1), (precision, x)
+            low = len(ks) - x // (_cutoff(x) + 1)  # the keys up to y0, from the running sum
+            assert t[low:-1] == pi[low:-1] == [0] * (len(ks) - low - 1), (precision, x)
 
 
 class TestOracleEquivalence:
