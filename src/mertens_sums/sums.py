@@ -17,11 +17,13 @@ for every argument >= 1 (the empty product), which makes the recursion
 
 close; S_k depends on x only through floor(x), so arguments are integers.
 
-Level 1 is a table, one entry per key, of S_1 as integers scaled by
-2^frac_bits: max(T - e, 0), for a table T within e of S_1 at every key it
-fills, so at most S_1 and within 2e below it; pi is exact
-(:func:`_level_one`).  Every key up to y0 = max(x^(2/3), sqrt(x)) takes T
-and pi from one running sum over the primes up to y0.  Only the top keys
+Level 1 is two tables over the keys (:func:`_level_one`): T, S_1 as
+integers scaled by 2^frac_bits and within e of it at every key it fills,
+and pi, exact, as int64.  Level 1 at x is max(T(x) - e, 0), so at most
+S_1(x) and within 2e below it.  Every key up to y0 = max(x^(2/3), sqrt(x))
+takes T and pi from one running sum over the primes up to y0, whose list
+becomes T, filled in place above y0 and read in place by the prefix walk
+of the levels above.  Only the top keys
 x // n > y0 take the key-space sieve, one stage per prime p <= sqrt(x).  A
 key below p^2 is final before stage p, so the stage reads it from the
 running sum, and a demand pass runs each stage p^3 <= x only at the keys
@@ -59,10 +61,10 @@ and at the primes up to sqrt(x).  A key x // n > y0 has n <= top =
 x // (y0 + 1) <= x^(1/3), so level 1 fills the top keys x // n with
 Omega(n) <= k - 1 (x alone at k = 1), and Omega comes from the primes up to
 top (Deleglise-Rivat, Math. Comp. 65, 1996, split the keys at x^(2/3) the
-same way).  Each difference is read as L1(x // n) - (L1(q_{j-1}) + 2e):
-at most its true value and at most 4e below it, whatever shape the table
-has.  Each term is floored INIT_GUARD_BITS below a unit and the sum
-shifted once, so level j is at most S_j and its ledger is
+same way).  Each difference is read as T(x // n) - (T(q_{j-1}) + 2e):
+with T within e of 2^F S_1 at both keys, it is at most its true value and
+at most 4e below it.  Each term is floored INIT_GUARD_BITS below a unit
+and the sum shifted once, so level j is at most S_j and its ledger is
 ceil(4e W_j / 2^F) + 2, where W_j sums ceil(2^F c(n) j / n) over its
 prefixes: at most 2^F j S_{j-1}(x) plus one per prefix.
 Every level reads level 1 alone, so no ledger compounds.  Summation order
@@ -98,7 +100,8 @@ class KeySpace:
 
     Closed under y -> floor(y/p): every recursion argument the engine can
     reach stays inside the table.  Size is at most 2*ceil(sqrt(x)).
-    :meth:`indices` is the one place that maps keys to table positions.
+    :meth:`indices` maps keys to table positions; the prefix walk maps
+    x // n from n by the same rule (:func:`_walk`).
     """
 
     x: int
@@ -303,12 +306,12 @@ def _start_values(keyspace: KeySpace, frac_bits: int, want) -> list[int]:
     marks = np.zeros(int(reads[-1]) if reads.size else 0, dtype=bool)
     marks[reads - 1] = True
     harmonic = accumulate(map(floordiv, repeat(one), count(2)), initial=0)  # 2^bits (H_n - 1)
-    running = list(compress(harmonic, _stream(marks)))
+    running, h = compress(harmonic, _stream(marks)), 0
     for pos, h in zip(low.tolist(), running):
         out[pos] = h >> INIT_GUARD_BITS
     if not high:
         return out
-    h, b0 = running[-1], int(reads[-1])
+    h, b0 = next(running, h), int(reads[-1])  # b0 may be the last wanted key, already read
     n_b = x // b0
     coeffs = []  # floor(2^bits B_i / i) while B_i / (i b0^i) reaches a guard unit, i even
     for i in count(2, 2):
@@ -351,6 +354,7 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, posi
 
     ``small_primes`` are the primes up to sqrt_x.  This holds at every key
     up to y0 and at the top keys at ``positions``; the other entries are 0.
+    T is a list of ints and pi an int64 array, one entry per key.
 
     Every key up to y0 = max(x^(2/3), sqrt_x) takes S_1 and pi from one
     running sum over the primes up to y0, sieved here (:func:`_running_sums`,
@@ -365,15 +369,20 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, posi
 
     The stages split at the cube root of x.  A head stage, p^3 <= x, is one
     numpy object-array update, whose right-hand side reads only the previous
-    stage's values.  A demand pass, from the last head stage down, first
-    counts the head stages each key needs: the top keys at ``positions``
-    need all of them, and a key updated at stage i makes its source v // p
-    need the i stages before it only if v // p >= p^2.  The head reads a
-    start value only at a key it updates, at a source v // 2 >= 4 of stage
-    p = 2, or at ``positions``, so only those keys get one; the others stay 0
-    (at k = 1, 9,457 of 19,968 keys at x = 9.97e7).  Before stage i the
-    running sum is copied into the keys in [p_{i-1}^2, p_i^2).  The tail
-    stages, p^3 > x, commute: with q the smallest, a tail stage writes keys
+    stage's values, computed in place in one temporary.  A demand pass,
+    from the last head stage down, first counts the head stages each key
+    needs: the top keys at ``positions`` need all of them, and a key updated
+    at stage i makes its source v // p need the i stages before it only if
+    v // p >= p^2, that is v >= p^3, so the pass scans the keys from p^3 up.
+    The head reads a start value only at a key it updates, at a source
+    v // 2 >= 4 of stage p = 2 (v >= 8), or at ``positions``, so only those
+    keys get one; the others stay 0 (at k = 1, 9,457 of 19,968 keys at
+    x = 9.97e7).  Before stage i the running sum is copied into the keys in
+    [p_{i-1}^2, p_i^2).  After the head, the list of running sums, padded
+    with zeros above y0, becomes T in place of the head's object array, and
+    pi's array takes the running counts below y0 and 0 above; the tail then
+    writes each top key at ``positions`` into both.  The tail stages,
+    p^3 > x, commute: with q the smallest, a tail stage writes keys
     v >= p^2 >= q^2 > y0 and reads v // p <= x / p < x^(2/3) and p - 1,
     keys up to y0 whose values are final.  Each top key at ``positions``
     therefore takes its tail stages at once, summing one floor per tail
@@ -391,37 +400,42 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, posi
     los = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 2).tolist()
     need = np.zeros(nk, dtype=np.int64)  # the head stages each key needs, from the last one down
     need[positions] = nhead
+    # v // p >= p^2 exactly when v >= p^3: only keys from p^3 up read a source not yet final
+    cubes = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 3).tolist()
     for i in range(nhead - 1, 0, -1):
-        lo = los[i]
-        src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > i)], head[i])
-        src = src[src >= lo]  # a read below p^2 is final
+        c = cubes[i]
+        src = keyspace.indices(keys[c + np.flatnonzero(need[c:] > i)], head[i])
         need[src] = np.maximum(need[src], i)
     reads = need > 0  # the keys whose start values the head reads (see above)
     reads[positions] = True
     if nhead:
-        lo = los[0]
-        src = keyspace.indices(keys[lo + np.flatnonzero(need[lo:] > 0)], 2)
-        reads[src[src >= lo]] = True
-    start = _start_values(keyspace, frac_bits, np.flatnonzero(reads))
-    t, pi, done = np.array(start, dtype=object), keys - 1, 0
+        c = cubes[0]
+        reads[keyspace.indices(keys[c + np.flatnonzero(need[c:] > 0)], 2)] = True
+    t = np.array(_start_values(keyspace, frac_bits, np.flatnonzero(reads)), dtype=object)
+    pi, done = keys - 1, 0
     for i, (p, lo) in enumerate(zip(head, los)):
         t[done:lo], pi[done:lo], done = final_t[done:lo], final_pi[done:lo], lo
         live = lo + np.flatnonzero(need[lo:] > i)
         src = keyspace.indices(keys[live], p)
-        t[live] -= (t[src] - t[p - 2]) // p
+        step = t[src]  # the one temporary: (T(v // p) - T(p - 1)) // p, then T(v) less it
+        step -= t[p - 2]
+        step //= p
+        t[live] = np.subtract(t[live], step, out=step)
         pi[live] -= pi[src] - pi[p - 2]
     heads = zip(positions, t[positions].tolist(), pi[positions].tolist())
-    t, pi = final_t + [0] * (nk - nlow), final_pi + [0] * (nk - nlow)
-    t_at, pi_at = t.__getitem__, pi.__getitem__
+    t = final_t  # T: the running sums, padded above y0; the head's object array is dropped
+    t += repeat(0, nk - nlow)
+    pi[done:nlow], pi[nlow:] = final_pi[done:], 0
+    t_at = t.__getitem__
     t_low = [t[p - 2] for p in tail]
-    pi_low = list(accumulate((pi[p - 2] for p in tail), initial=0))
+    pi_low = list(accumulate(pi[[p - 2 for p in tail]].tolist(), initial=0))
     for pos, t_head, pi_head in heads:  # each top key's tail stages at once (see above)
         v = x // (nk - pos)
         m = bisect_right(tail, math.isqrt(v))
         ps = tail[:m]
         idx = keyspace.indices(v, ps)
         t[pos] = t_head - sum(map(floordiv, map(sub, map(t_at, idx), t_low), ps))
-        pi[pos] = pi_head - sum(map(pi_at, idx)) + pi_low[m]
+        pi[pos] = pi_head - int(pi[idx].sum()) + pi_low[m]
     e = 2
     for p in small_primes:
         e += -(-2 * e // p) + 1
@@ -458,39 +472,42 @@ def _running_sums(primes: np.ndarray, low: np.ndarray, frac_bits: int):
 
     The terms 2^F / p are streamed in order, floored INIT_GUARD_BITS below a
     unit, and the running sum is read off at each key and shifted: every
-    value is low by less than 1 + N 2^-32 < 2 units, N < 2^32 primes.  pi is
-    exact: the number of primes at or below each key.
+    value is low by less than 1 + N 2^-32 < 2 units, N < 2^32 primes.  The
+    values are a list, one int per key (keys with the same pi share it);
+    pi is exact, the int64 count of primes at or below each key.
     """
     one = 1 << (frac_bits + INIT_GUARD_BITS)
     ends = np.searchsorted(primes, low, side="right")
     marks = np.zeros(primes.size + 1, dtype=bool)
     marks[ends] = True
     terms = map(one.__floordiv__, _stream(primes))
-    sums = [v >> INIT_GUARD_BITS for v in compress(accumulate(terms, initial=0), _stream(marks))]
-    return [sums[i] for i in (np.cumsum(marks)[ends] - 1).tolist()], ends.tolist()
+    sums = (v >> INIT_GUARD_BITS for v in compress(accumulate(terms, initial=0), _stream(marks)))
+    runs = np.diff(np.flatnonzero(np.diff(ends, prepend=-1)), append=ends.size)  # keys per pi
+    return list(chain.from_iterable(map(repeat, sums, runs.tolist()))), ends
 
 
-def _walk(keyspace: KeySpace, small_primes: list[int], level1: list[int], pi: list[int], e: int,
+def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndarray, e: int,
           frac_bits: int, k: int):
     """Yield (value, count, ledger) at x of levels 2..k, by the prefix walk (see module docstring).
 
-    ``level1`` is at most 2^F S_1 and within 2e below it, and ``pi`` exact,
-    at every key the walk reads.  Each prefix's two terms are floored
-    INIT_GUARD_BITS below a unit.  A level has at most 1.2M prefixes for
-    x <= 10^10 (level 6 at 10^10), far under 2^31, so its floors lose under
-    one unit and the final shift under one more.
+    ``t`` is within e of 2^F S_1, and ``pi`` exact, at every key the walk
+    reads.  Each prefix's two terms are floored INIT_GUARD_BITS below a
+    unit.  A level has at most 1.2M prefixes for x <= 10^10 (level 6 at
+    10^10), far under 2^31, so its floors lose under one unit and the final
+    shift under one more.
     """
-    x, indices, bits = keyspace.x, keyspace.indices, frac_bits + INIT_GUARD_BITS
+    x, nk, bits = keyspace.x, len(keyspace), frac_bits + INIT_GUARD_BITS
+    big = x // (keyspace.sqrt_x + 1)  # x // m sits at nk - m while m <= big, else at x // m - 1
     squares, cubes = [q * q for q in small_primes], [q**3 for q in small_primes]
-    lows = [level1[q - 1] + 2 * e for q in small_primes]  # L1(q) + 2e
-    s1_at, pi_at = level1.__getitem__, pi.__getitem__
+    lows = [t[q - 1] + 2 * e for q in small_primes]  # T(q) + 2e
+    s1_at, pi_at = t.__getitem__, pi.item
     sums, counts, weights = ([0] * (k + 1) for _ in range(3))
 
-    def leaves(j, n, v, lo, hi, weight, leaf):
+    def leaves(j, n, lo, hi, weight, leaf):
         # the prefixes n q of level j, q = small_primes[lo:hi]: weight = c(n q) j, leaf = c(n q^2)
         ps = small_primes[lo:hi]
         nps = [n * q for q in ps]
-        idx = indices(v, ps)
+        idx = [nk - m if m <= big else x // m - 1 for m in nps]
         diffs = map(sub, map(s1_at, idx), lows[lo:hi])
         sums[j] += (sum(map(floordiv, map((weight << INIT_GUARD_BITS).__mul__, diffs), nps))
                     + sum(map(floordiv, repeat(leaf << bits), map(mul, nps, ps))))
@@ -506,8 +523,15 @@ def _walk(keyspace: KeySpace, small_primes: list[int], level1: list[int], pi: li
         if m <= a:
             return
         rep, new = c * (d + 1) // (mult + 1), c * (d + 1)  # c(n q) for q repeated, q new
-        leaves(j, n, v, a, a + 1, rep * j, rep * j // (mult + 2))
-        leaves(j, n, v, a + 1, m, new * j, new * j // 2)
+        # the child n q, q = small_primes[a] repeated, as leaves(j, n, a, a + 1, ...) would take it
+        q, weight = small_primes[a], rep * j
+        nq, leaf = n * q, weight // (mult + 2)
+        i = nk - nq if nq <= big else x // nq - 1
+        sums[j] += ((weight << INIT_GUARD_BITS) * (s1_at(i) - lows[a]) // nq
+                    + (leaf << bits) // (nq * q))
+        counts[j] += weight * (pi_at(i) - a - 1) + leaf
+        weights[j] -= (-weight << frac_bits) // nq
+        leaves(j, n, a + 1, m, new * j, new * j // 2)
         if j < k:
             for i in range(a, bisect_right(cubes, v)):
                 q = small_primes[i]
@@ -523,12 +547,15 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     """Yield (value, count, ledger) at x for levels 1..k, each computed once.
 
     ``primes`` covers ``keyspace.sqrt_x``; the count of level 1 is pi.
-    Level 1 is max(T - e, 0) from :func:`_level_one`, filled at every key up
-    to y0 = max(x^(2/3), sqrt_x) and at the top keys x // n > y0 with
-    Omega(n) <= k - 1: all the walk of levels 2..k reads (:func:`_walk`).
-    Its ledger is 2e, and level j's is ceil(4e W_j / 2^F) + 2, with W_j the
-    scaled prefix weights of the module docstring: W_j <= 2^F j S_{j-1}(x)
-    + P_j, P_j the level's prefixes.
+    Level 1 at x is max(T(x) - e, 0), T from :func:`_level_one`, filled at
+    every key up to y0 = max(x^(2/3), sqrt_x) and at the top keys
+    x // n > y0 with Omega(n) <= k - 1: all the walk of levels 2..k reads
+    (:func:`_walk`).  The walk takes T itself: e cancels in each difference
+    T(x // n) - (T(q) + 2e), and every key it reads is >= 2, where
+    T >= 2^F / 2 - e is far above e, so a clamp at 0 would change nothing.
+    Level 1's ledger is 2e, and level j's is ceil(4e W_j / 2^F) + 2, with
+    W_j the scaled prefix weights of the module docstring:
+    W_j <= 2^F j S_{j-1}(x) + P_j, P_j the level's prefixes.
     """
     s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
@@ -536,9 +563,9 @@ def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     omega = _omega(top, small_primes)
     positions = (nk - np.flatnonzero(omega[1:] <= k - 1) - 1).tolist()
     t, pi, e = _level_one(keyspace, small_primes, frac_bits, positions)
-    yield max(t[-1] - e, 0), pi[-1], 2 * e
+    yield max(t[-1] - e, 0), int(pi[-1]), 2 * e
     if k > 1:
-        yield from _walk(keyspace, small_primes, [max(v - e, 0) for v in t], pi, e, frac_bits, k)
+        yield from _walk(keyspace, small_primes, t, pi, e, frac_bits, k)
 
 
 def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):

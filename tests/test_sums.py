@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, compress
@@ -322,6 +323,19 @@ class TestLevels:
             value, bound = _to_fraction(res.value), _to_fraction(res.error_bound)
             assert bound <= Fraction(1, 2**precision) * max(1, value), res.k
 
+    # traced peak bytes a key of one pass: about 140 and 185 with each level-1 table held
+    # once; one more copy of T, or pi as Python ints, takes either case past its budget
+    @pytest.mark.parametrize("k, x, budget", [(1, 99_700_000, 170), (4, 10**7, 230)])
+    def test_traced_peak_per_key(self, k, x, budget, primes_1e4):
+        sk_levels(k, 1000, primes_1e4)  # fills the caches a first call makes
+        tracemalloc.start()
+        try:
+            sk_levels(k, x, primes_1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * len(KeySpace.build(x)), peak
+
     def test_precisions_agree_within_ledgers(self, primes_1e4):
         _assert_precisions_agree(10**7 + 19, primes_1e4)
 
@@ -429,14 +443,13 @@ def _dense_levels(k: int, x: int, primes, frac_bits: int):
     """(value, count, ledger) at x of levels 1..k, from level 1 filled at every key.
 
     Level 1 is taken as _levels yields it, max(T - e, 0) with ledger 2e, and
-    levels 2..k from the prefix walk over it.
+    levels 2..k from the prefix walk over T.
     """
     ks = KeySpace.build(x)
     small_primes = primes.primes[: primes.count_upto(ks.sqrt_x)].tolist()
     t, pi, e = _level_one_at_every_key(ks, small_primes, frac_bits)
-    level1 = [max(v - e, 0) for v in t]
-    return [(level1[-1], pi[-1], 2 * e),
-            *sums._walk(ks, small_primes, level1, pi, e, frac_bits, k)]
+    return [(max(t[-1] - e, 0), pi[-1], 2 * e),
+            *sums._walk(ks, small_primes, t, pi, e, frac_bits, k)]
 
 
 class TestDemandDrivenLevels:
@@ -451,6 +464,19 @@ class TestDemandDrivenLevels:
         plist = primes_1e6.primes[: primes_1e6.count_upto(x)]
         for k in range(1, 7):
             assert list(sums._levels(ks, plist, frac_bits, k)) == dense[:k], (k, x)
+
+    @pytest.mark.parametrize("x", [4, 49, 999, 65_537, 10**6])
+    @pytest.mark.parametrize("precision", [64, 192])
+    def test_walk_over_t_matches_clamped_table(self, x, precision, primes_1e6):
+        # the walk reads only keys >= 2, where T >= 2^F / 2 - e is far above e, so e cancels
+        # in each difference T(x // n) - (T(q) + 2e): T and max(T - e, 0) give the same levels
+        frac_bits = sums.fixed_point_params(precision)
+        ks = KeySpace.build(x)
+        small = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
+        t, pi, e = _level_one_at_every_key(ks, small, frac_bits)
+        clamped = [max(v - e, 0) for v in t]
+        walks = (list(sums._walk(ks, small, table, pi, e, frac_bits, 6)) for table in (t, clamped))
+        assert next(walks) == next(walks), (precision, x)
 
 
 class TestTupleCounts:
@@ -565,11 +591,11 @@ class TestLedgerAtEveryKey:
 
     @pytest.mark.parametrize("x", [999, 65_537])
     def test_worst_case_level1_within_ledger(self, x, primes_1e6):
-        # level-1 tables at either end of what the walk may be given: 2e below the exact
-        # floor at every key and exact at the primes q <= sqrt(x), where each difference
-        # L1(x // n) - (L1(q) + 2e) is 4e low; and exact at every key and 2e below the
-        # ceiling at the primes q, where only the + 2e keeps each difference from its true
-        # value
+        # level-1 tables at either end of what the walk may be given, T within e of 2^F S_1:
+        # e below the exact ceiling at every key and e above the exact floor at the primes
+        # q <= sqrt(x), where each difference T(x // n) - (T(q) + 2e) is 4e low; and e above
+        # the exact floor at every key and e below the ceiling at the primes q, where only
+        # the + 2e keeps each difference from its true value
         frac_bits = sums.fixed_point_params(64)
         ks = KeySpace.build(x)
         exact = _exact_levels(1, x, primes_1e6)[0]
@@ -577,11 +603,11 @@ class TestLedgerAtEveryKey:
         small_primes = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
         _, pi, _ = _level_one_at_every_key(ks, small_primes, frac_bits)
         e = 2 ** (frac_bits - 8)  # far above every floor the level drops
-        low = [math.floor(t) - 2 * e for t in scaled]
-        high = [math.floor(t) for t in scaled]
+        low = [math.ceil(t) - e for t in scaled]
+        high = [math.floor(t) + e for t in scaled]
         for q in small_primes:
-            low[q - 1] += 2 * e
-            high[q - 1] = math.ceil(scaled[q - 1]) - 2 * e
+            low[q - 1] = math.floor(scaled[q - 1]) + e
+            high[q - 1] = math.ceil(scaled[q - 1]) - e
         omega, tuples = _shape_arrays(x)
         exact_at_x = _exact_bounds(4, [x], omega, tuples, frac_bits + BOUND_GUARD)[1:]
         for table in (low, high):
@@ -681,7 +707,8 @@ class TestLevelOne:
         for x in (x for x in self.XS if precision <= 1024 or x <= 10**6):
             ks = KeySpace.build(x)
             small = plist[: primes_1e7.count_upto(ks.sqrt_x)]
-            cases.append((x, ks, *_level_one_at_every_key(ks, small, frac_bits)))
+            t, pi, e = _level_one_at_every_key(ks, small, frac_bits)
+            cases.append((x, ks, t, pi.tolist(), e))
         # sum of floor(2^(F+32) / p) over the first `count` primes, at every count needed
         wanted = sorted({count for *_, pi, _ in cases for count in pi})
         at = np.zeros(len(plist) + 1, dtype=bool)
@@ -723,7 +750,7 @@ class TestLevelOne:
             start = sums._start_values(ks, frac_bits, range(len(ks)))
             want_t, want_pi, want_e = _lucy_stages(ks, small, start, final)
             t, pi, e = _level_one_at_every_key(ks, small, frac_bits)
-            assert (t[low:], pi, e) == (want_t[low:], want_pi, want_e), x
+            assert (t[low:], pi.tolist(), e) == (want_t[low:], want_pi, want_e), x
             assert t[:low] == [final(v)[0] for v in ks.keys[:low].tolist()], x
             t, pi, e = sums._level_one(ks, small, frac_bits, [len(ks) - 1])
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), x
@@ -838,7 +865,7 @@ class TestDemandPrunedLevelOne:
             want_t, want_pi, want_e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), (precision, x)
             low = len(ks) - x // (_cutoff(x) + 1)  # the keys up to y0, from the running sum
-            assert t[low:-1] == pi[low:-1] == [0] * (len(ks) - low - 1), (precision, x)
+            assert t[low:-1] == pi[low:-1].tolist() == [0] * (len(ks) - low - 1), (precision, x)
 
 
 class TestOracleEquivalence:
