@@ -44,11 +44,12 @@ from .primes import sieve
 from .sums import FAST_MAX_X, sk_fast
 
 
-def _common_flags(sp: argparse.ArgumentParser, formats=("text", "json")) -> None:
+def _common_flags(sp: argparse.ArgumentParser, formats=("text", "json"), digits=True) -> None:
     sp.add_argument("--prec", type=int, default=DEFAULT_PRECISION, metavar="BITS",
                     help="working precision in bits (default %(default)s)")
-    sp.add_argument("--digits", type=int, default=DEFAULT_DIGITS, metavar="D",
-                    help="printed decimal digits (default %(default)s)")
+    if digits:  # hankel prints doubles in full, so it has no --digits
+        sp.add_argument("--digits", type=int, default=DEFAULT_DIGITS, metavar="D",
+                        help="printed decimal digits (default %(default)s)")
     sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--out", metavar="PATH", default=None,
                     help="write output to PATH instead of stdout")
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_poly)
 
     sp = sub.add_parser("hankel", help="contour quadrature vs closed forms")
-    _common_flags(sp)
+    _common_flags(sp, digits=False)
     sp.add_argument("--x", type=float, required=True)
     mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--m", type=int, help="order of I_m")
@@ -233,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         check_precision(args.prec)
-        check_digits(args.digits)
+        if "digits" in args:
+            check_digits(args.digits)
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise MertensArgumentError(f"--out directory does not exist: {args.out}")
         return args.func(args)

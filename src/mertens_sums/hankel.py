@@ -161,21 +161,23 @@ def _refine(f, x: float, contour: HankelContour) -> QuadResult:
     for r in range(1, _MAX_REFINEMENTS + 1):
         cur = _integrate(f, x, contour, 2**r)
         delta = abs(cur - prev)
-        if delta < DEFAULT_TARGET / 4:
+        # the target is relative once |value| > 1: double rounding alone is eps |value|
+        scale = max(1.0, abs(cur))
+        if delta < DEFAULT_TARGET / 4 * scale:
             break
         prev = cur
     else:
         raise ConvergenceError(
-            f"panel refinement did not settle below {DEFAULT_TARGET:.2e} (last delta {delta:.2e})",
+            f"panel refinement did not settle below {DEFAULT_TARGET:.2e} max(1, |value|) "
+            f"(last delta {delta:.2e})",
             achieved_bound=delta,
         )
-    scale = max(1.0, abs(cur))
     estimate = max(2.0 * delta, 64.0 * np.finfo(float).eps * scale)
     imag = abs(cur.imag)
-    if imag > 10 * DEFAULT_TARGET:
+    if imag > 10 * DEFAULT_TARGET * scale:
         raise ConvergenceError(
-            f"imaginary part {imag:.2e} exceeds 10x the target {DEFAULT_TARGET:.2e}; "
-            "the contour is asymmetric or under-resolved",
+            f"imaginary part {imag:.2e} exceeds 10x the target {DEFAULT_TARGET:.2e} "
+            "max(1, |value|); the contour is asymmetric or under-resolved",
             achieved_bound=imag,
         )
     return QuadResult(

@@ -23,17 +23,21 @@ and pi, exact, as int64.  Level 1 at x is max(T(x) - e, 0), so at most
 S_1(x) and within 2e below it.  Every key up to y0 = max(x^(2/3), sqrt(x))
 takes T and pi from one running sum over the primes up to y0, whose list
 becomes T, filled in place above y0 and read in place by the prefix walk
-of the levels above.  Only the top keys
-x // n > y0 take the key-space sieve, one stage per prime p <= sqrt(x).  A
-key below p^2 is final before stage p, so the stage reads it from the
-running sum, and a demand pass runs each stage p^3 <= x only at the keys
->= p^2 that the filled top keys need.  The sieve starts from 2^F (H_v - 1)
-only at the keys those stages read: a running harmonic sum up to a switch
-near sqrt(x) (F + 32) / 64, and above it each key on its own from
-logarithms and Euler-Maclaurin (:func:`_start_values`).  The stages
-p^3 > x read only keys up to y0, so they commute: each top key
-x // n >= q^2, q the smallest such prime, takes them all at once, the same
-integers as one by one.
+of the levels above.  Only the top keys x // n > y0 take the key-space
+sieve of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and
+Deleglise-Rivat (Math. Comp. 65, 1996), "Lucy_Hedgehog's method": from
+T(v) = 2^F (H_v - 1) and pi(v) = v - 1, each prime p <= sqrt(x), smallest
+first, takes f(p) (T(v // p) - T(p - 1)) from every key v >= p^2
+(f(p) = 1/p for T, 1 for pi).  Each update floors once, so e grows by
+ceil(2e/p) + 1 per prime, from 2.  A key below p^2 is final before stage
+p, so the stage reads it from the running sum.  A head stage, p^3 <= x,
+is one numpy object-array update, run only at the keys >= p^2 that the
+filled top keys need, and the sieve starts only at the keys the head
+reads (:func:`_start_values`).  The tail stages, p^3 > x, commute: with
+q the smallest, a tail stage writes keys v >= p^2 >= q^2 > y0 and reads
+v // p < x^(2/3) and p - 1, keys up to y0 whose values are final.  So
+each top key takes its tail stages at once, one floor per tail prime
+p <= sqrt(v): the same integers as stage by stage.
 
 Levels j >= 2 read level 1 alone, through the sorted form q_1 <= ... <= q_j
 of each ordered tuple: the recursion that counts k-almost-primes, whose
@@ -124,12 +128,12 @@ class KeySpace:
 
         ``v`` may also be an int64 array of keys, with one divisor d.
         """
-        if isinstance(v, np.ndarray):  # v // d is a key, so a search finds it
-            return np.searchsorted(self.keys, v // divisors)
-        if v <= self.sqrt_x:
-            return [v // d - 1 for d in divisors]
-        # v = x // n, so v // d = x // (n d): a large key while n d <= x // (s + 1)
+        # v = x // n, so v // d = x // (n d): at nk - n d while n d <= x // (s + 1), else at
+        # x // (n d) - 1
         x, nk, big = self.x, self.keys.size, self.x // (self.sqrt_x + 1)
+        if isinstance(v, np.ndarray):
+            m = x // v * divisors
+            return np.where(m <= big, nk - m, x // m - 1)
         n = x // v
         return [nk - n * d if n * d <= big else x // (n * d) - 1 for d in divisors]
 
@@ -267,11 +271,11 @@ def _icbrt(n: int) -> int:
     return r
 
 
-def _start_values(keyspace: KeySpace, frac_bits: int, want) -> list[int]:
+def _start_values(keyspace: KeySpace, small_primes: list[int], frac_bits: int, want) -> list[int]:
     """2^F (H_v - 1) within 2 units at the ascending key positions ``want``, 0 elsewhere.
 
-    F = frac_bits; these are the Lucy sieve's start values.  Each is built
-    32 guard bits lower, and a key's value does not depend on ``want``.
+    F = frac_bits; ``small_primes`` are the primes up to sqrt_x.  Each value
+    is built 32 guard bits lower, and a key's value does not depend on ``want``.
     Keys up to the switch max(sqrt_x (F+32) // 64, 2^12) take the running
     sum of floor(2^(F+32)/n), read off at the wanted keys and at b0, the
     last key at or below the switch.  A wanted key v = x // n above it, with
@@ -303,10 +307,8 @@ def _start_values(keyspace: KeySpace, frac_bits: int, want) -> list[int]:
     low, high = want[:split], want[split:].tolist()
     out = [0] * nk
     reads = keys[np.append(low, cut) if high else low]  # the running sum is read here, b0 last
-    marks = np.zeros(int(reads[-1]) if reads.size else 0, dtype=bool)
-    marks[reads - 1] = True
-    harmonic = accumulate(map(floordiv, repeat(one), count(2)), initial=0)  # 2^bits (H_n - 1)
-    running, h = compress(harmonic, _stream(marks)), 0
+    # 2^bits (H_n - 1) at n = reads
+    running, h = _sums_at(map(floordiv, repeat(one), count(2)), reads - 1), 0
     for pos, h in zip(low.tolist(), running):
         out[pos] = h >> INIT_GUARD_BITS
     if not high:
@@ -321,7 +323,7 @@ def _start_values(keyspace: KeySpace, frac_bits: int, want) -> list[int]:
         coeffs.append((c.numerator << bits) // c.denominator)
     atanh_coeffs = [one // (2 * i + 1) for i in range(-(-(bits + 2) // 2))]
     smallest = np.arange(n_b + 1)  # smallest prime factor, for n_b >= every n above b0
-    for p in sieve(math.isqrt(n_b)).primes[::-1].tolist():
+    for p in reversed(small_primes[: bisect_right(small_primes, math.isqrt(n_b))]):
         smallest[p * p :: p] = p
     smallest, logs = smallest.tolist(), {1: 0}
 
@@ -349,73 +351,35 @@ def _start_values(keyspace: KeySpace, frac_bits: int, want) -> list[int]:
     return out
 
 
-def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, positions):
-    """(T, pi, e) with |T - 2^F S_1| <= e, F = frac_bits, and pi exact.
+def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, y0: int, positions):
+    """(T, pi, e) with |T - 2^F S_1| <= e, F = frac_bits, and pi exact (see module docstring).
 
-    ``small_primes`` are the primes up to sqrt_x.  This holds at every key
-    up to y0 and at the top keys at ``positions``; the other entries are 0.
-    T is a list of ints and pi an int64 array, one entry per key.
-
-    Every key up to y0 = max(x^(2/3), sqrt_x) takes S_1 and pi from one
-    running sum over the primes up to y0, sieved here (:func:`_running_sums`,
-    within 2 units below).  The top keys x // n > y0 take the key-space
-    sieve of Lagarias-Miller-Odlyzko (Math. Comp. 44, 1985) and
-    Deleglise-Rivat (Math. Comp. 65, 1996), "Lucy_Hedgehog's method": from
-    T(v) = 2^F (H_v - 1) and pi(v) = v - 1 (:func:`_start_values`), each
-    prime p <= sqrt_x, smallest first, takes f(p) (T(v // p) - T(p - 1))
-    from every key v >= p^2 (f(p) = 1/p for T, 1 for pi; one index array
-    serves both).  After the stages p' < p every key below p^2 holds its
-    final value, so a stage reads a key w < p^2 from the running sum.
-
-    The stages split at the cube root of x.  A head stage, p^3 <= x, is one
-    numpy object-array update, whose right-hand side reads only the previous
-    stage's values, computed in place in one temporary.  A demand pass,
-    from the last head stage down, first counts the head stages each key
-    needs: the top keys at ``positions`` need all of them, and a key updated
-    at stage i makes its source v // p need the i stages before it only if
-    v // p >= p^2, that is v >= p^3, so the pass scans the keys from p^3 up.
-    The head reads a start value only at a key it updates, at a source
-    v // 2 >= 4 of stage p = 2 (v >= 8), or at ``positions``, so only those
-    keys get one; the others stay 0 (at k = 1, 9,457 of 19,968 keys at
-    x = 9.97e7).  Before stage i the running sum is copied into the keys in
-    [p_{i-1}^2, p_i^2).  After the head, the list of running sums, padded
-    with zeros above y0, becomes T in place of the head's object array, and
-    pi's array takes the running counts below y0 and 0 above; the tail then
-    writes each top key at ``positions`` into both.  The tail stages,
-    p^3 > x, commute: with q the smallest, a tail stage writes keys
-    v >= p^2 >= q^2 > y0 and reads v // p <= x / p < x^(2/3) and p - 1,
-    keys up to y0 whose values are final.  Each top key at ``positions``
-    therefore takes its tail stages at once, summing one floor per tail
-    prime p <= sqrt(v) (none when v < q^2): the same integers as stage by
-    stage.  Each update floors once, so e -> e + ceil(2e/p) + 1 per prime,
-    from e = 2.
+    ``small_primes`` are the primes up to sqrt_x and y0 is :func:`_cutoff`.
+    This holds at every key up to y0 and at the top keys at ``positions``;
+    the other entries are 0.  T is a list of ints and pi an int64 array, one
+    entry per key.
     """
     x, keys, nk = keyspace.x, keyspace.keys, len(keyspace)
-    y0 = _cutoff(keyspace)
     nlow = nk - x // (y0 + 1)  # the keys up to y0
-    primes = sieve(y0).primes
-    final_t, final_pi = _running_sums(primes, keys[:nlow], frac_bits)
+    final_t, final_pi = _running_sums(sieve(y0).primes, keys[:nlow], frac_bits)
     nhead = bisect_right(small_primes, _icbrt(x))
     head, tail = small_primes[:nhead], small_primes[nhead:]
     los = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 2).tolist()
-    need = np.zeros(nk, dtype=np.int64)  # the head stages each key needs, from the last one down
-    need[positions] = nhead
-    # v // p >= p^2 exactly when v >= p^3: only keys from p^3 up read a source not yet final
     cubes = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 3).tolist()
-    for i in range(nhead - 1, 0, -1):
+    need = np.zeros(nk, dtype=np.int64)  # 1 + the head stages each key takes; 0: never read
+    need[positions] = nhead + 1
+    # a key that takes stage i makes its source v // p take the i stages before it, and only
+    # a key v >= p^3 has a source v // p >= p^2, not final before stage p
+    for i in range(nhead - 1, -1, -1):
         c = cubes[i]
-        src = keyspace.indices(keys[c + np.flatnonzero(need[c:] > i)], head[i])
-        need[src] = np.maximum(need[src], i)
-    reads = need > 0  # the keys whose start values the head reads (see above)
-    reads[positions] = True
-    if nhead:
-        c = cubes[0]
-        reads[keyspace.indices(keys[c + np.flatnonzero(need[c:] > 0)], 2)] = True
-    t = np.array(_start_values(keyspace, frac_bits, np.flatnonzero(reads)), dtype=object)
+        src = keyspace.indices(keys[c + np.flatnonzero(need[c:] > i + 1)], head[i])
+        need[src] = np.maximum(need[src], i + 1)
+    t = np.array(_start_values(keyspace, small_primes, frac_bits, np.flatnonzero(need)),
+                 dtype=object)
     pi, done = keys - 1, 0
     for i, (p, lo) in enumerate(zip(head, los)):
         t[done:lo], pi[done:lo], done = final_t[done:lo], final_pi[done:lo], lo
-        live = lo + np.flatnonzero(need[lo:] > i)
+        live = lo + np.flatnonzero(need[lo:] > i + 1)
         src = keyspace.indices(keys[live], p)
         step = t[src]  # the one temporary: (T(v // p) - T(p - 1)) // p, then T(v) less it
         step -= t[p - 2]
@@ -428,14 +392,14 @@ def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, posi
     pi[done:nlow], pi[nlow:] = final_pi[done:], 0
     t_at = t.__getitem__
     t_low = [t[p - 2] for p in tail]
-    pi_low = list(accumulate(pi[[p - 2 for p in tail]].tolist(), initial=0))
-    for pos, t_head, pi_head in heads:  # each top key's tail stages at once (see above)
+    for pos, t_head, pi_head in heads:  # each top key's tail stages at once
         v = x // (nk - pos)
         m = bisect_right(tail, math.isqrt(v))
         ps = tail[:m]
         idx = keyspace.indices(v, ps)
         t[pos] = t_head - sum(map(floordiv, map(sub, map(t_at, idx), t_low), ps))
-        pi[pos] = pi_head - int(pi[idx].sum()) + pi_low[m]
+        # the i-th tail prime p has pi(p - 1) = nhead + i
+        pi[pos] = pi_head - int(pi[idx].sum()) + m * nhead + m * (m - 1) // 2
     e = 2
     for p in small_primes:
         e += -(-2 * e // p) + 1
@@ -467,6 +431,16 @@ def _stream(a: np.ndarray):
     return chain.from_iterable(a[i : i + (1 << 16)].tolist() for i in range(0, a.size, 1 << 16))
 
 
+def _sums_at(terms, stops: np.ndarray):
+    """The running sums of ``terms`` from 0 (index 0, the empty sum), once per distinct ``stops``.
+
+    ``stops`` is an ascending int64 array of indices.
+    """
+    marks = np.zeros(int(stops[-1]) + 1 if stops.size else 0, dtype=bool)
+    marks[stops] = True
+    return compress(accumulate(terms, initial=0), _stream(marks))
+
+
 def _running_sums(primes: np.ndarray, low: np.ndarray, frac_bits: int):
     """(values, pi) at the ascending keys ``low``: sums of 1/p and of 1 over the primes p <= key.
 
@@ -478,10 +452,7 @@ def _running_sums(primes: np.ndarray, low: np.ndarray, frac_bits: int):
     """
     one = 1 << (frac_bits + INIT_GUARD_BITS)
     ends = np.searchsorted(primes, low, side="right")
-    marks = np.zeros(primes.size + 1, dtype=bool)
-    marks[ends] = True
-    terms = map(one.__floordiv__, _stream(primes))
-    sums = (v >> INIT_GUARD_BITS for v in compress(accumulate(terms, initial=0), _stream(marks)))
+    sums = (v >> INIT_GUARD_BITS for v in _sums_at(map(one.__floordiv__, _stream(primes)), ends))
     runs = np.diff(np.flatnonzero(np.diff(ends, prepend=-1)), append=ends.size)  # keys per pi
     return list(chain.from_iterable(map(repeat, sums, runs.tolist()))), ends
 
@@ -491,13 +462,12 @@ def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndar
     """Yield (value, count, ledger) at x of levels 2..k, by the prefix walk (see module docstring).
 
     ``t`` is within e of 2^F S_1, and ``pi`` exact, at every key the walk
-    reads.  Each prefix's two terms are floored INIT_GUARD_BITS below a
-    unit.  A level has at most 1.2M prefixes for x <= 10^10 (level 6 at
-    10^10), far under 2^31, so its floors lose under one unit and the final
-    shift under one more.
+    reads.  A level has at most 1.2M prefixes for x <= 10^10 (level 6 at
+    10^10), far under 2^31, so its guard-bit floors, two a prefix, lose
+    under one unit in all and the final shift under one more.
     """
     x, nk, bits = keyspace.x, len(keyspace), frac_bits + INIT_GUARD_BITS
-    big = x // (keyspace.sqrt_x + 1)  # x // m sits at nk - m while m <= big, else at x // m - 1
+    big = x // (keyspace.sqrt_x + 1)  # KeySpace.indices' slot rule, inline in this hot loop
     squares, cubes = [q * q for q in small_primes], [q**3 for q in small_primes]
     lows = [t[q - 1] + 2 * e for q in small_primes]  # T(q) + 2e
     s1_at, pi_at = t.__getitem__, pi.item
@@ -546,37 +516,26 @@ def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndar
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
     """Yield (value, count, ledger) at x for levels 1..k, each computed once.
 
-    ``primes`` covers ``keyspace.sqrt_x``; the count of level 1 is pi.
-    Level 1 at x is max(T(x) - e, 0), T from :func:`_level_one`, filled at
-    every key up to y0 = max(x^(2/3), sqrt_x) and at the top keys
-    x // n > y0 with Omega(n) <= k - 1: all the walk of levels 2..k reads
-    (:func:`_walk`).  The walk takes T itself: e cancels in each difference
-    T(x // n) - (T(q) + 2e), and every key it reads is >= 2, where
+    ``primes`` covers ``keyspace.sqrt_x``; the count of level 1 is pi.  The
+    walk takes T unclamped: every key it reads is >= 2, where
     T >= 2^F / 2 - e is far above e, so a clamp at 0 would change nothing.
-    Level 1's ledger is 2e, and level j's is ceil(4e W_j / 2^F) + 2, with
-    W_j the scaled prefix weights of the module docstring:
-    W_j <= 2^F j S_{j-1}(x) + P_j, P_j the level's prefixes.
     """
     s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
-    top = x // (_cutoff(keyspace) + 1)  # the keys above y0 are x // n for n <= top, at nk - n
+    y0 = _cutoff(keyspace)
+    top = x // (y0 + 1)  # the keys above y0 are x // n for n <= top, at nk - n
     omega = _omega(top, small_primes)
     positions = (nk - np.flatnonzero(omega[1:] <= k - 1) - 1).tolist()
-    t, pi, e = _level_one(keyspace, small_primes, frac_bits, positions)
+    t, pi, e = _level_one(keyspace, small_primes, frac_bits, y0, positions)
     yield max(t[-1] - e, 0), int(pi[-1]), 2 * e
     if k > 1:
         yield from _walk(keyspace, small_primes, t, pi, e, frac_bits, k)
 
 
-def _fixed_to_mpf(value_int: int, frac_bits: int, precision: int):
-    with working_precision(precision):
-        return +mp.ldexp(value_int, -frac_bits)
-
-
 def _fixed_value_bound(value_int: int, ledger: int, frac_bits: int, precision: int):
     """(value, error_bound) as mpf of a fixed-point value low by at most ``ledger`` units."""
-    value = _fixed_to_mpf(value_int, frac_bits, precision)
     with working_precision(precision):
+        value = +mp.ldexp(value_int, -frac_bits)
         # 2^16 times the relative rounding at this working precision: covers
         # rounding the value, converting the ledger and this expression
         slack = mpf(2) ** -(precision + 16)
@@ -593,10 +552,6 @@ def sk_levels(
     """S_1(x), ..., S_k(x) from one pass: level 1 over KeySpace(x), then a prefix walk.
 
     ``primes`` must cover isqrt(x); larger tables give the same bits.
-    Level 1 is the prime-reciprocal table over the key space, filled at the
-    keys the walk reads; one walk over sorted prime prefixes then yields
-    levels 2..k from level 1 alone (see :func:`_levels`), and each level's
-    value at x is reported here.
     All arithmetic is exact fixed-point integer work at precision + 40
     fractional bits (see the module docstring), summed in a fixed order, so
     results are deterministic to the bit and each level's error ledger is a

@@ -121,6 +121,15 @@ class TestHankelCommand:
         assert (code, out) == (2, "")
         assert err == "mertens: error: |z| <= 4 is the tested envelope, got 4.5\n"
 
+    @pytest.mark.parametrize("z,x", [("4", "1e50"), ("4", "1e100"), ("3", "1e300")])
+    def test_large_values_settle(self, capsys, z, x):
+        # (log x)^z / Gamma(z + 1) of 7e6 to 1e8: the refinement target scales with the value
+        code, out, _ = run(capsys, "hankel", "--z", z, "--x", x, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        quad, closed = float(payload["quadrature"]), float(payload["closed_form"])
+        assert abs(quad - closed) <= 1e-12 * abs(closed)
+
     @pytest.mark.parametrize("prec,expected", [("5", 2), ("100000", 4)])
     def test_prec_checked_where_the_mode_ignores_it(self, capsys, prec, expected):
         # --z needs no multiprecision constants, yet --prec is validated for every command
@@ -304,10 +313,11 @@ class TestArgumentHandling:
         ("verify", "--k", "1", "--stop", "5000", "--sieve-limit", "1000"),
         ("constants", "--c1-method", "direct"),
         ("sum", "--k", "2", "--x", "1000", "--method", "direct"),
+        ("hankel", "--m", "2", "--x", "100", "--digits", "5"),
     ])
     def test_removed_options_exit_2(self, capsys, argv):
-        # csv is a verify report format only; --sieve-limit, --c1-method and
-        # sum's --method are gone
+        # csv is a verify report format only; --sieve-limit, --c1-method,
+        # sum's --method and hankel's --digits are gone
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("mertens: error: ") and len(err.splitlines()) == 1

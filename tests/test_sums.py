@@ -435,8 +435,9 @@ def _level_one_at_every_key(ks: KeySpace, small_primes: list[int], frac_bits: in
 
     A DP pass fills level 1 only at the top keys x // n with Omega(n) <= k - 1.
     """
-    top = ks.x // (_cutoff(ks.x) + 1)
-    return sums._level_one(ks, small_primes, frac_bits, list(range(len(ks) - top, len(ks))))
+    y0 = _cutoff(ks.x)
+    top = ks.x // (y0 + 1)
+    return sums._level_one(ks, small_primes, frac_bits, y0, list(range(len(ks) - top, len(ks))))
 
 
 def _dense_levels(k: int, x: int, primes, frac_bits: int):
@@ -747,12 +748,12 @@ class TestLevelOne:
             assert _cutoff(x) <= primes_1e4.limit, x  # final() counts the primes up to y0
             low = len(ks) - x // (_cutoff(x) + 1)  # the keys up to y0
             small = plist[: bisect_right(plist, ks.sqrt_x)]
-            start = sums._start_values(ks, frac_bits, range(len(ks)))
+            start = sums._start_values(ks, small, frac_bits, range(len(ks)))
             want_t, want_pi, want_e = _lucy_stages(ks, small, start, final)
             t, pi, e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[low:], pi.tolist(), e) == (want_t[low:], want_pi, want_e), x
             assert t[:low] == [final(v)[0] for v in ks.keys[:low].tolist()], x
-            t, pi, e = sums._level_one(ks, small, frac_bits, [len(ks) - 1])
+            t, pi, e = sums._level_one(ks, small, frac_bits, _cutoff(x), [len(ks) - 1])
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), x
 
     # both sides of the harmonic switch max(sqrt_x (F+32) // 64, 2^12) leaving 2^12 (XS)
@@ -765,8 +766,8 @@ class TestLevelOne:
         # within 2 units of floor(2^F (H_v - 1)) at every key, whichever keys are wanted
         frac_bits = sums.fixed_point_params(precision)
         ks = KeySpace.build(x)
-        keys = ks.keys.tolist()
-        start = sums._start_values(ks, frac_bits, range(len(ks)))
+        keys, small_primes = ks.keys.tolist(), sieve(ks.sqrt_x).primes.tolist()
+        start = sums._start_values(ks, small_primes, frac_bits, range(len(ks)))
         small = bisect_right(keys, 1 << 12)
         harmonic = list(accumulate((Fraction(1, n) for n in range(2, keys[small - 1] + 1)),
                                    initial=Fraction(0)))  # H_v - 1 exactly, v <= 2^12
@@ -777,7 +778,7 @@ class TestLevelOne:
         assert all(abs(a - b) <= 2 for a, b in zip(start, want)), max(
             (abs(a - b), v) for a, b, v in zip(start, want, keys))
         chosen = sorted(random.Random(x).sample(range(len(ks)), len(ks) // 3))
-        some, chosen = sums._start_values(ks, frac_bits, chosen), set(chosen)
+        some, chosen = sums._start_values(ks, small_primes, frac_bits, chosen), set(chosen)
         assert some == [start[i] if i in chosen else 0 for i in range(len(ks))]
 
     @pytest.mark.parametrize("x", [2, 50, 8194, 10**7])
@@ -811,7 +812,7 @@ class TestLevelOne:
     def _table(self, x, primes, precision=192):
         """Level 1 at every key of KeySpace(x), as {key: mpf at ``precision`` bits}."""
         frac_bits = sums.fixed_point_params(precision)
-        return {key: sums._fixed_to_mpf(val, frac_bits, precision)
+        return {key: sums._fixed_value_bound(val, 0, frac_bits, precision)[0]
                 for key, val in zip(KeySpace.build(x).keys.tolist(),
                                     self._ints(x, primes, frac_bits))}
 
@@ -861,11 +862,54 @@ class TestDemandPrunedLevelOne:
         for x in sorted({*range(1, 201), *self.SQUARES, *self.LARGE}):
             ks = KeySpace.build(x)
             small = primes_1e7.primes[: primes_1e7.count_upto(ks.sqrt_x)].tolist()
-            t, pi, e = sums._level_one(ks, small, frac_bits, [len(ks) - 1])
+            t, pi, e = sums._level_one(ks, small, frac_bits, _cutoff(x), [len(ks) - 1])
             want_t, want_pi, want_e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), (precision, x)
             low = len(ks) - x // (_cutoff(x) + 1)  # the keys up to y0, from the running sum
             assert t[low:-1] == pi[low:-1].tolist() == [0] * (len(ks) - low - 1), (precision, x)
+
+    @pytest.mark.parametrize("x", [8, 27, 999, 65_537, 10**6])
+    def test_head_reads_only_requested_start_values(self, x, primes_1e6, monkeypatch):
+        # with None at every key outside ``want``, any other start value the head read would
+        # raise or change (T, pi, e); the positions are those of k = 1..6 and every top key
+        frac_bits = sums.fixed_point_params(192)
+        ks = KeySpace.build(x)
+        small = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
+        level_one, start_values, calls = sums._level_one, sums._start_values, []
+        monkeypatch.setattr(sums, "_level_one", lambda *args: calls.append(args) or (
+            level_one(*args)))
+        for k in range(1, 7):
+            list(sums._levels(ks, primes_1e6.primes, frac_bits, k))
+        top = x // (_cutoff(x) + 1)
+        calls.append((ks, small, frac_bits, _cutoff(x), list(range(len(ks) - top, len(ks)))))
+        plain = [(t, pi.tolist(), e) for t, pi, e in (level_one(*args) for args in calls)]
+
+        def only_wanted(keyspace, small_primes, frac_bits, want):
+            wanted = set(np.asarray(want).tolist())
+            values = start_values(keyspace, small_primes, frac_bits, want)
+            return [v if i in wanted else None for i, v in enumerate(values)]
+
+        monkeypatch.setattr(sums, "_start_values", only_wanted)
+        for args, want in zip(calls, plain):
+            t, pi, e = level_one(*args)
+            assert (t, pi.tolist(), e) == want, (x, len(args[-1]))
+
+    def test_demand_pass_width(self, primes_1e4, monkeypatch):
+        # at k = 1 the head wants start values at 9,457 of the 19,968 keys of x = 99,700,000
+        start_values, wants = sums._start_values, []
+        monkeypatch.setattr(sums, "_start_values", lambda *args: wants.append(len(args[-1])) or (
+            start_values(*args)))
+        ks = KeySpace.build(99_700_000)
+        list(sums._levels(ks, primes_1e4.primes, sums.fixed_point_params(192), 1))
+        assert (wants, len(ks)) == ([9457], 19_968)
+
+    def test_one_sieve_per_pass(self, primes_1e6, monkeypatch):
+        # at x = 10^6 and 192 bits the top keys lie above the harmonic switch (4,125), so
+        # the start values factor n = x // v from the primes the pass already holds
+        calls = []
+        monkeypatch.setattr(sums, "sieve", lambda limit: calls.append(limit) or sieve(limit))
+        sk_levels(1, 10**6, primes_1e6, 192)
+        assert calls == [10**4]
 
 
 class TestOracleEquivalence:
