@@ -62,13 +62,14 @@ class HankelContour:
             raise ParameterError("nodes_per_panel must be at least 4")
 
     @classmethod
-    def for_x(cls, x: float) -> "HankelContour":
+    def for_x(cls, x: float, z: float = 0.0) -> "HankelContour":
+        """The default loop for x, its rays long enough for the tail rule at z."""
         logx = math.log(x)
         radius = 1.0 / logx
         return cls(
             radius=radius,
             offset=radius / 8.0,
-            truncation=max(40.0 / logx, 2.0 * radius),
+            truncation=max(40.0 / logx, 2.0 * radius, _needed_truncation(x, z)),
         )
 
 
@@ -139,13 +140,37 @@ def _truncation_tail(x: float, contour: HankelContour, z: float) -> float:
     return x ** (-T) * growth / math.log(x)
 
 
+def _needed_truncation(x: float, z: float) -> float:
+    """The least truncation T whose _truncation_tail at x and z is DEFAULT_TARGET / 2 or less.
+
+    With g = max(0, -1 - z), the log of the tail over the target is
+    h(T) = g log(1 + T) - T log x + log(2 / (DEFAULT_TARGET log x)).  It is
+    concave in T and positive at T = 0, so the tail meets the target from
+    one root T* on.  T <- (log(2 / (DEFAULT_TARGET log x)) + g log(1 + T)) / log x
+    climbs from 0 to T*.  After one step T >= 12 / log x (log x < 710), where
+    its slope g / ((1 + T) log x) is at most 3/12, so 64 steps reach T* to
+    double precision.
+    """
+    logx, g = math.log(x), max(0.0, -1.0 - z)
+    target = math.log(2.0 / (DEFAULT_TARGET * logx))
+    t = 0.0
+    for _ in range(64):
+        t = (target + g * math.log1p(t)) / logx
+    return t
+
+
 def _checked_contour(x: float, contour: HankelContour | None, z: float) -> HankelContour:
-    """The given contour, or the default for x, if its dropped ray tail meets the target."""
+    """The given contour, or the default for x and z, if its dropped ray tail meets the target.
+
+    The default and the suggested truncation both come from
+    :func:`_needed_truncation`, so the default meets it, and a truncation that
+    fails is below the suggestion.
+    """
     if contour is None:
-        contour = HankelContour.for_x(x)
+        contour = HankelContour.for_x(x, z)
     tail = _truncation_tail(x, contour, z)
     if tail > DEFAULT_TARGET:
-        suggested = (math.log(1.0 / DEFAULT_TARGET) + 8.0) / math.log(x)
+        suggested = _needed_truncation(x, z)
         raise ParameterError(
             f"ray truncation {contour.truncation} leaves a tail ~{tail:.2e} above the "
             f"target {DEFAULT_TARGET:.2e}; suggest truncation >= {suggested:.3g}",

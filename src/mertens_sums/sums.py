@@ -56,9 +56,17 @@ and the tuple count is the same sum with pi in place of S_1.  One
 depth-first walk over the prefixes, each before its extensions, yields
 every level 2..k (:func:`_walk`).  It carries c down: appending q multiplies it by
 Omega + 1, divided by the new multiplicity of q.  A prefix n' takes the
-terms of its children n' q, q >= its last prime and n' q^2 <= x, over
-that whole prime range at once, and it descends into a child only below
-level k and when n' q^3 <= x, so that the child has children of its own.
+terms of its children n' q, q >= its last prime and n' q^2 <= x, and it
+descends into a child only below level k and when n' q^3 <= x, so that the
+child has children of its own.  The first child, q the last prime of n'
+repeated (2 under the empty prefix), is one term.  The others, the primes
+q in a range [lo, hi) of new primes, share the weight w = c(n' q) j, the
+leaf c(n' q^2) and the factor 1/n', and only the read T(x // n' q) depends
+on n': their sums of (T(q) + 2e)/q, 1/q^2 and 1/q are differences of prefix
+sums over the primes up to sqrt(x), A, B and C below, built once a pass.
+That is the device of the P2 term of Lagarias-Miller-Odlyzko and
+Deleglise-Rivat, where pi over a range of primes has a closed form; the
+tuple count uses it as pi(q) = i + 1 at the i-th prime.
 
 The walk reads level 1 at x // n for prefix products n, Omega(n) <= k - 1,
 and at the primes up to sqrt(x).  A key x // n > y0 has n <= top =
@@ -67,12 +75,28 @@ Omega(n) <= k - 1 (x alone at k = 1), and Omega comes from the primes up to
 top (Deleglise-Rivat, Math. Comp. 65, 1996, split the keys at x^(2/3) the
 same way).  Each difference is read as T(x // n) - (T(q_{j-1}) + 2e):
 with T within e of 2^F S_1 at both keys, it is at most its true value and
-at most 4e below it.  Each term is floored INIT_GUARD_BITS below a unit
-and the sum shifted once, so level j is at most S_j and its ledger is
-ceil(4e W_j / 2^F) + 2, where W_j sums ceil(2^F c(n) j / n) over its
-prefixes: at most 2^F j S_{j-1}(x) plus one per prefix.
-Every level reads level 1 alone, so no ledger compounds.  Summation order
-is fixed, so results are bit-reproducible.
+at most 4e below it.  Level j is summed in guard units, G = INIT_GUARD_BITS
+bits below a unit, and shifted once.  A first child adds its term floored,
+and ceil(2^F c(n) j / n) to the weight W_j.  A range adds
+
+    (w (sum_q floor(2^G T(x // n' q) / q) - (A[hi] - A[lo]))
+     + c(n' q^2) (B[hi] - B[lo])) // n'
+
+with A, B and C the prefix sums of ceil(2^G (T(q) + 2e) / q),
+floor(2^(F+G) / q^2) and ceil(2^F / q), and ceil(w (C[hi] - C[lo]) / n')
+to W_j.  So a leaf pays one read of T, one shift and one divide by q.  Each
+floor goes down and the subtracted ceiling up, so level j stays at most
+S_j, and a range loses under (2w + c(n' q^2))(hi - lo)/n' + 1 guard units:
+a counter L_j adds the ceiling of that, one add a range.  Its sum is under
+2.5 sqrt(x) j S_{j-1}(x) + 2 a range, since each q <= sqrt(x).  The first
+children's floors, two a prefix, lose under one unit in all (fewer than
+2^31 prefixes), and the shift under one more.  So level j's ledger is
+ceil(4e W_j / 2^F) + ceil(L_j / 2^G) + 2, where W_j is at most
+2^F j S_{j-1}(x) plus w (hi - lo)/n' + 1 a range and one a first child.
+The counter costs an add a range; the other way to hold the range floors,
+more guard bits in the walk, would cost every leaf wider integers.  Every
+level reads level 1 alone, so no ledger compounds.  Summation order is
+fixed, so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -83,7 +107,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, repeat
-from operator import floordiv, mul, sub
+from operator import floordiv, sub
 
 import numpy as np
 from mpmath import mp, mpf
@@ -232,7 +256,8 @@ def sk_direct(
 LEDGER_MARGIN = 16  # frac bits beyond the requested precision
 # More frac bits: the room the error ledgers grow into.  Level 1's ledger is
 # 2e and level j's 4e j S_{j-1}(x) + 2 at most, plus the rounding up of its
-# prefix weights (see _levels): ledgers do not compound.  At x <= 10^10 and
+# prefix weights and the walk's loss counter (see the module docstring):
+# ledgers do not compound.  At x <= 10^10 and
 # k <= 34 each is under 2^19 max(1, S_j(x)) units of 2^-F, so error_bound
 # stays under 2^-precision max(1, |S_j(x)|).
 HEADROOM_BITS = 24
@@ -463,28 +488,37 @@ def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndar
 
     ``t`` is within e of 2^F S_1, and ``pi`` exact, at every key the walk
     reads.  A level has at most 1.2M prefixes for x <= 10^10 (level 6 at
-    10^10), far under 2^31, so its guard-bit floors, two a prefix, lose
-    under one unit in all and the final shift under one more.
+    10^10), far under 2^31, so the first children's guard-bit floors, two a
+    prefix, lose under one unit in all, the ranges under ceil(L_j / 2^G)
+    units by the loss counter, and the final shift under one more.
     """
     x, nk, bits = keyspace.x, len(keyspace), frac_bits + INIT_GUARD_BITS
     big = x // (keyspace.sqrt_x + 1)  # KeySpace.indices' slot rule, inline in this hot loop
     squares, cubes = [q * q for q in small_primes], [q**3 for q in small_primes]
     lows = [t[q - 1] + 2 * e for q in small_primes]  # T(q) + 2e
-    s1_at, pi_at = t.__getitem__, pi.item
-    sums, counts, weights = ([0] * (k + 1) for _ in range(3))
+    # A, B and C of the module docstring, prefix sums over the primes: ceil(2^G (T(q) + 2e) / q),
+    # floor(2^bits / q^2) and ceil(2^F / q), G = INIT_GUARD_BITS
+    above = list(accumulate((-((-low << INIT_GUARD_BITS) // q)
+                             for low, q in zip(lows, small_primes)), initial=0))
+    inv_sq = list(accumulate(map(floordiv, repeat(1 << bits), squares), initial=0))
+    inv = list(accumulate((-((-1 << frac_bits) // q) for q in small_primes), initial=0))
+    s1_at, pi_at, shift = t.__getitem__, pi.item, INIT_GUARD_BITS.__rlshift__
+    sums, counts, weights, losses = ([0] * (k + 1) for _ in range(4))
 
-    def leaves(j, n, lo, hi, weight, leaf):
-        # the prefixes n q of level j, q = small_primes[lo:hi]: weight = c(n q) j, leaf = c(n q^2)
+    def leaves(j, n, v, lo, hi, weight, leaf):
+        # the prefixes n q of level j, q = small_primes[lo:hi]: weight = c(n q) j, leaf = c(n q^2);
+        # x // (n q) sits at nk - n q up to n q = big, and at v // q - 1 above
         ps = small_primes[lo:hi]
-        nps = [n * q for q in ps]
-        idx = [nk - m if m <= big else x // m - 1 for m in nps]
-        diffs = map(sub, map(s1_at, idx), lows[lo:hi])
-        sums[j] += (sum(map(floordiv, map((weight << INIT_GUARD_BITS).__mul__, diffs), nps))
-                    + sum(map(floordiv, repeat(leaf << bits), map(mul, nps, ps))))
+        s = bisect_right(small_primes, big // n, lo, hi) - lo
+        idx = [*map(nk.__sub__, map(n.__mul__, ps[:s])), *(v // q - 1 for q in ps[s:])]
+        reads = sum(map(floordiv, map(shift, map(s1_at, idx)), ps))  # floor(2^G T(x // nq) / q)
+        sums[j] += (weight * (reads - above[hi] + above[lo])
+                    + leaf * (inv_sq[hi] - inv_sq[lo])) // n
         # pi(q) = i + 1 for q = small_primes[i]
         counts[j] += (weight * (sum(map(pi_at, idx)) - (hi - lo) * (lo + hi + 1) // 2)
                       + leaf * (hi - lo))
-        weights[j] -= sum(map(floordiv, repeat(-weight << frac_bits), nps))
+        weights[j] -= -weight * (inv[hi] - inv[lo]) // n
+        losses[j] -= -(2 * weight + leaf) * (hi - lo) // n - 1
 
     def visit(n, v, a, c, mult, d):
         # prefix n of d primes, v = x // n, c = c(n), its last prime small_primes[a] of
@@ -493,7 +527,7 @@ def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndar
         if m <= a:
             return
         rep, new = c * (d + 1) // (mult + 1), c * (d + 1)  # c(n q) for q repeated, q new
-        # the child n q, q = small_primes[a] repeated, as leaves(j, n, a, a + 1, ...) would take it
+        # the first child n q, q = small_primes[a] repeated: one term, each part floored
         q, weight = small_primes[a], rep * j
         nq, leaf = n * q, weight // (mult + 2)
         i = nk - nq if nq <= big else x // nq - 1
@@ -501,16 +535,18 @@ def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndar
                     + (leaf << bits) // (nq * q))
         counts[j] += weight * (pi_at(i) - a - 1) + leaf
         weights[j] -= (-weight << frac_bits) // nq
-        leaves(j, n, a + 1, m, new * j, new * j // 2)
+        if m > a + 1:
+            leaves(j, n, v, a + 1, m, new * j, new * j // 2)
         if j < k:
             for i in range(a, bisect_right(cubes, v)):
                 q = small_primes[i]
                 visit(n * q, v // q, i, rep if i == a else new, mult + 1 if i == a else 1, d + 1)
 
     visit(1, x, 0, 1, 0, 0)
+    del visit  # visit's closure holds visit: free the cycle, and with it t and pi, at once
     for j in range(2, k + 1):
         yield (max(sums[j], 0) >> INIT_GUARD_BITS, counts[j],
-               -(-4 * e * weights[j] >> frac_bits) + 2)
+               -(-4 * e * weights[j] >> frac_bits) - (-losses[j] >> INIT_GUARD_BITS) + 2)
 
 
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):

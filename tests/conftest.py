@@ -7,17 +7,17 @@ from mertens_sums.primes import sieve
 
 def pytest_addoption(parser):
     parser.addoption("--runslow", action="store_true", default=False,
-                     help="also run the checks at x = 10^10 marked slow")
+                     help="also run the checks at x = 10^9 or more, marked slow")
 
 
 def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: a check at x = 10^10, run only with --runslow")
+    config.addinivalue_line("markers", "slow: a check at x = 10^9 or more, run only with --runslow")
 
 
 def pytest_collection_modifyitems(config, items):
     if config.getoption("--runslow"):
         return
-    skip = pytest.mark.skip(reason="a check at x = 10^10: run with --runslow")
+    skip = pytest.mark.skip(reason="a check at x = 10^9 or more: run with --runslow")
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)

@@ -130,6 +130,16 @@ class TestHankelCommand:
         quad, closed = float(payload["quadrature"]), float(payload["closed_form"])
         assert abs(quad - closed) <= 1e-12 * abs(closed)
 
+    @pytest.mark.parametrize("x", ["1.0000001", "1.001"])
+    def test_default_contour_near_one(self, capsys, x):
+        # the default rays reach as far as the (1 + T)^(-1-z) tail rule needs at z = -3.5
+        code, out, _ = run(capsys, "hankel", "--z", "-3.5", "--x", x, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        quad, closed = float(payload["quadrature"]), float(payload["closed_form"])
+        assert closed == hankel.power_law_closed_form(-3.5, float(x))
+        assert abs(quad - closed) <= 1e-12 * abs(closed)
+
     @pytest.mark.parametrize("prec,expected", [("5", 2), ("100000", 4)])
     def test_prec_checked_where_the_mode_ignores_it(self, capsys, prec, expected):
         # --z needs no multiprecision constants, yet --prec is validated for every command

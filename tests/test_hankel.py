@@ -65,6 +65,23 @@ class TestPowerIdentity:
         closed = hk.power_law_closed_form(0.5, 10.0)
         assert abs(res.value - closed) <= 1e-8 * abs(closed)
 
+    @pytest.mark.parametrize("x,z,truncation", [
+        (1.001, -3.5, 40 / math.log(1.001)), (1.0000001, -3.5, 40 / math.log(1.0000001)),
+        (1e6, -3.5, 1.2)])
+    def test_suggestion_covers_the_failing_truncation(self, x, z, truncation):
+        # the suggestion comes from the tail rule that failed, with its (1 + T)^(-1-z)
+        # growth: at least the truncation that failed, and enough when retried
+        radius = 1 / math.log(x)
+        short = hk.HankelContour(radius=radius, offset=radius / 8, truncation=truncation)
+        with pytest.raises(ParameterError) as err:
+            hk.hankel_power_quad(z, x, contour=short)
+        assert err.value.suggestion >= truncation
+        retry = hk.HankelContour(radius=radius, offset=radius / 8,
+                                 truncation=err.value.suggestion)
+        closed = hk.power_law_closed_form(z, x)
+        value = hk.hankel_power_quad(z, x, contour=retry).value
+        assert abs(value - closed) <= 1e-8 * max(1, abs(closed))
+
 
 class TestImQuad:
     def test_m0_is_one(self):

@@ -621,38 +621,109 @@ class TestLedgerAtEveryKey:
 
     @pytest.mark.parametrize("x", [999, 10**6])
     def test_ledger_formula(self, x, primes_1e6):
-        # level 1: 2e; level j: ceil(4e W_j / 2^F) + 2, W_j the sum of ceil(2^F c(n) j / n)
-        # over the prefixes q_1 <= ... <= q_{j-1} of product n, n q_{j-1} <= x, c(n) the
-        # ordered tuples with product n; and the exact sum of c(n) j / n is at most
-        # j S_{j-1}(x)
-        frac_bits = sums.fixed_point_params(80)
+        # level 1: 2e; level j: ceil(4e W_j / 2^F) + ceil(L_j / 2^G) + 2, G = INIT_GUARD_BITS,
+        # with W_j and L_j as _walk_weights counts them; and the exact sum of c(m) j / m over
+        # level j's prefixes m is at most j S_{j-1}(x).  At 12 fractional bits each rounding
+        # of the weights moves the ledger
         ks = KeySpace.build(x)
         small = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
-        _, _, e = _level_one_at_every_key(ks, small, frac_bits)
-        levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 4))
-        assert levels[0][2] == 2 * e
-        weights = {j: [] for j in (2, 3, 4)}  # c(n) j / n of each prefix of level j
+        omega, shapes = _shape_arrays(x)
+        for frac_bits in (12, sums.fixed_point_params(80)):
+            _, _, e = _level_one_at_every_key(ks, small, frac_bits)
+            levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 4))
+            assert levels[0][2] == 2 * e
+            bits = frac_bits + BOUND_GUARD
+            exact = _exact_bounds(3, [x], omega, shapes, bits)
+            for j, (weights, big_w, loss) in _walk_weights(x, small, frac_bits, 4).items():
+                assert levels[j - 1][2] == (math.ceil(Fraction(4 * e * big_w, 2**frac_bits))
+                                            - (-loss >> sums.INIT_GUARD_BITS) + 2), (j, x)
+                # sum of c(m) j / m <= j S_{j-1}(x), through a lower bound of S_{j-1}(x)
+                lo = exact[j - 2][0][0]
+                assert sum(math.ceil(c * 2**bits) for c in weights) <= j * lo, (j, x)
 
-        def extend(n, prefix):
-            for q in small:
-                if q >= prefix[-1] and n * q * q <= x:
-                    tup = (*prefix[1:], q)
-                    c = math.factorial(len(tup)) // math.prod(
-                        math.factorial(tup.count(p)) for p in set(tup))
-                    weights[len(tup) + 1].append(Fraction(c * (len(tup) + 1), n * q))
-                    if len(tup) < 3:
-                        extend(n * q, (*prefix, q))
+    @pytest.mark.parametrize("x", [999, 65_537])
+    def test_walk_without_guard_bits(self, x, primes_1e6, monkeypatch):
+        # with no guard bits every floor and ceiling of the walk shows.  Given a table T and
+        # e = 0, level j is at most the exact prefix sum of T, the sum over its prefixes m = n q
+        # of c(m) j (T(x // m) - T(q)) / m + 2^F c(m q) / (m q), and below it by at most the
+        # loss counter L_j plus two floors at each parent's first child; the ledger is L_j + 2.
+        # T is a multiple of every prime up to sqrt(x), so its reads divide exactly, but at
+        # those primes q, where T(q) is -1 mod q: rounding T(q) / q the wrong way gains most
+        ks = KeySpace.build(x)
+        keys = ks.keys.tolist()
+        small = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
+        lcm = math.prod(small)
+        frac_bits = lcm.bit_length() + 32
+        _, pi, _ = _level_one_at_every_key(ks, small, frac_bits)
+        exact = _exact_levels(1, x, primes_1e6)[0]
+        t = [math.floor(exact[v] * 2**frac_bits / lcm) * lcm for v in keys]
+        for q in small:
+            t[q - 1] -= 1
+        monkeypatch.setattr(sums, "INIT_GUARD_BITS", 0)
+        walk = list(sums._walk(ks, small, t, pi, 0, frac_bits, 4))
+        at = {v: i for i, v in enumerate(keys)}
+        totals, firsts = dict.fromkeys((2, 3, 4), Fraction(0)), dict.fromkeys((2, 3, 4), 0)
+        for n, prefix, children in _parents(x, small, 4):
+            j = len(prefix) + 2
+            firsts[j] += 1
+            for q in children:
+                m = n * q
+                totals[j] += (Fraction(_ordered((*prefix, q)) * j * (t[at[x // m]] - t[q - 1]), m)
+                              + Fraction(_ordered((*prefix, q, q)) << frac_bits, m * q))
+        for (j, (_, _, loss)), (value, _, ledger) in zip(
+                _walk_weights(x, small, frac_bits, 4).items(), walk):
+            assert ledger == loss + 2, (j, x)
+            assert value <= totals[j], (j, x)
+            assert totals[j] - value <= loss + 2 * firsts[j], (j, x)
 
-        extend(1, (0,))
-        omega, tuples = _shape_arrays(x)
-        bits = frac_bits + BOUND_GUARD
-        exact = _exact_bounds(3, [x], omega, tuples, bits)
-        for j in (2, 3, 4):
-            w = sum(math.ceil(c * 2**frac_bits) for c in weights[j])
-            assert levels[j - 1][2] == math.ceil(Fraction(4 * e * w, 2**frac_bits)) + 2, (j, x)
-            # sum of c(n) j / n <= j S_{j-1}(x), through a lower bound of S_{j-1}(x)
-            lo = exact[j - 2][0][0]
-            assert sum(math.ceil(c * 2**bits) for c in weights[j]) <= j * lo, (j, x)
+
+def _ordered(tup: tuple) -> int:
+    """The ordered prime tuples with the product of ``tup``: len(tup)! / prod e_i!."""
+    return math.factorial(len(tup)) // math.prod(math.factorial(tup.count(p)) for p in set(tup))
+
+
+def _parents(x: int, small: list[int], k: int):
+    """(n, prefix, children) of each parent of the walk's prefixes of levels 2..k.
+
+    ``prefix`` is a sorted tuple of at most k - 2 primes with product n, and
+    ``children`` the primes q >= its last with n q^2 <= x: each gives the
+    level-(len(prefix) + 2) prefix (*prefix, q).  Only parents with children
+    are listed.  Enumerated from the definition, not from the walk.
+    """
+    stack = [(1, ())]
+    while stack:
+        n, prefix = stack.pop()
+        children = [q for q in small if q >= (prefix[-1] if prefix else 0) and n * q * q <= x]
+        if children:
+            yield n, prefix, children
+        if len(prefix) < k - 2:
+            stack += [(n * q, (*prefix, q)) for q in children]
+
+
+def _walk_weights(x: int, small: list[int], frac_bits: int, k: int) -> dict:
+    """{j: (weights, W_j, L_j)} for levels 2..k of the prefix walk.
+
+    ``weights`` holds c(m) j / m for each prefix m of level j.  Each parent n
+    (:func:`_parents`) gives its first child m = n q, q its own last prime
+    repeated or 2 under the empty parent, ceil(2^F c(m) j / m) in W_j.  Its
+    r >= 1 other children, all of weight w = c(m) j, give
+    ceil(w sum_q ceil(2^F / q) / n) in W_j, and ceil((2 w + c(m q)) r / n) + 1
+    in the loss counter L_j, in guard units.
+    """
+    levels = {j: ([], 0, 0) for j in range(2, k + 1)}
+    for n, prefix, children in _parents(x, small, k):
+        j = len(prefix) + 2
+        weights, big_w, loss = levels[j]
+        weights += [Fraction(_ordered((*prefix, q)) * j, n * q) for q in children]
+        first, *rest = children
+        big_w += math.ceil(Fraction(_ordered((*prefix, first)) * j << frac_bits, n * first))
+        if rest:
+            q = rest[0]
+            w, leaf = _ordered((*prefix, q)) * j, _ordered((*prefix, q, q))
+            big_w += math.ceil(Fraction(w * sum(-((-1 << frac_bits) // p) for p in rest), n))
+            loss += math.ceil(Fraction((2 * w + leaf) * len(rest), n)) + 1
+        levels[j] = weights, big_w, loss
+    return levels
 
 
 @pytest.fixture(scope="module")
