@@ -54,19 +54,20 @@ j c(n), and a repeat gives c(n q_{j-1}), so
 
 and the tuple count is the same sum with pi in place of S_1.  One
 depth-first walk over the prefixes, each before its extensions, yields
-every level 2..k (:func:`_walk`).  It carries c down: appending q multiplies it by
-Omega + 1, divided by the new multiplicity of q.  A prefix n' takes the
-terms of its children n' q, q >= its last prime and n' q^2 <= x, and it
-descends into a child only below level k and when n' q^3 <= x, so that the
-child has children of its own.  The first child, q the last prime of n'
-repeated (2 under the empty prefix), is one term.  The others, the primes
-q in a range [lo, hi) of new primes, share the weight w = c(n' q) j, the
-leaf c(n' q^2) and the factor 1/n', and only the read T(x // n' q) depends
-on n': their sums of (T(q) + 2e)/q, 1/q^2 and 1/q are differences of prefix
-sums over the primes up to sqrt(x), A, B and C below, built once a pass.
-That is the device of the P2 term of Lagarias-Miller-Odlyzko and
-Deleglise-Rivat, where pi over a range of primes has a closed form; the
-tuple count uses it as pi(q) = i + 1 at the i-th prime.
+every level 2..k (:func:`_walk`).  It carries c down: appending q multiplies
+it by Omega + 1, divided by the new multiplicity of q.  A prefix n' takes
+the terms of all its children n' q, q >= its last prime and n' q^2 <= x, in
+one step, and it descends into a child only below level k and when
+n' q^3 <= x, so that the child has children of its own.  A new prime q
+gives the weight w = c(n' q) j and the leaf l = c(n' q^2); the first child,
+q the last prime of n' repeated (2 under the empty prefix), differs from
+those by dw and dl.  Only the read T(x // n' q) depends on n': the
+children's sums of (T(q) + 2e)/q, 1/q^2 and 1/q are differences of prefix
+sums over the primes up to sqrt(x), A, B and C below, built once a pass,
+with one more difference at the first child for dw and dl.  That is the
+device of the P2 term of Lagarias-Miller-Odlyzko and Deleglise-Rivat, where
+pi over a range of primes has a closed form; the tuple count uses it as
+pi(q) = i + 1 at the i-th prime.
 
 The walk reads level 1 at x // n for prefix products n, Omega(n) <= k - 1,
 and at the primes up to sqrt(x).  A key x // n > y0 has n <= top =
@@ -76,27 +77,30 @@ top (Deleglise-Rivat, Math. Comp. 65, 1996, split the keys at x^(2/3) the
 same way).  Each difference is read as T(x // n) - (T(q_{j-1}) + 2e):
 with T within e of 2^F S_1 at both keys, it is at most its true value and
 at most 4e below it.  Level j is summed in guard units, G = INIT_GUARD_BITS
-bits below a unit, and shifted once.  A first child adds its term floored,
-and ceil(2^F c(n) j / n) to the weight W_j.  A range adds
+bits below a unit, and shifted once.  A prefix n', its children the primes
+q = p_a..p_(m-1), adds
 
-    (w (sum_q floor(2^G T(x // n' q) / q) - (A[hi] - A[lo]))
-     + c(n' q^2) (B[hi] - B[lo])) // n'
+    (w (R - (A[m] - A[a])) + l (B[m] - B[a])
+     + dw (R_a - (A[a+1] - A[a])) + dl (B[a+1] - B[a])) // n'
 
-with A, B and C the prefix sums of ceil(2^G (T(q) + 2e) / q),
-floor(2^(F+G) / q^2) and ceil(2^F / q), and ceil(w (C[hi] - C[lo]) / n')
-to W_j.  So a leaf pays one read of T, one shift and one divide by q.  Each
-floor goes down and the subtracted ceiling up, so level j stays at most
-S_j, and a range loses under (2w + c(n' q^2))(hi - lo)/n' + 1 guard units:
-a counter L_j adds the ceiling of that, one add a range.  Its sum is under
-2.5 sqrt(x) j S_{j-1}(x) + 2 a range, since each q <= sqrt(x).  The first
-children's floors, two a prefix, lose under one unit in all (fewer than
-2^31 prefixes), and the shift under one more.  So level j's ledger is
-ceil(4e W_j / 2^F) + ceil(L_j / 2^G) + 2, where W_j is at most
-2^F j S_{j-1}(x) plus w (hi - lo)/n' + 1 a range and one a first child.
-The counter costs an add a range; the other way to hold the range floors,
-more guard bits in the walk, would cost every leaf wider integers.  Every
-level reads level 1 alone, so no ledger compounds.  Summation order is
-fixed, so results are bit-reproducible.
+with R the sum of floor(2^G T(x // n' q) / q) over its children, R_a the
+first child's term, and A, B and C the prefix sums of
+ceil(2^G (T(q) + 2e) / q), floor(2^(F+G) / q^2) and ceil(2^F / q); it adds
+ceil((w (C[m] - C[a]) + dw (C[a+1] - C[a])) / n') to the weight W_j.  So a
+leaf pays one read of T, one shift and one divide by q.  The sum over the
+children is exactly that of each child's own weight c(n' q) j > 0 and leaf
+c(n' q^2) > 0 times its terms, so, each floor going down and the subtracted
+ceiling up, level j stays at most S_j, and a prefix loses under
+(2 sum_q c(n' q) j + sum_q c(n' q^2))/n' + 1 guard units: a counter L_j adds
+the ceiling of that, one add a prefix.  Its sum is under
+2.5 sqrt(x) j S_{j-1}(x) + 2 a prefix, since each q <= sqrt(x) and
+c(n' q^2) <= c(n' q) j / 2.  The shift loses under one more unit.  So level
+j's ledger is ceil(4e W_j / 2^F) + ceil(L_j / 2^G) + 1, where W_j is at most
+2^F j S_{j-1}(x) plus sum_q c(n' q) j / n' + 1 a prefix.  The counter costs
+an add a prefix; the other way to hold the prefixes' floors, more guard bits
+in the walk, would cost every leaf wider integers.  Every level reads level
+1 alone, so no ledger compounds.  Summation order is fixed, so results are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -202,8 +206,7 @@ def sk_direct(
     engine's fractional bits, so the ledger is under one unit per tuple.
     ``exact=True`` adds Fraction(1, d) instead; practical only for small x
     since denominators grow as products of primes.  x must be >= 1, as in
-    :func:`sk_levels`.  Capacity-capped at x = 10^5: beyond that use
-    :func:`sk_fast`.
+    :func:`sk_levels`, which takes over beyond the cap at x = 10^5.
     """
     if not isinstance(k, int) or k < 0:
         raise DomainError(f"k must be an integer >= 0, got {k!r}")
@@ -212,7 +215,7 @@ def sk_direct(
         raise DomainError(f"x must be >= 1, got {x}")
     if x > DIRECT_MAX_X:
         raise CapacityError(
-            f"x={x} exceeds the direct oracle scale {DIRECT_MAX_X}; use sk_fast"
+            f"x={x} exceeds the direct oracle scale {DIRECT_MAX_X}; use sk_levels"
         )
     if x >= 2:
         _require_cover(primes, x)
@@ -255,7 +258,7 @@ def sk_direct(
 
 LEDGER_MARGIN = 16  # frac bits beyond the requested precision
 # More frac bits: the room the error ledgers grow into.  Level 1's ledger is
-# 2e and level j's 4e j S_{j-1}(x) + 2 at most, plus the rounding up of its
+# 2e and level j's 4e j S_{j-1}(x) + 1 at most, plus the rounding up of its
 # prefix weights and the walk's loss counter (see the module docstring):
 # ledgers do not compound.  At x <= 10^10 and
 # k <= 34 each is under 2^19 max(1, S_j(x)) units of 2^-F, so error_bound
@@ -373,6 +376,7 @@ def _start_values(keyspace: KeySpace, small_primes: list[int], frac_bits: int, w
         v = x // n
         out[pos] = (anchor - ln(n) - _ln_ratio(x, v * n, bits, atanh_coeffs)
                     + em(v)) >> INIT_GUARD_BITS
+    del ln  # ln's closure holds ln: free the cycle, and with it smallest and logs, at once
     return out
 
 
@@ -487,56 +491,47 @@ def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndar
     """Yield (value, count, ledger) at x of levels 2..k, by the prefix walk (see module docstring).
 
     ``t`` is within e of 2^F S_1, and ``pi`` exact, at every key the walk
-    reads.  A level has at most 1.2M prefixes for x <= 10^10 (level 6 at
-    10^10), far under 2^31, so the first children's guard-bit floors, two a
-    prefix, lose under one unit in all, the ranges under ceil(L_j / 2^G)
-    units by the loss counter, and the final shift under one more.
+    reads.  Each prefix's floors lose under its add to the loss counter,
+    so the prefixes lose under ceil(L_j / 2^G) units in all, and the final
+    shift under one more.
     """
     x, nk, bits = keyspace.x, len(keyspace), frac_bits + INIT_GUARD_BITS
     big = x // (keyspace.sqrt_x + 1)  # KeySpace.indices' slot rule, inline in this hot loop
     squares, cubes = [q * q for q in small_primes], [q**3 for q in small_primes]
-    lows = [t[q - 1] + 2 * e for q in small_primes]  # T(q) + 2e
     # A, B and C of the module docstring, prefix sums over the primes: ceil(2^G (T(q) + 2e) / q),
     # floor(2^bits / q^2) and ceil(2^F / q), G = INIT_GUARD_BITS
-    above = list(accumulate((-((-low << INIT_GUARD_BITS) // q)
-                             for low, q in zip(lows, small_primes)), initial=0))
+    above = list(accumulate((-((-t[q - 1] - 2 * e << INIT_GUARD_BITS) // q)
+                             for q in small_primes), initial=0))
     inv_sq = list(accumulate(map(floordiv, repeat(1 << bits), squares), initial=0))
     inv = list(accumulate((-((-1 << frac_bits) // q) for q in small_primes), initial=0))
     s1_at, pi_at, shift = t.__getitem__, pi.item, INIT_GUARD_BITS.__rlshift__
     sums, counts, weights, losses = ([0] * (k + 1) for _ in range(4))
 
-    def leaves(j, n, v, lo, hi, weight, leaf):
-        # the prefixes n q of level j, q = small_primes[lo:hi]: weight = c(n q) j, leaf = c(n q^2);
-        # x // (n q) sits at nk - n q up to n q = big, and at v // q - 1 above
-        ps = small_primes[lo:hi]
-        s = bisect_right(small_primes, big // n, lo, hi) - lo
-        idx = [*map(nk.__sub__, map(n.__mul__, ps[:s])), *(v // q - 1 for q in ps[s:])]
-        reads = sum(map(floordiv, map(shift, map(s1_at, idx)), ps))  # floor(2^G T(x // nq) / q)
-        sums[j] += (weight * (reads - above[hi] + above[lo])
-                    + leaf * (inv_sq[hi] - inv_sq[lo])) // n
-        # pi(q) = i + 1 for q = small_primes[i]
-        counts[j] += (weight * (sum(map(pi_at, idx)) - (hi - lo) * (lo + hi + 1) // 2)
-                      + leaf * (hi - lo))
-        weights[j] -= -weight * (inv[hi] - inv[lo]) // n
-        losses[j] -= -(2 * weight + leaf) * (hi - lo) // n - 1
-
     def visit(n, v, a, c, mult, d):
         # prefix n of d primes, v = x // n, c = c(n), its last prime small_primes[a] of
-        # multiplicity mult (a = mult = 0 at the empty prefix): its children are level d + 2
+        # multiplicity mult (a = mult = 0 at the empty prefix): its children n q, q =
+        # small_primes[a:m], are the prefixes of level j = d + 2
         j, m = d + 2, bisect_right(squares, v)
         if m <= a:
             return
         rep, new = c * (d + 1) // (mult + 1), c * (d + 1)  # c(n q) for q repeated, q new
-        # the first child n q, q = small_primes[a] repeated: one term, each part floored
-        q, weight = small_primes[a], rep * j
-        nq, leaf = n * q, weight // (mult + 2)
-        i = nk - nq if nq <= big else x // nq - 1
-        sums[j] += ((weight << INIT_GUARD_BITS) * (s1_at(i) - lows[a]) // nq
-                    + (leaf << bits) // (nq * q))
-        counts[j] += weight * (pi_at(i) - a - 1) + leaf
-        weights[j] -= (-weight << frac_bits) // nq
-        if m > a + 1:
-            leaves(j, n, v, a + 1, m, new * j, new * j // 2)
+        # every child takes the new prime's weight c(n q) j and leaf c(n q^2), and the repeated
+        # prime, the first child, adds its differences from them through the sums at a..r
+        w, leaf, r = new * j, new * j // 2, a + 1
+        dw, dleaf = (rep - new) * j, rep * j // (mult + 2) - leaf
+        # x // (n q) sits at nk - n q up to n q = big, and at v // q - 1 above
+        ps = small_primes[a:m]
+        s = bisect_right(small_primes, big // n, a, m) - a
+        idx = [*map(nk.__sub__, map(n.__mul__, ps[:s])), *(v // q - 1 for q in ps[s:])]
+        reads = sum(map(floordiv, map(shift, map(s1_at, idx)), ps))  # floor(2^G T(x // nq) / q)
+        first = (s1_at(idx[0]) << INIT_GUARD_BITS) // ps[0]  # the first child's read
+        sums[j] += (w * (reads - above[m] + above[a]) + leaf * (inv_sq[m] - inv_sq[a])
+                    + dw * (first - above[r] + above[a]) + dleaf * (inv_sq[r] - inv_sq[a])) // n
+        # pi(q) = i + 1 for q = small_primes[i]
+        counts[j] += (w * (sum(map(pi_at, idx)) - (m - a) * (a + m + 1) // 2) + leaf * (m - a)
+                      + dw * (pi_at(idx[0]) - r) + dleaf)
+        weights[j] -= -(w * (inv[m] - inv[a]) + dw * (inv[r] - inv[a])) // n
+        losses[j] -= -((2 * w + leaf) * (m - a) + 2 * dw + dleaf) // n - 1
         if j < k:
             for i in range(a, bisect_right(cubes, v)):
                 q = small_primes[i]
@@ -546,7 +541,7 @@ def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndar
     del visit  # visit's closure holds visit: free the cycle, and with it t and pi, at once
     for j in range(2, k + 1):
         yield (max(sums[j], 0) >> INIT_GUARD_BITS, counts[j],
-               -(-4 * e * weights[j] >> frac_bits) - (-losses[j] >> INIT_GUARD_BITS) + 2)
+               -(-4 * e * weights[j] >> frac_bits) - (-losses[j] >> INIT_GUARD_BITS) + 1)
 
 
 def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):

@@ -188,20 +188,34 @@ class TestSumCommand:
         code, out, err = run(capsys, "sum", "--k", "2", "--x", x)
         assert (code, out, err) == (2, "", f"mertens: error: x must be >= 1, got {x}\n")
 
-    def test_golden_json(self, capsys):
-        # pinned output of the fixed-point engine; any change to its bits shows here
-        code, out, _ = run(capsys, "sum", "--k", "4", "--x", "1000000", "--format", "json")
+    # pinned output of the fixed-point engine, one `sum` command a line: argv, value,
+    # error_bound, terms.  Any change to its bits shows here
+    @pytest.mark.parametrize("line", [
+        ("--k 4 --x 1000000", "24.143274536327463252", "5.87e-62", 3350815),
+        ("--k 1 --x 3000000000 --prec 64", "3.3444109554507137268", "2.77e-24", 144449537),
+        ("--k 1 --x 99700000", "3.1748120556676379920", "7.72e-63", 5745162),
+        ("--k 4 --x 10000000", "32.567224777133110799", "7.92e-62", 36716238),
+        ("--k 6 --x 100000000", "123.52458269274584181", "3.01e-61", 1902498117),
+        ("--k 4 --x 100000000 --prec 1024", "41.533700535444608388", "3.53e-312", 390340637),
+        ("--k 20 --x 100000000 --prec 64", "0.65971798663402032564", "5.47e-25", 39627601),
+        *(pytest.param(line, marks=pytest.mark.slow) for line in [
+            ("--k 1 --x 10000000000 --prec 64", "3.3981153422405079726", "2.81e-24", 455052511),
+            ("--k 2 --x 10000000000 --prec 64", "10.023526221024202055", "8.31e-24", 2987543294),
+            ("--k 3 --x 10000000000 --prec 64", "26.079887147483893034", "2.16e-23", 12672880360),
+            ("--k 6 --x 10000000000 --prec 64", "238.80396698197668000", "1.99e-22", 273362077071),
+            ("--k 12 --x 10000000000 --prec 64", "1639.8751044942952464", "1.37e-21",
+             4358607629366),
+        ]),
+    ], ids=lambda line: "-".join(line[0].split()[1::2]))  # k-x or k-x-prec
+    def test_golden_json(self, line, capsys):
+        argv, value, bound, terms = line
+        code, out, _ = run(capsys, "sum", *argv.split(), "--format", "json")
         assert code == 0
         payload = json.loads(out)
         del payload["elapsed_s"]
-        assert payload == {
-            "error_bound": "5.87e-62",
-            "k": 4,
-            "method": "memoized",
-            "terms": 3350815,
-            "value": "24.143274536327463252",
-            "x": 1000000,
-        }
+        k, x = map(int, argv.split()[1:4:2])
+        assert payload == {"error_bound": bound, "k": k, "method": "memoized", "terms": terms,
+                           "value": value, "x": x}
 
     @pytest.mark.parametrize("x", [10**18, 10**20])
     def test_huge_x_is_refused_before_a_large_sieve(self, x, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import tracemalloc
@@ -336,6 +337,18 @@ class TestLevels:
             tracemalloc.stop()
         assert peak <= budget * len(KeySpace.build(x)), peak
 
+    @pytest.mark.parametrize("k, x", [(1, 99_700_000), (4, 9_970_000), (6, 10**6)])
+    def test_pass_leaves_no_cycles(self, k, x, primes_1e4):
+        # a pass frees its tables when it returns, not when the cyclic collector next runs:
+        # a recursive closure left alive holds what it reads
+        gc.collect()
+        gc.disable()
+        try:
+            sk_levels(k, x, primes_1e4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_precisions_agree_within_ledgers(self, primes_1e4):
         _assert_precisions_agree(10**7 + 19, primes_1e4)
 
@@ -621,7 +634,7 @@ class TestLedgerAtEveryKey:
 
     @pytest.mark.parametrize("x", [999, 10**6])
     def test_ledger_formula(self, x, primes_1e6):
-        # level 1: 2e; level j: ceil(4e W_j / 2^F) + ceil(L_j / 2^G) + 2, G = INIT_GUARD_BITS,
+        # level 1: 2e; level j: ceil(4e W_j / 2^F) + ceil(L_j / 2^G) + 1, G = INIT_GUARD_BITS,
         # with W_j and L_j as _walk_weights counts them; and the exact sum of c(m) j / m over
         # level j's prefixes m is at most j S_{j-1}(x).  At 12 fractional bits each rounding
         # of the weights moves the ledger
@@ -636,7 +649,7 @@ class TestLedgerAtEveryKey:
             exact = _exact_bounds(3, [x], omega, shapes, bits)
             for j, (weights, big_w, loss) in _walk_weights(x, small, frac_bits, 4).items():
                 assert levels[j - 1][2] == (math.ceil(Fraction(4 * e * big_w, 2**frac_bits))
-                                            - (-loss >> sums.INIT_GUARD_BITS) + 2), (j, x)
+                                            - (-loss >> sums.INIT_GUARD_BITS) + 1), (j, x)
                 # sum of c(m) j / m <= j S_{j-1}(x), through a lower bound of S_{j-1}(x)
                 lo = exact[j - 2][0][0]
                 assert sum(math.ceil(c * 2**bits) for c in weights) <= j * lo, (j, x)
@@ -646,7 +659,7 @@ class TestLedgerAtEveryKey:
         # with no guard bits every floor and ceiling of the walk shows.  Given a table T and
         # e = 0, level j is at most the exact prefix sum of T, the sum over its prefixes m = n q
         # of c(m) j (T(x // m) - T(q)) / m + 2^F c(m q) / (m q), and below it by at most the
-        # loss counter L_j plus two floors at each parent's first child; the ledger is L_j + 2.
+        # loss counter L_j; the ledger is L_j + 1.
         # T is a multiple of every prime up to sqrt(x), so its reads divide exactly, but at
         # those primes q, where T(q) is -1 mod q: rounding T(q) / q the wrong way gains most
         ks = KeySpace.build(x)
@@ -662,19 +675,18 @@ class TestLedgerAtEveryKey:
         monkeypatch.setattr(sums, "INIT_GUARD_BITS", 0)
         walk = list(sums._walk(ks, small, t, pi, 0, frac_bits, 4))
         at = {v: i for i, v in enumerate(keys)}
-        totals, firsts = dict.fromkeys((2, 3, 4), Fraction(0)), dict.fromkeys((2, 3, 4), 0)
+        totals = dict.fromkeys((2, 3, 4), Fraction(0))
         for n, prefix, children in _parents(x, small, 4):
             j = len(prefix) + 2
-            firsts[j] += 1
             for q in children:
                 m = n * q
                 totals[j] += (Fraction(_ordered((*prefix, q)) * j * (t[at[x // m]] - t[q - 1]), m)
                               + Fraction(_ordered((*prefix, q, q)) << frac_bits, m * q))
         for (j, (_, _, loss)), (value, _, ledger) in zip(
                 _walk_weights(x, small, frac_bits, 4).items(), walk):
-            assert ledger == loss + 2, (j, x)
+            assert ledger == loss + 1, (j, x)
             assert value <= totals[j], (j, x)
-            assert totals[j] - value <= loss + 2 * firsts[j], (j, x)
+            assert totals[j] - value <= loss, (j, x)
 
 
 def _ordered(tup: tuple) -> int:
@@ -704,24 +716,20 @@ def _walk_weights(x: int, small: list[int], frac_bits: int, k: int) -> dict:
     """{j: (weights, W_j, L_j)} for levels 2..k of the prefix walk.
 
     ``weights`` holds c(m) j / m for each prefix m of level j.  Each parent n
-    (:func:`_parents`) gives its first child m = n q, q its own last prime
-    repeated or 2 under the empty parent, ceil(2^F c(m) j / m) in W_j.  Its
-    r >= 1 other children, all of weight w = c(m) j, give
-    ceil(w sum_q ceil(2^F / q) / n) in W_j, and ceil((2 w + c(m q)) r / n) + 1
-    in the loss counter L_j, in guard units.
+    (:func:`_parents`), over all its children m = n q with weights w = c(m) j
+    and leaves c(m q), gives ceil(sum_q w ceil(2^F / q) / n) in W_j and
+    ceil(sum_q (2 w + c(m q)) / n) + 1 in the loss counter L_j, in guard units.
     """
     levels = {j: ([], 0, 0) for j in range(2, k + 1)}
     for n, prefix, children in _parents(x, small, k):
         j = len(prefix) + 2
         weights, big_w, loss = levels[j]
-        weights += [Fraction(_ordered((*prefix, q)) * j, n * q) for q in children]
-        first, *rest = children
-        big_w += math.ceil(Fraction(_ordered((*prefix, first)) * j << frac_bits, n * first))
-        if rest:
-            q = rest[0]
-            w, leaf = _ordered((*prefix, q)) * j, _ordered((*prefix, q, q))
-            big_w += math.ceil(Fraction(w * sum(-((-1 << frac_bits) // p) for p in rest), n))
-            loss += math.ceil(Fraction((2 * w + leaf) * len(rest), n)) + 1
+        w = [_ordered((*prefix, q)) * j for q in children]
+        leaves = [_ordered((*prefix, q, q)) for q in children]
+        weights += [Fraction(wq, n * q) for wq, q in zip(w, children)]
+        big_w += math.ceil(Fraction(sum(wq * -((-1 << frac_bits) // q)
+                                        for wq, q in zip(w, children)), n))
+        loss += math.ceil(Fraction(2 * sum(w) + sum(leaves), n)) + 1
         levels[j] = weights, big_w, loss
     return levels
 
