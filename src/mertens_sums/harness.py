@@ -32,7 +32,7 @@ from .constants import ConstantsBundle
 from .asymptotics import MAX_DEGREE, Polynomial, _check_degree, pk_polynomial
 from .errors import CapacityError, DomainError
 from .primes import sieve
-from .sums import FAST_MAX_X, MertensSumResult, sk_levels
+from .sums import FAST_MAX_X, MertensSumResult, _sk_grid
 
 DEFAULT_GRID_START = 1_000
 DEFAULT_GRID_STOP = 100_000_000
@@ -126,10 +126,13 @@ def verify_grid(
 ) -> list[VerificationRow]:
     """One row per grid point for each k in ``ks`` (a k or a sequence of ks).
 
-    Each x is evaluated once, by one :func:`sk_levels` pass up to the
-    largest k over the primes up to isqrt(``grid.stop``).  Rows come out
-    k-major in the order of ``ks``, repeats included: the same list as
-    concatenating one single-k call per entry.  The constants bundle is
+    Each x is evaluated once, up to the largest k, over the primes up to
+    isqrt(``grid.stop``), by one sweep (:func:`sums._sk_grid`): the points
+    share one sieve, one pass of each running sum and the start-value
+    tables, which depend on a key and the precision alone, so each x's
+    values are bit-identical to a :func:`sk_levels` pass over it.  Rows
+    come out k-major in the order of ``ks``, repeats included: the same
+    list as concatenating one single-k call per entry.  The constants bundle is
     built at ``precision``, each P_k once per call, and log x and loglog x
     once per x.  Each k (:func:`check_ks`) and the grid's top
     against ``FAST_MAX_X`` are checked before any work; every other failure
@@ -142,8 +145,8 @@ def verify_grid(
     bundle = ConstantsBundle.build(precision, m_max=MAX_DEGREE)
     by_k: dict[int, list[VerificationRow]] = {k: [] for k in ks}
     main_terms = {k: pk_polynomial(k, bundle) for k in by_k}
-    for x in grid.values():
-        levels = sk_levels(max(ks), x, primes, precision=precision)
+    xs = grid.values()
+    for x, levels in zip(xs, _sk_grid(max(ks), xs, primes, precision)):
         with working_precision(precision):
             log_x = mp.log(x)
             loglog_x = mp.log(log_x)

@@ -39,6 +39,21 @@ v // p < x^(2/3) and p - 1, keys up to y0 whose values are final.  So
 each top key takes its tail stages at once, one floor per tail prime
 p <= sqrt(v): the same integers as stage by stage.
 
+A sweep over several x (:func:`_sk_grid`; :func:`sk_levels` is the sweep
+over x alone) plans each x, fills level 1 once for all of them, and walks
+each x.  The plan of an x is its key space, its top keys and the head's
+demand, and with it the keys whose start values the head reads and its b0
+(:func:`_start_values`).  The fill sieves once up to the largest y0; it
+streams the running sum of floor(2^(F+32)/p) once, read at every count of
+primes that some x has at a key up to its own y0, and the running sum of
+floor(2^(F+32)/n) once, read at every wanted key below a switch and at
+every b0; it builds Omega, the start values' coefficients, smallest prime
+factors and memo of ln, and the walk's prefix sums B and C once.  Each of
+these is a function of a key, a count or a prime and of F alone, never of
+x, so every integer a sweep yields at x is the one a pass over x alone
+yields.  The head and tail stages, the start values above the switch, the
+walk and the error bounds stay per x.
+
 Levels j >= 2 read level 1 alone, through the sorted form q_1 <= ... <= q_j
 of each ordered tuple: the recursion that counts k-almost-primes, whose
 j = 2 case is the semiprime count pi_2(x) = sum_{i <= pi(sqrt x)}
@@ -110,7 +125,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat, takewhile
 from operator import floordiv, sub
 
 import numpy as np
@@ -299,15 +314,19 @@ def _icbrt(n: int) -> int:
     return r
 
 
-def _start_values(keyspace: KeySpace, small_primes: list[int], frac_bits: int, want) -> list[int]:
-    """2^F (H_v - 1) within 2 units at the ascending key positions ``want``, 0 elsewhere.
+def _start_values(keyspaces: list[KeySpace], small_primes: list[int], frac_bits: int, wants):
+    """Yield, for each key space in turn, 2^F (H_v - 1) within 2 units at its ``wants`` positions.
 
-    F = frac_bits; ``small_primes`` are the primes up to sqrt_x.  Each value
-    is built 32 guard bits lower, and a key's value does not depend on ``want``.
-    Keys up to the switch max(sqrt_x (F+32) // 64, 2^12) take the running
-    sum of floor(2^(F+32)/n), read off at the wanted keys and at b0, the
-    last key at or below the switch.  A wanted key v = x // n above it, with
-    r = x - n v, is evaluated on its own from v = (x - r)/n:
+    ``wants`` holds ascending key positions, one array per key space.  Each
+    item is an object array, one int per key, 0 where not wanted.
+    F = frac_bits; ``small_primes`` are the primes up to the largest
+    sqrt_x.  Each value is built 32 guard bits lower, and a key's
+    value depends neither on ``wants`` nor on the other key spaces.  Keys up
+    to the switch max(sqrt_x (F+32) // 64, 2^12) take the running sum of
+    floor(2^(F+32)/n), one stream for all key spaces, read off at their
+    wanted keys and at each b0, the last key at or below the switch.  A
+    wanted key v = x // n above it, with r = x - n v, is evaluated on its
+    own from v = (x - r)/n:
 
         H_v = H_b0 + ln n_b - ln n + L(r) - L(r_b) + em(v) - em(b0),
 
@@ -317,41 +336,46 @@ def _start_values(keyspace: KeySpace, small_primes: list[int], frac_bits: int, w
     under a guard unit at b0 and summed by Horner's rule in 1/v^2.  ln n is
     summed over the prime factors of n, with ln p = ln(p - 1) +
     2 atanh(1/(2p - 1)) (:func:`_ln_ratio`), so every series term is one
-    multiply or divide by a small integer.  Error budget, in guard units:
-    the harmonic floors lose under b0 <= switch < 2^24 (sqrt_x <= 10^5,
-    F + 32 <= 8264); each 2 atanh is low by under 6, so by induction on p
-    (p - 1 has two or more prime factors for p >= 5) ln p is low by under
-    6 (2 log2 p - 1) and ln n by under 12 log2 n < 2^9; the two L terms
-    lose under 6 each, and each em under 4 (its floors under 3, its tail
-    under 1).  The total stays under 2^25, far below 2^32, so the shifted
-    values start within 2 units.
+    multiply or divide by a small integer.  The coefficients, the smallest
+    prime factors up to the largest n_b and the memo of ln do not depend on
+    x and are built once.  Error budget, in guard units: the harmonic floors
+    lose under b0 <= switch < 2^24 (sqrt_x <= 10^5, F + 32 <= 8264); each
+    2 atanh is low by under 6, so by induction on p (p - 1 has two or more
+    prime factors for p >= 5) ln p is low by under 6 (2 log2 p - 1) and
+    ln n by under 12 log2 n < 2^9; the two L terms lose under 6 each, and
+    each em under 4 (its floors under 3, its tail under 1).  The total stays
+    under 2^25, far below 2^32, so the shifted values start within 2 units.
     """
-    s, keys, x = keyspace.sqrt_x, keyspace.keys, keyspace.x
-    nk, bits = len(keys), frac_bits + INIT_GUARD_BITS
+    bits = frac_bits + INIT_GUARD_BITS
     one = 1 << bits
-    cut = int(np.searchsorted(keys, max(s * bits // 64, 1 << 12), side="right")) - 1
-    want = np.asarray(want, dtype=np.int64)
-    split = int(np.searchsorted(want, cut, side="right"))
-    low, high = want[:split], want[split:].tolist()
-    out = [0] * nk
-    reads = keys[np.append(low, cut) if high else low]  # the running sum is read here, b0 last
-    # 2^bits (H_n - 1) at n = reads
-    running, h = _sums_at(map(floordiv, repeat(one), count(2)), reads - 1), 0
-    for pos, h in zip(low.tolist(), running):
-        out[pos] = h >> INIT_GUARD_BITS
-    if not high:
-        return out
-    h, b0 = next(running, h), int(reads[-1])  # b0 may be the last wanted key, already read
-    n_b = x // b0
-    coeffs = []  # floor(2^bits B_i / i) while B_i / (i b0^i) reaches a guard unit, i even
-    for i in count(2, 2):
+    plans = []  # (key space, wanted positions up to and above the switch, keys read less 1)
+    for keyspace, want in zip(keyspaces, wants):
+        keys = keyspace.keys
+        cut = int(np.searchsorted(keys, max(keyspace.sqrt_x * bits // 64, 1 << 12),
+                                  side="right")) - 1
+        want = np.asarray(want, dtype=np.int64)
+        split = int(np.searchsorted(want, cut, side="right"))
+        low, high = want[:split], want[split:]
+        stops = keys[np.append(low, cut) if high.size else low] - 1  # b0 last
+        plans.append((keyspace, low, high, stops))
+    del wants, want  # each plan holds what it reads of its want
+    # 2^bits (H_n - 1) at the keys n read, once per distinct n
+    harmonic = _sums_at(map(floordiv, repeat(one), count(2)), [stops for *_, stops in plans], 0)
+    b0s = [(keyspace.x, int(stops[-1]) + 1) for keyspace, _, high, stops in plans if high.size]
+    least = min((b0 for _, b0 in b0s), default=0)
+    # (i, floor(2^bits |B_i| / i), floor(2^bits B_i / i)), i even, while B_i / (i least^i)
+    # reaches a guard unit: a larger b0 takes a prefix
+    bernoulli = []
+    for i in count(2, 2) if b0s else ():
         c = _bernoulli(i) / i
-        if abs(c.numerator) << bits < c.denominator * b0**i:
+        size = (abs(c.numerator) << bits) // c.denominator
+        if size < least**i:
             break
-        coeffs.append((c.numerator << bits) // c.denominator)
-    atanh_coeffs = [one // (2 * i + 1) for i in range(-(-(bits + 2) // 2))]
-    smallest = np.arange(n_b + 1)  # smallest prime factor, for n_b >= every n above b0
-    for p in reversed(small_primes[: bisect_right(small_primes, math.isqrt(n_b))]):
+        bernoulli.append((i, size, (c.numerator << bits) // c.denominator))
+    atanh_coeffs = [one // (2 * i + 1) for i in range(-(-(bits + 2) // 2) if b0s else 0)]
+    n_max = max((x // b0 for x, b0 in b0s), default=0)
+    smallest = np.arange(n_max + 1)  # smallest prime factor, for n_max >= every n above a b0
+    for p in reversed(small_primes[: bisect_right(small_primes, math.isqrt(n_max))]):
         smallest[p * p :: p] = p
     smallest, logs = smallest.tolist(), {1: 0}
 
@@ -364,75 +388,111 @@ def _start_values(keyspace: KeySpace, small_primes: list[int], frac_bits: int, w
                 logs[m] = ln(p) + ln(m // p)
         return logs[m]
 
-    def em(v):
+    def em(v, coeffs):
         acc = 0
         for c in reversed(coeffs):
             acc = (acc + c) // v // v  # = floor((acc + c) / v^2)
         return one // (2 * v) - acc
 
-    anchor = h + ln(n_b) + _ln_ratio(x, b0 * n_b, bits, atanh_coeffs) - em(b0)
-    for pos in high:
-        n = nk - pos
-        v = x // n
-        out[pos] = (anchor - ln(n) - _ln_ratio(x, v * n, bits, atanh_coeffs)
-                    + em(v)) >> INIT_GUARD_BITS
-    del ln  # ln's closure holds ln: free the cycle, and with it smallest and logs, at once
-    return out
+    try:
+        while plans:
+            keyspace, low, high, stops = plans.pop(0)  # a plan is dropped once it is served
+            x, nk = keyspace.x, len(keyspace)
+            _, sums = next(harmonic)  # 2^bits (H_n - 1) at n = stops + 1, b0 last
+            sums[: low.size] >>= INIT_GUARD_BITS
+            out = np.zeros(nk, dtype=object)
+            out[low] = sums[: low.size]
+            if high.size:
+                b0 = int(stops[-1]) + 1
+                n_b = x // b0
+                # B_i / (i b0^i) reaches a guard unit while floor(2^bits |B_i| / i) >= b0^i
+                coeffs = [c for _, _, c in takewhile(lambda b: b[1] >= b0 ** b[0], bernoulli)]
+                anchor = (sums[-1] + ln(n_b) + _ln_ratio(x, b0 * n_b, bits, atanh_coeffs)
+                          - em(b0, coeffs))
+                for pos in high.tolist():
+                    n = nk - pos
+                    v = x // n
+                    out[pos] = (anchor - ln(n) - _ln_ratio(x, v * n, bits, atanh_coeffs)
+                                + em(v, coeffs)) >> INIT_GUARD_BITS
+            yield out
+    finally:
+        del ln  # ln's closure holds ln: free the cycle, and with it smallest and logs, at once
 
 
-def _level_one(keyspace: KeySpace, small_primes: list[int], frac_bits: int, y0: int, positions):
-    """(T, pi, e) with |T - 2^F S_1| <= e, F = frac_bits, and pi exact (see module docstring).
+def _level_one(keyspaces: list[KeySpace], small_primes: list[int], frac_bits: int, y0s,
+               positions):
+    """Yield (T, pi, e) for each key space in turn (see module docstring).
 
-    ``small_primes`` are the primes up to sqrt_x and y0 is :func:`_cutoff`.
-    This holds at every key up to y0 and at the top keys at ``positions``;
-    the other entries are 0.  T is a list of ints and pi an int64 array, one
-    entry per key.
+    |T - 2^F S_1| <= e, F = frac_bits, and pi is exact, at every key up to
+    that key space's y0 in ``y0s`` (:func:`_cutoff`) and at its top keys in
+    ``positions``; the other entries are 0.  T is a list of ints and pi an
+    int64 array, one entry per key.  ``small_primes`` are the primes up to
+    the largest sqrt_x.  Each key space is planned first: its head and the
+    keys each head stage updates.  One fill then serves them all: one sieve
+    up to the largest y0, one running sum over its primes
+    (:func:`_running_sums`) and one harmonic stream (:func:`_start_values`).
+    The head and tail stages are each key space's own.
     """
-    x, keys, nk = keyspace.x, keyspace.keys, len(keyspace)
-    nlow = nk - x // (y0 + 1)  # the keys up to y0
-    final_t, final_pi = _running_sums(sieve(y0).primes, keys[:nlow], frac_bits)
-    nhead = bisect_right(small_primes, _icbrt(x))
-    head, tail = small_primes[:nhead], small_primes[nhead:]
-    los = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 2).tolist()
-    cubes = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 3).tolist()
-    need = np.zeros(nk, dtype=np.int64)  # 1 + the head stages each key takes; 0: never read
-    need[positions] = nhead + 1
-    # a key that takes stage i makes its source v // p take the i stages before it, and only
-    # a key v >= p^3 has a source v // p >= p^2, not final before stage p
-    for i in range(nhead - 1, -1, -1):
-        c = cubes[i]
-        src = keyspace.indices(keys[c + np.flatnonzero(need[c:] > i + 1)], head[i])
-        need[src] = np.maximum(need[src], i + 1)
-    t = np.array(_start_values(keyspace, small_primes, frac_bits, np.flatnonzero(need)),
-                 dtype=object)
-    pi, done = keys - 1, 0
-    for i, (p, lo) in enumerate(zip(head, los)):
-        t[done:lo], pi[done:lo], done = final_t[done:lo], final_pi[done:lo], lo
-        live = lo + np.flatnonzero(need[lo:] > i + 1)
-        src = keyspace.indices(keys[live], p)
-        step = t[src]  # the one temporary: (T(v // p) - T(p - 1)) // p, then T(v) less it
-        step -= t[p - 2]
-        step //= p
-        t[live] = np.subtract(t[live], step, out=step)
-        pi[live] -= pi[src] - pi[p - 2]
-    heads = zip(positions, t[positions].tolist(), pi[positions].tolist())
-    t = final_t  # T: the running sums, padded above y0; the head's object array is dropped
-    t += repeat(0, nk - nlow)
-    pi[done:nlow], pi[nlow:] = final_pi[done:], 0
-    t_at = t.__getitem__
-    t_low = [t[p - 2] for p in tail]
-    for pos, t_head, pi_head in heads:  # each top key's tail stages at once
-        v = x // (nk - pos)
-        m = bisect_right(tail, math.isqrt(v))
-        ps = tail[:m]
-        idx = keyspace.indices(v, ps)
-        t[pos] = t_head - sum(map(floordiv, map(sub, map(t_at, idx), t_low), ps))
-        # the i-th tail prime p has pi(p - 1) = nhead + i
-        pi[pos] = pi_head - int(pi[idx].sum()) + m * nhead + m * (m - 1) // 2
-    e = 2
-    for p in small_primes:
-        e += -(-2 * e // p) + 1
-    return t, pi, e
+    # e after the first i primes: 2, growing by ceil(2e/p) + 1 a prime p
+    errors = list(accumulate(small_primes, lambda e, p: e - (-2 * e // p) + 1, initial=2))
+    plans = []
+    for keyspace, y0, pos in zip(keyspaces, y0s, positions):
+        x, keys, nk = keyspace.x, keyspace.keys, len(keyspace)
+        ns = bisect_right(small_primes, keyspace.sqrt_x)  # its primes: small_primes[:ns]
+        nhead = bisect_right(small_primes, _icbrt(x), 0, ns)
+        head = small_primes[:nhead]
+        cubes = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 3).tolist()
+        need = np.zeros(nk, dtype=np.int16)  # 1 + the head stages each key takes; 0: never read
+        need[pos] = nhead + 1
+        # a key that takes stage i makes its source v // p take the i stages before it, and only
+        # a key v >= p^3 has a source v // p >= p^2, not final before stage p
+        for i in range(nhead - 1, -1, -1):
+            c = cubes[i]
+            src = keyspace.indices(keys[c + np.flatnonzero(need[c:] > i + 1)], head[i])
+            need[src] = np.maximum(need[src], i + 1)
+        plans.append((ns, nhead, nk - x // (y0 + 1), need, pos))  # nk - top: the keys up to y0
+    lows = [keyspace.keys[:nlow] for keyspace, (_, _, nlow, *_) in zip(keyspaces, plans)]
+    finals = _running_sums(sieve(max(y0s)).primes, lows, frac_bits)
+    starts = _start_values(keyspaces, small_primes, frac_bits,
+                           [np.flatnonzero(need) for *_, need, _ in plans])
+    for keyspace in keyspaces:
+        ns, nhead, nlow, need, pos = plans.pop(0)  # a plan is held until its key space is done
+        x, keys, nk = keyspace.x, keyspace.keys, len(keyspace)
+        head, tail = small_primes[:nhead], small_primes[nhead:ns]
+        los = np.searchsorted(keys, np.array(head, dtype=np.int64) ** 2).tolist()
+        # the last key space frees each part of the fill as soon as it has read it
+        final_t, final_pi = next(finals)
+        if not plans:
+            finals.close()
+        t = next(starts)
+        if not plans:
+            starts.close()
+        pi, done = keys - 1, 0
+        for i, (p, lo) in enumerate(zip(head, los)):
+            t[done:lo], pi[done:lo], done = final_t[done:lo], final_pi[done:lo], lo
+            live = lo + np.flatnonzero(need[lo:] > i + 1)
+            src = keyspace.indices(keys[live], p)
+            step = t[src]  # the one temporary: (T(v // p) - T(p - 1)) // p, then T(v) less it
+            step -= t[p - 2]
+            step //= p
+            t[live] = np.subtract(t[live], step, out=step)
+            pi[live] -= pi[src] - pi[p - 2]
+        heads = zip(pos, t[pos].tolist(), pi[pos].tolist())
+        t = final_t  # T: the running sums, padded above y0; the head's object array is dropped
+        t += repeat(0, nk - nlow)
+        pi[done:nlow], pi[nlow:] = final_pi[done:], 0
+        t_at = t.__getitem__
+        t_low = [t[p - 2] for p in tail]
+        for pos, t_head, pi_head in heads:  # each top key's tail stages at once
+            v = x // (nk - pos)
+            m = bisect_right(tail, math.isqrt(v))
+            ps = tail[:m]
+            idx = keyspace.indices(v, ps)
+            t[pos] = t_head - sum(map(floordiv, map(sub, map(t_at, idx), t_low), ps))
+            # the i-th tail prime p has pi(p - 1) = nhead + i
+            pi[pos] = pi_head - int(pi[idx].sum()) + m * nhead + m * (m - 1) // 2
+        yield t, pi, errors[ns]
+        del t, final_t, t_at, pi  # the next key space's level 1 is built without these tables
 
 
 def _cutoff(keyspace: KeySpace) -> int:
@@ -456,54 +516,85 @@ def _omega(limit: int, small_primes: list[int]) -> np.ndarray:
 
 
 def _stream(a: np.ndarray):
-    """The entries of ``a`` as Python scalars, listed 2^16 at a time."""
-    return chain.from_iterable(a[i : i + (1 << 16)].tolist() for i in range(0, a.size, 1 << 16))
+    """The entries of ``a`` as Python scalars, listed 2^12 at a time."""
+    return chain.from_iterable(a[i : i + (1 << 12)].tolist() for i in range(0, a.size, 1 << 12))
 
 
-def _sums_at(terms, stops: np.ndarray):
-    """The running sums of ``terms`` from 0 (index 0, the empty sum), once per distinct ``stops``.
+def _sums_at(terms, stops: list[np.ndarray], shift: int):
+    """Yield (a, sums) for each int64 index array a of ``stops`` in turn: the running sums there.
 
-    ``stops`` is an ascending int64 array of indices.
+    The sums run from 0 (index 0, the empty sum) and are shifted right by
+    ``shift``.  One pass over ``terms``, advanced only as far as each array
+    needs, reads them for every array, once per distinct index; a sum is
+    held from then until the last array that reads it is served.  Each
+    ``sums`` is an object array, one entry per index, and holds the only
+    reference to a sum that no later array reads.  Each array leaves
+    ``stops`` as it is served, so nothing here holds it after that.
     """
-    marks = np.zeros(int(stops[-1]) + 1 if stops.size else 0, dtype=bool)
-    marks[stops] = True
-    return compress(accumulate(terms, initial=0), _stream(marks))
+    marks = np.zeros(max((int(a.max()) + 1 for a in stops if a.size), default=0), dtype=bool)
+    for a in stops:
+        marks[a] = True
+    rank = np.cumsum(marks, dtype=np.int32) - 1  # where each marked index's sum sits
+    sums = np.empty(int(np.count_nonzero(marks)), dtype=object)
+    last = np.zeros(sums.size, dtype=np.int32)  # the last array that reads each sum
+    for i, a in enumerate(stops):
+        last[rank[a]] = i
+    stream, done = compress(accumulate(terms, initial=0), _stream(marks)), 0
+    for i in range(len(stops)):
+        a = stops.pop(0)
+        at = rank[a]
+        if at.size and (end := int(at.max()) + 1) > done:
+            sums[done:end] = np.fromiter(islice(stream, end - done), dtype=object,
+                                         count=end - done)
+            sums[done:end] >>= shift
+            done = end
+        item = sums[at]
+        sums[at[last[at] == i]] = None
+        yield a, item
 
 
-def _running_sums(primes: np.ndarray, low: np.ndarray, frac_bits: int):
-    """(values, pi) at the ascending keys ``low``: sums of 1/p and of 1 over the primes p <= key.
+def _running_sums(primes: np.ndarray, lows, frac_bits: int):
+    """Yield (values, pi) for each of ``lows``: sums of 1/p and of 1 over the primes p <= key.
 
-    The terms 2^F / p are streamed in order, floored INIT_GUARD_BITS below a
-    unit, and the running sum is read off at each key and shifted: every
-    value is low by less than 1 + N 2^-32 < 2 units, N < 2^32 primes.  The
-    values are a list, one int per key (keys with the same pi share it);
-    pi is exact, the int64 count of primes at or below each key.
+    Each of ``lows`` is an ascending array of keys.  The terms 2^F / p are
+    streamed in order once for all of them, floored INIT_GUARD_BITS below a
+    unit, and the running sum is read off at every count of primes that some
+    key has, and shifted: every value is low by less than 1 + N 2^-32 < 2
+    units, N < 2^32 primes.  The values are a list, one int per key (keys
+    with the same pi share it); pi is exact, the int64 count of primes at or
+    below each key.
     """
     one = 1 << (frac_bits + INIT_GUARD_BITS)
-    ends = np.searchsorted(primes, low, side="right")
-    sums = (v >> INIT_GUARD_BITS for v in _sums_at(map(one.__floordiv__, _stream(primes)), ends))
-    runs = np.diff(np.flatnonzero(np.diff(ends, prepend=-1)), append=ends.size)  # keys per pi
-    return list(chain.from_iterable(map(repeat, sums, runs.tolist()))), ends
+    ends = [np.searchsorted(primes, low, side="right") for low in lows]
+    for pi, values in _sums_at(map(one.__floordiv__, _stream(primes)), ends, INIT_GUARD_BITS):
+        yield values.tolist(), pi
+
+
+def _prime_sums(small_primes: list[int], frac_bits: int):
+    """B and C of the module docstring: prefix sums of floor(2^(F+G) / q^2) and ceil(2^F / q)."""
+    one = 1 << (frac_bits + INIT_GUARD_BITS)
+    return (list(accumulate((one // (q * q) for q in small_primes), initial=0)),
+            list(accumulate((-((-1 << frac_bits) // q) for q in small_primes), initial=0)))
 
 
 def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndarray, e: int,
-          frac_bits: int, k: int):
+          frac_bits: int, k: int, inv_sq: list[int], inv: list[int]):
     """Yield (value, count, ledger) at x of levels 2..k, by the prefix walk (see module docstring).
 
     ``t`` is within e of 2^F S_1, and ``pi`` exact, at every key the walk
-    reads.  Each prefix's floors lose under its add to the loss counter,
-    so the prefixes lose under ceil(L_j / 2^G) units in all, and the final
-    shift under one more.
+    reads; ``small_primes`` are the primes up to sqrt_x, and ``inv_sq`` and
+    ``inv`` are :func:`_prime_sums` over them or over more primes.  Each
+    prefix's floors lose under its add to the loss counter, so the prefixes
+    lose under ceil(L_j / 2^G) units in all, and the final shift under one
+    more.
     """
-    x, nk, bits = keyspace.x, len(keyspace), frac_bits + INIT_GUARD_BITS
+    x, nk = keyspace.x, len(keyspace)
     big = x // (keyspace.sqrt_x + 1)  # KeySpace.indices' slot rule, inline in this hot loop
     squares, cubes = [q * q for q in small_primes], [q**3 for q in small_primes]
-    # A, B and C of the module docstring, prefix sums over the primes: ceil(2^G (T(q) + 2e) / q),
-    # floor(2^bits / q^2) and ceil(2^F / q), G = INIT_GUARD_BITS
+    # A of the module docstring, prefix sums over the primes of ceil(2^G (T(q) + 2e) / q),
+    # G = INIT_GUARD_BITS
     above = list(accumulate((-((-t[q - 1] - 2 * e << INIT_GUARD_BITS) // q)
                              for q in small_primes), initial=0))
-    inv_sq = list(accumulate(map(floordiv, repeat(1 << bits), squares), initial=0))
-    inv = list(accumulate((-((-1 << frac_bits) // q) for q in small_primes), initial=0))
     s1_at, pi_at, shift = t.__getitem__, pi.item, INIT_GUARD_BITS.__rlshift__
     sums, counts, weights, losses = ([0] * (k + 1) for _ in range(4))
 
@@ -544,23 +635,33 @@ def _walk(keyspace: KeySpace, small_primes: list[int], t: list[int], pi: np.ndar
                -(-4 * e * weights[j] >> frac_bits) - (-losses[j] >> INIT_GUARD_BITS) + 1)
 
 
-def _levels(keyspace: KeySpace, primes: np.ndarray, frac_bits: int, k: int):
-    """Yield (value, count, ledger) at x for levels 1..k, each computed once.
+def _levels(keyspaces: list[KeySpace], primes: np.ndarray, frac_bits: int, k: int):
+    """Yield, for each key space in turn, its (value, count, ledger) at x of levels 1..k.
 
-    ``primes`` covers ``keyspace.sqrt_x``; the count of level 1 is pi.  The
-    walk takes T unclamped: every key it reads is >= 2, where
-    T >= 2^F / 2 - e is far above e, so a clamp at 0 would change nothing.
+    Each item is an iterator, level 1 first, each level computed once;
+    consume it before the next.  ``primes`` covers the largest sqrt_x; the
+    count of level 1 is pi.  Level 1 of every key space comes from one
+    :func:`_level_one`, and Omega and the walk's prefix sums B and C are
+    built once, over the primes up to the largest sqrt_x.  The walk takes T
+    unclamped: every key it reads is >= 2, where T >= 2^F / 2 - e is far
+    above e, so a clamp at 0 would change nothing.
     """
-    s, nk, x = keyspace.sqrt_x, len(keyspace), keyspace.x
+    s = max(keyspace.sqrt_x for keyspace in keyspaces)
     small_primes = primes[: np.searchsorted(primes, s, side="right")].tolist()
-    y0 = _cutoff(keyspace)
-    top = x // (y0 + 1)  # the keys above y0 are x // n for n <= top, at nk - n
-    omega = _omega(top, small_primes)
-    positions = (nk - np.flatnonzero(omega[1:] <= k - 1) - 1).tolist()
-    t, pi, e = _level_one(keyspace, small_primes, frac_bits, y0, positions)
-    yield max(t[-1] - e, 0), int(pi[-1]), 2 * e
-    if k > 1:
-        yield from _walk(keyspace, small_primes, t, pi, e, frac_bits, k)
+    y0s = [_cutoff(keyspace) for keyspace in keyspaces]
+    # the keys above y0 are x // n for n <= top = x // (y0 + 1), at nk - n
+    tops = [keyspace.x // (y0 + 1) for keyspace, y0 in zip(keyspaces, y0s)]
+    omega = _omega(max(tops), small_primes)
+    positions = [(len(keyspace) - np.flatnonzero(omega[1 : top + 1] <= k - 1) - 1).tolist()
+                 for keyspace, top in zip(keyspaces, tops)]
+    inv_sq, inv = _prime_sums(small_primes, frac_bits) if k > 1 else ((), ())
+    level_ones = _level_one(keyspaces, small_primes, frac_bits, y0s, positions)
+    for keyspace in keyspaces:
+        t, pi, e = next(level_ones)
+        small = small_primes[: bisect_right(small_primes, keyspace.sqrt_x)]
+        walk = _walk(keyspace, small, t, pi, e, frac_bits, k, inv_sq, inv) if k > 1 else ()
+        yield chain([(max(t[-1] - e, 0), int(pi[-1]), 2 * e)], walk)
+        del t, pi, walk  # the next key space's level 1 is built without these tables
 
 
 def _fixed_value_bound(value_int: int, ledger: int, frac_bits: int, precision: int):
@@ -574,6 +675,42 @@ def _fixed_value_bound(value_int: int, ledger: int, frac_bits: int, precision: i
     return value, bound
 
 
+def _sk_grid(k: int, xs: list[int], primes: PrimeTable, precision: int = DEFAULT_PRECISION):
+    """Yield :func:`sk_levels` (k, x, primes, precision) for each x of ``xs`` in turn.
+
+    k, precision and every x are checked as there, and ``primes`` must
+    cover the largest isqrt(x), before any work.  The x share one level-1
+    fill (:func:`_levels`; see the module docstring), and every integer is
+    the one a pass over x alone yields.  Each ``elapsed`` runs from the
+    first item's request until its level is known.
+    """
+    if not isinstance(k, int) or k < 1:
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    if k > MAX_K:
+        raise CapacityError(f"k={k} exceeds the supported maximum {MAX_K}")
+    xs = [int(x) for x in xs]
+    for x in xs:
+        if x < 1:
+            raise DomainError(f"x must be >= 1, got {x}")
+        if x > FAST_MAX_X:
+            raise CapacityError(f"x={x} exceeds the configured maximum {FAST_MAX_X}")
+    check_precision(precision)
+    _require_cover(primes, math.isqrt(max(xs)))
+
+    t0 = time.perf_counter()
+    keyspaces = [KeySpace.build(x) for x in xs]
+    frac_bits = fixed_point_params(precision)
+    for x, levels in zip(xs, _levels(keyspaces, primes.primes, frac_bits, k)):
+        results = []
+        for j, (value_int, count, ledger) in enumerate(levels, start=1):
+            value, bound = _fixed_value_bound(value_int, ledger, frac_bits, precision)
+            results.append(MertensSumResult(
+                k=j, x=x, value=value, error_bound=bound,
+                method="memoized", elapsed=time.perf_counter() - t0, terms=count,
+            ))
+        yield results
+
+
 def sk_levels(
     k: int,
     x: int,
@@ -582,6 +719,7 @@ def sk_levels(
 ) -> list[MertensSumResult]:
     """S_1(x), ..., S_k(x) from one pass: level 1 over KeySpace(x), then a prefix walk.
 
+    The pass is a sweep's plan and fill over x alone (:func:`_sk_grid`).
     ``primes`` must cover isqrt(x); larger tables give the same bits.
     All arithmetic is exact fixed-point integer work at precision + 40
     fractional bits (see the module docstring), summed in a fixed order, so
@@ -592,29 +730,7 @@ def sk_levels(
     Entry j-1 has ``k == j``; its ``elapsed`` runs from the call until
     level j is known: level 1 first, then levels 2..k at the end of the walk.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
-    if k > MAX_K:
-        raise CapacityError(f"k={k} exceeds the supported maximum {MAX_K}")
-    x = int(x)
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if x > FAST_MAX_X:
-        raise CapacityError(f"x={x} exceeds the configured maximum {FAST_MAX_X}")
-    check_precision(precision)
-    _require_cover(primes, math.isqrt(x))
-
-    t0 = time.perf_counter()
-    keyspace = KeySpace.build(x)
-    frac_bits = fixed_point_params(precision)
-    results = []
-    levels = _levels(keyspace, primes.primes, frac_bits, k)
-    for j, (value_int, count, ledger) in enumerate(levels, start=1):
-        value, bound = _fixed_value_bound(value_int, ledger, frac_bits, precision)
-        results.append(MertensSumResult(
-            k=j, x=x, value=value, error_bound=bound,
-            method="memoized", elapsed=time.perf_counter() - t0, terms=count,
-        ))
+    [results] = _sk_grid(k, [x], primes, precision)
     return results
 
 

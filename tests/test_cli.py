@@ -233,12 +233,13 @@ class TestSumCommand:
 
 
 def forbid_work(monkeypatch):
-    """Make every sieve, DP pass and constants build fail the test."""
+    """Make every sieve, engine pass or sweep and constants build fail the test."""
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the capacity checks")
 
-    for module, name in ((primes, "sieve"), (harness, "sieve"), (sums, "sk_levels"),
-                         (harness, "sk_levels"), (harness.ConstantsBundle, "build")):
+    for module, name in ((primes, "sieve"), (harness, "sieve"), (sums, "sieve"),
+                         (sums, "sk_levels"), (sums, "_sk_grid"), (harness, "_sk_grid"),
+                         (harness.ConstantsBundle, "build")):
         monkeypatch.setattr(module, name, no_work)
 
 
@@ -263,6 +264,21 @@ class TestVerifyCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "784fbb6476117f796b71fccbd70282bba2e9a2edb92e74a6119b469f415711b8"
         )
+
+    @pytest.mark.parametrize("argv, size, digest", [
+        # the sweep workload's grid: it crosses the harmonic switch 2^12, and some of its
+        # points lie below and some above the other points' y0
+        (("--start", "1000", "--stop", "2006000", "--points", "13"), 7747,
+         "938433942f9ccfb6f066c304c58800db05918cd379bda039747662ad1ad3fb26"),
+        (("--stop", "100000", "--points", "5", "--prec", "1024", "--digits", "300"), 26013,
+         "d2d631c8dd7c45a6c3f212cfa4d43a6b5ba0ae80490bf9886f005f86c2f6c8fa"),
+    ])
+    def test_golden_sweep_bytes(self, capsys, argv, size, digest):
+        # pinned report bytes of multi-point sweeps, whose points share level 1's fill
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        assert len(out.encode()) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_text_summary(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "2", "--start", "1000",

@@ -15,6 +15,7 @@ from mpmath import mp, mpf
 from mertens_sums import sums
 from mertens_sums.bigreal import GUARD_BITS, MAX_PRECISION
 from mertens_sums.errors import CapacityError, DomainError, ParameterError
+from mertens_sums.harness import GridSpec
 from mertens_sums.primes import sieve
 from mertens_sums.sums import (
     FAST_MAX_X,
@@ -266,7 +267,7 @@ class TestLedgerGuard:
                 exact = exact_values[k, x]
                 # the fixed-point value, in units of 2^-frac_bits, before any mpf rounding
                 frac_bits = sums.fixed_point_params(precision)
-                *_, (value, _, ledger) = sums._levels(ks, plist, frac_bits, k)
+                *_, (value, _, ledger) = _levels(ks, plist, frac_bits, k)
                 assert 0 <= exact.value * 2**frac_bits - value <= ledger, (k, x)
 
                 direct = sk_direct(k, x, primes_1e4, precision=precision)
@@ -435,6 +436,30 @@ def _shape_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return omega, counts
 
 
+def _levels(ks: KeySpace, primes, frac_bits: int, k: int):
+    """(value, count, ledger) at x of levels 1..k, from sums._levels over ks alone."""
+    [levels] = sums._levels([ks], primes, frac_bits, k)
+    return list(levels)
+
+
+def _level_one(ks: KeySpace, small_primes: list[int], frac_bits: int, y0: int, positions):
+    """(T, pi, e) of sums._level_one over ks alone."""
+    [level_one] = sums._level_one([ks], small_primes, frac_bits, [y0], [positions])
+    return level_one
+
+
+def _start_values(ks: KeySpace, small_primes: list[int], frac_bits: int, want):
+    """The start values of sums._start_values over ks alone."""
+    [start] = sums._start_values([ks], small_primes, frac_bits, [want])
+    return start.tolist()
+
+
+def _walk(ks: KeySpace, small_primes: list[int], t, pi, e: int, frac_bits: int, k: int):
+    """Levels 2..k of sums._walk, with the prime prefix sums a pass builds."""
+    return list(sums._walk(ks, small_primes, t, pi, e, frac_bits, k,
+                           *sums._prime_sums(small_primes, frac_bits)))
+
+
 def _cutoff(x: int) -> int:
     """The running-sum cutoff y0 = max(floor(x^(2/3)), isqrt(x)) of _levels."""
     y0 = round((x * x) ** (1 / 3))
@@ -450,7 +475,7 @@ def _level_one_at_every_key(ks: KeySpace, small_primes: list[int], frac_bits: in
     """
     y0 = _cutoff(ks.x)
     top = ks.x // (y0 + 1)
-    return sums._level_one(ks, small_primes, frac_bits, y0, list(range(len(ks) - top, len(ks))))
+    return _level_one(ks, small_primes, frac_bits, y0, list(range(len(ks) - top, len(ks))))
 
 
 def _dense_levels(k: int, x: int, primes, frac_bits: int):
@@ -463,7 +488,7 @@ def _dense_levels(k: int, x: int, primes, frac_bits: int):
     small_primes = primes.primes[: primes.count_upto(ks.sqrt_x)].tolist()
     t, pi, e = _level_one_at_every_key(ks, small_primes, frac_bits)
     return [(max(t[-1] - e, 0), pi[-1], 2 * e),
-            *sums._walk(ks, small_primes, t, pi, e, frac_bits, k)]
+            *_walk(ks, small_primes, t, pi, e, frac_bits, k)]
 
 
 class TestDemandDrivenLevels:
@@ -477,7 +502,7 @@ class TestDemandDrivenLevels:
         ks = KeySpace.build(x)
         plist = primes_1e6.primes[: primes_1e6.count_upto(x)]
         for k in range(1, 7):
-            assert list(sums._levels(ks, plist, frac_bits, k)) == dense[:k], (k, x)
+            assert _levels(ks, plist, frac_bits, k) == dense[:k], (k, x)
 
     @pytest.mark.parametrize("x", [4, 49, 999, 65_537, 10**6])
     @pytest.mark.parametrize("precision", [64, 192])
@@ -489,7 +514,7 @@ class TestDemandDrivenLevels:
         small = primes_1e6.primes[: primes_1e6.count_upto(ks.sqrt_x)].tolist()
         t, pi, e = _level_one_at_every_key(ks, small, frac_bits)
         clamped = [max(v - e, 0) for v in t]
-        walks = (list(sums._walk(ks, small, table, pi, e, frac_bits, 6)) for table in (t, clamped))
+        walks = (_walk(ks, small, table, pi, e, frac_bits, 6) for table in (t, clamped))
         assert next(walks) == next(walks), (precision, x)
 
 
@@ -557,7 +582,7 @@ class TestLedgerAtEveryKey:
         # level 1 at every key, as _levels yields it, against exact S_1
         frac_bits = sums.fixed_point_params(precision)
         ks = KeySpace.build(x)
-        (*_, ledger), = sums._levels(ks, primes_1e4.primes, frac_bits, 1)
+        (*_, ledger), = _levels(ks, primes_1e4.primes, frac_bits, 1)
         small_primes = primes_1e4.primes[: primes_1e4.count_upto(ks.sqrt_x)].tolist()
         t, _, e = _level_one_at_every_key(ks, small_primes, frac_bits)
         exact = _exact_levels(1, x, primes_1e4)[0]
@@ -580,14 +605,15 @@ class TestLedgerAtEveryKey:
         level_one, tables = sums._level_one, []
 
         def record(*args):
-            tables.append(level_one(*args))
-            return tables[-1]
+            for table in level_one(*args):
+                tables.append(table)
+                yield table
 
         monkeypatch.setattr(sums, "_level_one", record)
         for precision in (64, 192):
             frac_bits = sums.fixed_point_params(precision)
             exact = _exact_bounds(5, keys, omega, tuples, frac_bits + BOUND_GUARD)
-            levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 5))
+            levels = _levels(ks, primes_1e6.primes, frac_bits, 5)
             t, pi, e = tables[-1]
             assert not any(t[i] or pi[i] for i in unfilled), (precision, x)
             (lo, hi, want), ledger = exact[0], levels[0][2]
@@ -626,7 +652,7 @@ class TestLedgerAtEveryKey:
         exact_at_x = _exact_bounds(4, [x], omega, tuples, frac_bits + BOUND_GUARD)[1:]
         for table in (low, high):
             # each level's own ledger with e
-            walk = sums._walk(ks, small_primes, table, pi, e, frac_bits, 4)
+            walk = _walk(ks, small_primes, table, pi, e, frac_bits, 4)
             for j, ((value, count, bound), (lo, hi, want)) in enumerate(zip(walk, exact_at_x), 2):
                 assert value << BOUND_GUARD <= lo[0], (j, x)
                 assert hi[0] <= (value + bound) << BOUND_GUARD, (j, x)
@@ -643,7 +669,7 @@ class TestLedgerAtEveryKey:
         omega, shapes = _shape_arrays(x)
         for frac_bits in (12, sums.fixed_point_params(80)):
             _, _, e = _level_one_at_every_key(ks, small, frac_bits)
-            levels = list(sums._levels(ks, primes_1e6.primes, frac_bits, 4))
+            levels = _levels(ks, primes_1e6.primes, frac_bits, 4)
             assert levels[0][2] == 2 * e
             bits = frac_bits + BOUND_GUARD
             exact = _exact_bounds(3, [x], omega, shapes, bits)
@@ -673,7 +699,7 @@ class TestLedgerAtEveryKey:
         for q in small:
             t[q - 1] -= 1
         monkeypatch.setattr(sums, "INIT_GUARD_BITS", 0)
-        walk = list(sums._walk(ks, small, t, pi, 0, frac_bits, 4))
+        walk = _walk(ks, small, t, pi, 0, frac_bits, 4)
         at = {v: i for i, v in enumerate(keys)}
         totals = dict.fromkeys((2, 3, 4), Fraction(0))
         for n, prefix, children in _parents(x, small, 4):
@@ -827,12 +853,12 @@ class TestLevelOne:
             assert _cutoff(x) <= primes_1e4.limit, x  # final() counts the primes up to y0
             low = len(ks) - x // (_cutoff(x) + 1)  # the keys up to y0
             small = plist[: bisect_right(plist, ks.sqrt_x)]
-            start = sums._start_values(ks, small, frac_bits, range(len(ks)))
+            start = _start_values(ks, small, frac_bits, range(len(ks)))
             want_t, want_pi, want_e = _lucy_stages(ks, small, start, final)
             t, pi, e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[low:], pi.tolist(), e) == (want_t[low:], want_pi, want_e), x
             assert t[:low] == [final(v)[0] for v in ks.keys[:low].tolist()], x
-            t, pi, e = sums._level_one(ks, small, frac_bits, _cutoff(x), [len(ks) - 1])
+            t, pi, e = _level_one(ks, small, frac_bits, _cutoff(x), [len(ks) - 1])
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), x
 
     # both sides of the harmonic switch max(sqrt_x (F+32) // 64, 2^12) leaving 2^12 (XS)
@@ -846,7 +872,7 @@ class TestLevelOne:
         frac_bits = sums.fixed_point_params(precision)
         ks = KeySpace.build(x)
         keys, small_primes = ks.keys.tolist(), sieve(ks.sqrt_x).primes.tolist()
-        start = sums._start_values(ks, small_primes, frac_bits, range(len(ks)))
+        start = _start_values(ks, small_primes, frac_bits, range(len(ks)))
         small = bisect_right(keys, 1 << 12)
         harmonic = list(accumulate((Fraction(1, n) for n in range(2, keys[small - 1] + 1)),
                                    initial=Fraction(0)))  # H_v - 1 exactly, v <= 2^12
@@ -857,7 +883,7 @@ class TestLevelOne:
         assert all(abs(a - b) <= 2 for a, b in zip(start, want)), max(
             (abs(a - b), v) for a, b, v in zip(start, want, keys))
         chosen = sorted(random.Random(x).sample(range(len(ks)), len(ks) // 3))
-        some, chosen = sums._start_values(ks, small_primes, frac_bits, chosen), set(chosen)
+        some, chosen = _start_values(ks, small_primes, frac_bits, chosen), set(chosen)
         assert some == [start[i] if i in chosen else 0 for i in range(len(ks))]
 
     @pytest.mark.parametrize("x", [2, 50, 8194, 10**7])
@@ -941,7 +967,7 @@ class TestDemandPrunedLevelOne:
         for x in sorted({*range(1, 201), *self.SQUARES, *self.LARGE}):
             ks = KeySpace.build(x)
             small = primes_1e7.primes[: primes_1e7.count_upto(ks.sqrt_x)].tolist()
-            t, pi, e = sums._level_one(ks, small, frac_bits, _cutoff(x), [len(ks) - 1])
+            t, pi, e = _level_one(ks, small, frac_bits, _cutoff(x), [len(ks) - 1])
             want_t, want_pi, want_e = _level_one_at_every_key(ks, small, frac_bits)
             assert (t[-1], pi[-1], e) == (want_t[-1], want_pi[-1], want_e), (precision, x)
             low = len(ks) - x // (_cutoff(x) + 1)  # the keys up to y0, from the running sum
@@ -958,28 +984,29 @@ class TestDemandPrunedLevelOne:
         monkeypatch.setattr(sums, "_level_one", lambda *args: calls.append(args) or (
             level_one(*args)))
         for k in range(1, 7):
-            list(sums._levels(ks, primes_1e6.primes, frac_bits, k))
+            _levels(ks, primes_1e6.primes, frac_bits, k)
         top = x // (_cutoff(x) + 1)
-        calls.append((ks, small, frac_bits, _cutoff(x), list(range(len(ks) - top, len(ks)))))
-        plain = [(t, pi.tolist(), e) for t, pi, e in (level_one(*args) for args in calls)]
+        calls.append(([ks], small, frac_bits, [_cutoff(x)], [list(range(len(ks) - top, len(ks)))]))
+        plain = [[(t, pi.tolist(), e) for t, pi, e in level_one(*args)] for args in calls]
 
-        def only_wanted(keyspace, small_primes, frac_bits, want):
-            wanted = set(np.asarray(want).tolist())
-            values = start_values(keyspace, small_primes, frac_bits, want)
-            return [v if i in wanted else None for i, v in enumerate(values)]
+        def only_wanted(keyspaces, small_primes, frac_bits, wants):
+            for want, values in zip(wants, start_values(keyspaces, small_primes, frac_bits, wants)):
+                wanted = set(np.asarray(want).tolist())
+                yield np.array([v if i in wanted else None for i, v in enumerate(values)],
+                               dtype=object)
 
         monkeypatch.setattr(sums, "_start_values", only_wanted)
         for args, want in zip(calls, plain):
-            t, pi, e = level_one(*args)
-            assert (t, pi.tolist(), e) == want, (x, len(args[-1]))
+            tables = [(t, pi.tolist(), e) for t, pi, e in level_one(*args)]
+            assert tables == want, (x, len(args[-1][0]))
 
     def test_demand_pass_width(self, primes_1e4, monkeypatch):
         # at k = 1 the head wants start values at 9,457 of the 19,968 keys of x = 99,700,000
         start_values, wants = sums._start_values, []
-        monkeypatch.setattr(sums, "_start_values", lambda *args: wants.append(len(args[-1])) or (
-            start_values(*args)))
+        monkeypatch.setattr(sums, "_start_values", lambda *args: wants.extend(
+            map(len, args[-1])) or start_values(*args))
         ks = KeySpace.build(99_700_000)
-        list(sums._levels(ks, primes_1e4.primes, sums.fixed_point_params(192), 1))
+        _levels(ks, primes_1e4.primes, sums.fixed_point_params(192), 1)
         assert (wants, len(ks)) == ([9457], 19_968)
 
     def test_one_sieve_per_pass(self, primes_1e6, monkeypatch):
@@ -989,6 +1016,78 @@ class TestDemandPrunedLevelOne:
         monkeypatch.setattr(sums, "sieve", lambda limit: calls.append(limit) or sieve(limit))
         sk_levels(1, 10**6, primes_1e6, 192)
         assert calls == [10**4]
+
+
+def _fields(levels) -> list[tuple]:
+    """What a sweep and a per-point pass must share: every field of each level but elapsed."""
+    return [(r.k, r.x, r.value, r.error_bound, r.terms, r.method) for r in levels]
+
+
+class TestSweep:
+    """A sweep plans each x and fills level 1 once; each x must not notice the others.
+
+    The shared sieve, running sums, harmonic stream and start-value tables
+    depend on a key and F alone, so every value, error_bound and terms is
+    equal, not merely within ledgers, to a pass over that x alone.
+    """
+
+    SWEEP = GridSpec(1000, 2_006_000, 13).values()  # the sweep workload's grid
+    # unsorted, with a repeat: points below 2^k, both sides of the harmonic switch leaving
+    # 2^12 (4096, 8193: x // 2 > 2^12) and, at 1024 bits, of sqrt_x (F+32) // 64 leaving it
+    # (sqrt_x = 239 and 240); points whose y0 lies below other points' keys and above them
+    MIXED = [4097, 1, 63, 10**6, 4095, 2, 4096, 8193, 64, 240**2 - 1, 999, 240**2, 3,
+             65_537, 8193, 2_006_000, 50]
+
+    @pytest.mark.parametrize("precision", [64, 192, 1024])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_mixed_grid_matches_per_point_passes(self, k, precision, primes_1e4):
+        sweep = list(sums._sk_grid(k, self.MIXED, primes_1e4, precision))
+        assert len(sweep) == len(self.MIXED)
+        for x, levels in zip(self.MIXED, sweep):
+            assert _fields(levels) == _fields(sk_levels(k, x, primes_1e4, precision)), (k, x)
+
+    @pytest.mark.parametrize("k, precision", [(4, 192), (6, 64), (6, 1024)])
+    def test_sweep_grid_matches_per_point_passes(self, k, precision, primes_1e4):
+        sweep = sums._sk_grid(k, self.SWEEP, primes_1e4, precision)
+        for x, levels in zip(self.SWEEP, sweep):
+            assert _fields(levels) == _fields(sk_levels(k, x, primes_1e4, precision)), x
+
+    def test_one_point_grid_is_sk_levels(self, primes_1e4):
+        for x in (1, 4097, 10**6):
+            [levels] = sums._sk_grid(3, [x], primes_1e4, 192)
+            assert _fields(levels) == _fields(sk_levels(3, x, primes_1e4, 192)), x
+
+    def test_one_sieve_per_sweep(self, primes_1e4, monkeypatch):
+        # one sieve, up to the largest y0
+        calls = []
+        monkeypatch.setattr(sums, "sieve", lambda limit: calls.append(limit) or sieve(limit))
+        list(sums._sk_grid(4, self.SWEEP, primes_1e4, 192))
+        assert calls == [_cutoff(2_006_000)] == [15_905]
+
+    def test_sweep_leaves_no_cycles(self, primes_1e4):
+        gc.collect()
+        gc.disable()
+        try:
+            list(sums._sk_grid(4, self.SWEEP, primes_1e4, 192))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_checks_every_x_before_any_work(self, primes_1e4, monkeypatch):
+        monkeypatch.setattr(sums, "_levels", None)  # any work would call it
+        with pytest.raises(CapacityError, match="x=10000000001 exceeds"):
+            next(sums._sk_grid(2, [1000, FAST_MAX_X + 1], primes_1e4))
+        with pytest.raises(DomainError, match="x must be >= 1, got 0"):
+            next(sums._sk_grid(2, [1000, 0], primes_1e4))
+        with pytest.raises(ParameterError):
+            next(sums._sk_grid(2, [1000, 10**9], primes_1e4))
+
+    def test_harmonic_switch_under_2_24_at_the_caps(self):
+        # _start_values' error budget holds while the switch max(sqrt_x (F+32) // 64, 2^12)
+        # stays under 2^24; a sweep's one harmonic stream runs to its largest x's switch, so a
+        # larger FAST_MAX_X or MAX_PRECISION must re-derive the budget first
+        bits = sums.fixed_point_params(MAX_PRECISION) + sums.INIT_GUARD_BITS
+        assert max(math.isqrt(FAST_MAX_X) * bits // 64, 1 << 12) < 1 << 24
 
 
 class TestOracleEquivalence:
